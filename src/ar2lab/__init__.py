@@ -18,7 +18,6 @@ from .errors import (
     InsufficientHorizon,
     InvalidOrder,
     InvalidParameters,
-    InvalidParams,
     LabError,
     NonFiniteInput,
     ParseError,
@@ -45,7 +44,6 @@ from .recurrence import (
     Stability,
     WeightTable,
     bound_report,
-    classify_stability,
     companion_power_column,
     companion_spectrum,
     weight_closed_form,
@@ -72,7 +70,6 @@ __all__ = [
     "InsufficientHorizon",
     "InvalidOrder",
     "InvalidParameters",
-    "InvalidParams",
     "LabError",
     "MomentGrowthReport",
     "MomentValue",
@@ -92,7 +89,6 @@ __all__ = [
     "WeightTable",
     "absolute_moment",
     "bound_report",
-    "classify_stability",
     "companion_power_column",
     "companion_spectrum",
     "default_grid",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .recurrence import (
     weight_closed_form,
     weight_sequence,
 )
-from .simulate import representation_residual, simulate_path, weighted_sum
+from .simulate import representation_residual, simulate_path
 
 SELF_CHECK_PATHS = 10
 RESIDUAL_TOL = 1e-9
@@ -119,16 +120,11 @@ def _bound_horizon(grid_max: int) -> int:
 def run(config: ExperimentConfig) -> int:
     """Full pipeline; returns the process exit code.
 
-    Order: stability gate, spectrum + envelope report, representation
-    self-check, tail series over the default grid, moment-growth check
-    (skipped when E|theta|^r diverges), then CSVs and a text summary.
+    ExperimentConfig guarantees stable coefficients.  Order: spectrum +
+    envelope report, representation self-check, tail series over the
+    default grid, moment-growth check (skipped when E|theta|^r
+    diverges), then CSVs and a text summary.
     """
-    # parse_config already rejects unstable pairs; re-check for
-    # programmatic callers.
-    if config.coeffs.stability.value != "Stable":
-        raise LabError(
-            f"coefficients must satisfy -1 < b < 1 - |a|, got a={config.coeffs.a}, b={config.coeffs.b}"
-        )
     spectrum = companion_spectrum(config.coeffs)
     report = bound_report(config.coeffs, _bound_horizon(config.grid_max))
     emit_spectrum_csv(config, spectrum, report, config.output_path + ".spectrum.csv")
@@ -253,7 +249,7 @@ def _cmd_verify(config: ExperimentConfig) -> int:
     coeffs = config.coeffs
     spectrum = companion_spectrum(coeffs)
     horizon = 400
-    table = weight_sequence(coeffs, horizon)
+    table = weight_sequence(coeffs, horizon + 1)
 
     # roots solve z^2 - a z - b = 0
     lam_sum = spectrum.lambda1 + spectrum.lambda2
@@ -276,10 +272,12 @@ def _cmd_verify(config: ExperimentConfig) -> int:
                     abs(mat_prev - table.u[s - 1]) / max(1.0, abs(table.u[s - 1])))
     check("weight routes agree (s <= 200)", worst <= 1e-8, f"max rel err {worst:.2e}")
 
-    # cumulative limit
-    limit = 1.0 / (1.0 - coeffs.a - coeffs.b)
-    gap = abs(table.cum[horizon] - limit)
-    check("cumulative weights approach 1/(1-a-b)", gap <= 1e-6, f"gap {gap:.2e}")
+    # (1-a-b) U(h) = 1 - u_{h+1} - b u_h holds exactly at every h, also
+    # near the boundary where U(h) is still far from its limit 1/(1-a-b)
+    u, cum = table.u, table.cum
+    gap = abs((1.0 - coeffs.a - coeffs.b) * cum[horizon] - (1.0 - u[horizon + 1] - coeffs.b * u[horizon]))
+    ok = gap <= 1e-10 * max(1.0, abs(cum[horizon]))
+    check(f"cumulative weight identity at h = {horizon}", ok, f"gap {gap:.2e}")
 
     # dual representation on probe paths
     residual = _self_check(config)
@@ -334,20 +332,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = parse_config(args.config)
-        if args.seed is not None or args.replications is not None or args.out is not None:
-            from dataclasses import replace
-
-            config = replace(
-                config,
-                master_seed=config.master_seed if args.seed is None else args.seed,
-                replications=config.replications if args.replications is None else args.replications,
-                output_path=config.output_path if args.out is None else args.out,
-            )
-            if config.replications < 100:
-                raise LabError(f"replications must be >= 100, got {config.replications}")
-            if not 0 <= config.master_seed <= 2 ** 64 - 1:
-                raise LabError(f"seed must fit in 64 unsigned bits, got {config.master_seed}")
+        # ExperimentConfig re-validates, so overrides obey the config file's rules
+        overrides = {"master_seed": args.seed, "replications": args.replications, "output_path": args.out}
+        config = replace(parse_config(args.config), **{k: v for k, v in overrides.items() if v is not None})
         return _COMMANDS[args.command](config)
     except LabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,7 +44,10 @@ _PARAM_COUNT = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated inputs for one full series run."""
+    """Validated inputs for one full series run.
+
+    Checked on construction, so dataclasses.replace re-validates.
+    """
 
     coeffs: ARCoefficients
     noise: NoiseSpec
@@ -53,6 +56,20 @@ class ExperimentConfig:
     replications: int
     master_seed: int
     output_path: str
+
+    def __post_init__(self):
+        if self.coeffs.stability is not Stability.STABLE:
+            raise ValidationError(
+                f"coefficients must satisfy -1 < b < 1 - |a|, got a={self.coeffs.a}, b={self.coeffs.b}"
+            )
+        if self.grid_max < 1:
+            raise ValidationError(f"grid_max must be >= 1, got {self.grid_max}")
+        if self.replications < 100:
+            raise ValidationError(f"replications must be >= 100, got {self.replications}")
+        if not 0 <= self.master_seed <= 2 ** 64 - 1:
+            raise ValidationError(f"seed must fit in 64 unsigned bits, got {self.master_seed}")
+        if not self.output_path:
+            raise ValidationError("output must be a non-empty path prefix")
 
 
 def _parse_float(key: str, raw: str, line: int) -> float:
@@ -131,19 +148,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         params = SeriesParams(p=p, r=r, epsilon=epsilon)
     except (InvalidParameters, NonFiniteInput) as exc:
         raise ValidationError(str(exc)) from None
-
-    if coeffs.stability is not Stability.STABLE:
-        raise ValidationError(
-            f"coefficients must satisfy -1 < b < 1 - |a|, got a={coeffs.a}, b={coeffs.b}"
-        )
-    if grid_max < 1:
-        raise ValidationError(f"grid_max must be >= 1, got {grid_max}")
-    if replications < 100:
-        raise ValidationError(f"replications must be >= 100, got {replications}")
-    if not 0 <= seed <= 2 ** 64 - 1:
-        raise ValidationError(f"seed must fit in 64 unsigned bits, got {seed}")
-    if not output:
-        raise ValidationError("output must be a non-empty path prefix")
 
     return ExperimentConfig(
         coeffs=coeffs,

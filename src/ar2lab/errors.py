@@ -25,10 +25,6 @@ class InvalidParameters(LabError):
     """A parameter violates its documented constraint."""
 
 
-# Series parameters share the same failure mode; keep one class, two names.
-InvalidParams = InvalidParameters
-
-
 class InvalidOrder(LabError):
     """Moment order r must be positive."""
 

@@ -24,11 +24,12 @@ from .errors import (
     EmptyGrid,
     InfiniteMoment,
     InvalidParameters,
+    NonFiniteInput,
     UnstableCoefficients,
 )
 from .noise import NoiseSpec, StreamKey, absolute_moment, sample_block
 from .recurrence import ARCoefficients, Stability, WeightTable, weight_sequence
-from .summation import CompensatedSum
+from .summation import CompensatedSum, compensated_cumsum
 
 # Two-sided 95% normal quantile used by every Wilson interval here.
 Z95 = 1.959963984540054
@@ -144,35 +145,27 @@ def _require_stable(coeffs: ARCoefficients):
         )
 
 
-def _count_exceedances(
-    coeffs: ARCoefficients,
-    spec: NoiseSpec,
-    threshold: float,
-    n: int,
-    replications: int,
-    key: StreamKey,
-    weights: WeightTable,
-) -> int:
-    """Exceedance count over all replication blocks for one n.
+def _abs_sums(spec: NoiseSpec, n: int, replications: int, key: StreamKey, weights: WeightTable):
+    """Yield |S_n| of every replicate, one replication block at a time.
 
     Each block draws BLOCK_REPLICATES paths worth of noise under its
-    own (purpose, n, block) key and evaluates |S_n| through the
-    weighted representation; counting is order-insensitive, so the
-    result does not depend on block scheduling.
+    own (purpose, n, block) key and evaluates S_n through the weighted
+    representation.  An infinite |S_n| is kept (it exceeds any
+    threshold); a NaN one, e.g. from +inf and -inf draws in one path,
+    has no magnitude and is refused rather than silently miscounted.
     """
     rev_cum = weights.cum[n - 1 :: -1]  # U(n-1), ..., U(0)
-    count = 0
-    done = 0
-    block = 0
-    while done < replications:
+    for block, done in enumerate(range(0, replications, BLOCK_REPLICATES)):
         take = min(BLOCK_REPLICATES, replications - done)
         block_key = StreamKey(key.master_seed, key.purpose, n=n, block=block)
         theta = sample_block(spec, take * n, block_key).reshape(take, n)
-        sums = np.einsum("ij,j->i", theta, rev_cum)
-        count += int(np.count_nonzero(np.abs(sums) > threshold))
-        done += take
-        block += 1
-    return count
+        sums = np.abs(np.einsum("ij,j->i", theta, rev_cum))
+        nan_count = int(np.count_nonzero(np.isnan(sums)))
+        if nan_count:
+            raise NonFiniteInput(
+                f"|S_n| is NaN for {nan_count} of {take} replicates at n={n}, block {block}"
+            )
+        yield sums
 
 
 def tail_probability(
@@ -203,7 +196,10 @@ def tail_probability(
     elif weights.horizon < n - 1:
         raise InvalidParameters(f"weight table horizon {weights.horizon} < {n - 1}")
     threshold = params.epsilon * float(n) ** (1.0 / params.p)
-    count = _count_exceedances(coeffs, spec, threshold, n, replications, stream_key, weights)
+    count = sum(
+        int(np.count_nonzero(sums > threshold))
+        for sums in _abs_sums(spec, n, replications, stream_key, weights)
+    )
     low, high = wilson_interval(count, replications)
     return TailEstimate(
         n=n,
@@ -287,16 +283,8 @@ def partial_series(
         ci_terms.append(scale * est.ci_high)
         flags.append(est.at_floor)
 
-    sums_acc = CompensatedSum()
-    ci_acc = CompensatedSum()
-    partial_sums = []
-    ci_totals = []
-    for t, c in zip(terms, ci_terms):
-        sums_acc.add(t)
-        ci_acc.add(c)
-        partial_sums.append(sums_acc.total)
-        ci_totals.append(ci_acc.total)
-
+    partial_sums = compensated_cumsum(terms).tolist()
+    ci_totals = compensated_cumsum(ci_terms).tolist()
     verdict = _verdict(grid, terms, ci_terms, flags, partial_sums, ci_totals)
     return SeriesEstimate(
         params=params,
@@ -358,18 +346,9 @@ def moment_growth_check(
     weights = weight_sequence(coeffs, n_grid[-1] - 1)
     estimates = []
     for n in n_grid:
-        rev_cum = weights.cum[n - 1 :: -1]
         acc = CompensatedSum()
-        done = 0
-        block = 0
-        while done < replications:
-            take = min(BLOCK_REPLICATES, replications - done)
-            key = StreamKey(master_seed, "moment", n=n, block=block)
-            theta = sample_block(spec, take * n, key).reshape(take, n)
-            sums = np.einsum("ij,j->i", theta, rev_cum)
-            acc.add(float(np.sum(np.abs(sums) ** r)))
-            done += take
-            block += 1
+        for sums in _abs_sums(spec, n, replications, StreamKey(master_seed, "moment", n=n), weights):
+            acc.add(float(np.sum(sums ** r)))
         estimates.append(acc.total / replications)
 
     slope, intercept = np.polyfit(np.log(np.asarray(n_grid, dtype=float)), np.log(estimates), 1)

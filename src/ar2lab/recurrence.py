@@ -29,7 +29,7 @@ from .errors import (
     NonFiniteInput,
     UnstableCoefficients,
 )
-from .summation import CompensatedSum
+from .summation import compensated_cumsum
 
 # Strict slack on the stability inequalities; points this close to the
 # boundary are treated as outside the region.
@@ -74,11 +74,6 @@ class ARCoefficients:
         object.__setattr__(self, "b", b)
         stable = (b > -1.0 + STABILITY_SLACK) and (b < 1.0 - abs(a) - STABILITY_SLACK)
         object.__setattr__(self, "stability", Stability.STABLE if stable else Stability.UNSTABLE)
-
-
-def classify_stability(coeffs: ARCoefficients) -> Stability:
-    """Classification of (a, b) against -1 < b < 1 - |a|."""
-    return coeffs.stability
 
 
 @dataclass(frozen=True)
@@ -153,17 +148,13 @@ def weight_sequence(coeffs: ARCoefficients, horizon: int) -> WeightTable:
     a, b = coeffs.a, coeffs.b
     u = [1.0]
     prev2, prev1 = 0.0, 1.0  # u_{-1}, u_0
-    cum_acc = CompensatedSum(1.0)
-    cum = [cum_acc.total]
     for n in range(1, horizon + 1):
         here = a * prev1 + b * prev2
         if not math.isfinite(here):
             raise HorizonOverflow(f"weight u_{n} overflowed for a={a}, b={b}")
         u.append(here)
-        cum_acc.add(here)
-        cum.append(cum_acc.total)
         prev2, prev1 = prev1, here
-    return WeightTable(coeffs=coeffs, horizon=horizon, u=_readonly(u), cum=_readonly(cum))
+    return WeightTable(coeffs=coeffs, horizon=horizon, u=_readonly(u), cum=_readonly(compensated_cumsum(u)))
 
 
 def weight_closed_form(spectrum: CompanionSpectrum, s: int) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InsufficientHorizon, InvalidParameters, NonFiniteInput
 from .recurrence import ARCoefficients, WeightTable, weight_sequence
-from .summation import CompensatedSum
+from .summation import compensated_cumsum
 
 
 @dataclass(frozen=True)
@@ -49,17 +49,16 @@ def simulate_path(coeffs: ARCoefficients, theta) -> Path:
     """
     arr = _as_theta(theta)
     a, b = coeffs.a, coeffs.b
-    xi = np.empty(arr.size)
+    states = []
     prev2, prev1 = 0.0, 0.0
-    acc = CompensatedSum()
-    for k in range(arr.size):
-        here = a * prev1 + b * prev2 + arr[k]
-        xi[k] = here
-        acc.add(here)
+    for t in arr.tolist():
+        here = a * prev1 + b * prev2 + t
+        states.append(here)
         prev2, prev1 = prev1, here
+    xi = np.array(states)
     arr.setflags(write=False)
     xi.setflags(write=False)
-    return Path(coeffs=coeffs, n=arr.size, theta=arr, xi=xi, s_n=acc.total)
+    return Path(coeffs=coeffs, n=arr.size, theta=arr, xi=xi, s_n=float(compensated_cumsum(xi)[-1]))
 
 
 def weighted_sum(coeffs: ARCoefficients, theta, weights: WeightTable | None = None) -> float:
@@ -79,11 +78,7 @@ def weighted_sum(coeffs: ARCoefficients, theta, weights: WeightTable | None = No
             raise InsufficientHorizon(
                 f"weight table horizon {weights.horizon} < n - 1 = {n - 1}"
             )
-    cum = weights.cum
-    acc = CompensatedSum()
-    for k in range(n):
-        acc.add(cum[n - 1 - k] * arr[k])
-    return acc.total
+    return float(compensated_cumsum(weights.cum[n - 1 :: -1] * arr)[-1])
 
 
 def representation_residual(coeffs: ARCoefficients, theta) -> float:
@@ -95,11 +90,7 @@ def representation_residual(coeffs: ARCoefficients, theta) -> float:
 
 def prefix_sums(path: Path) -> np.ndarray:
     """S_1..S_n along the path, each with compensated accumulation."""
-    acc = CompensatedSum()
-    out = np.empty(path.n)
-    for k in range(path.n):
-        acc.add(path.xi[k])
-        out[k] = acc.total
+    out = compensated_cumsum(path.xi)
     out.setflags(write=False)
     return out
 

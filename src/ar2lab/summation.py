@@ -5,9 +5,12 @@ drift by more than ~1e-12 per 1e4 terms, which plain left-to-right
 accumulation cannot promise once terms vary in magnitude.  The Neumaier
 variant of Kahan summation tracks the rounding error in a carry term and
 folds it in at the end.
+
+CompensatedSum adds one term at a time; compensated_cumsum returns all
+running totals of an array at once, equal to CompensatedSum's bit for bit.
 """
 
-import math
+import numpy as np
 
 
 class CompensatedSum:
@@ -33,27 +36,18 @@ class CompensatedSum:
         return self._sum + self._carry
 
 
-def compensated_total(values) -> float:
-    """Sum an iterable with Neumaier compensation."""
-    acc = CompensatedSum()
-    for v in values:
-        acc.add(v)
-    return acc.total
+def compensated_cumsum(values) -> np.ndarray:
+    """Running totals of a 1-d array, equal to CompensatedSum's after each add.
 
-
-def running_totals(values) -> list:
-    """Prefix sums of `values`, each compensated.
-
-    The k-th entry equals the compensated sum of values[:k+1]; NaN or
-    infinity in the input propagates to every later entry.
+    The plain prefix sums are one cumsum; the rounding error of each
+    step is computed with the branch CompensatedSum.add takes, and the
+    carry is the cumsum of those errors.  Both cumsums start from +0.0
+    as the scalar accumulator does.  NaN or infinity in the input
+    propagates to every later total.
     """
-    acc = CompensatedSum()
-    out = []
-    for v in values:
-        acc.add(v)
-        out.append(acc.total)
-    return out
-
-
-def is_all_finite(values) -> bool:
-    return all(math.isfinite(v) for v in values)
+    x = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.cumsum(np.concatenate(([0.0], x)))
+        before, after = sums[:-1], sums[1:]
+        err = np.where(np.abs(before) >= np.abs(x), (before - after) + x, (x - after) + before)
+        return after + np.cumsum(np.concatenate(([0.0], err)))[1:]

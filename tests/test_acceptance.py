@@ -21,7 +21,6 @@ from ar2lab import (
     ValidationError,
     Verdict,
     bound_report,
-    classify_stability,
     companion_power_column,
     companion_spectrum,
     moment_growth_check,
@@ -159,7 +158,7 @@ def test_criterion_04_stability_iff_contractive_radius():
             if abs(b + 1.0) <= 1e-6 or abs(b - (1.0 - abs(a))) <= 1e-6:
                 continue  # boundary band
             coeffs = ARCoefficients(a, b)
-            stable = classify_stability(coeffs) is Stability.STABLE
+            stable = coeffs.stability is Stability.STABLE
             rho = companion_spectrum(coeffs).rho
             checked += 1
             disagreements += stable != (rho < 1.0)

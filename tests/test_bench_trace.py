@@ -1,0 +1,50 @@
+"""The traced benchmark still finds the functions it wraps.
+
+bench/spans.py patches ar2lab functions by module and attribute name; a
+rename in the package would otherwise surface only as a broken
+`bench/run.py --trace 1` run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import ar2lab.estimate
+import ar2lab.noise
+from ar2lab.cli import main
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+TINY = """
+a = 0.3
+b = 0.2
+p = 1
+r = 2
+epsilon = 1
+noise.family = normal
+grid_max = 12
+replications = 100
+seed = 1
+"""
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_run_records_spans_for_each_layer(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY + f"output = {tmp_path / 'run'}\n", encoding="utf-8")
+    tracer = load_spans().Tracer(run_id="smoke", memory=False)
+    tracer.install()
+    try:
+        codes = [main([command, "--config", str(cfg)]) for command in ("series", "simulate", "verify")]
+    finally:
+        tracer.uninstall()
+    assert codes[0] in (0, 2, 3)
+    assert codes[1:] == [0, 0]
+    names = {span[0] for span in tracer.spans}
+    assert {"noise.sample_block", "simulate.simulate_path", "simulate.weighted_sum"} <= names
+    assert ar2lab.estimate.sample_block is ar2lab.noise.sample_block  # uninstall restored it

@@ -187,12 +187,15 @@ def test_main_simulate_writes_paths(tmp_path, capsys):
 
 
 def test_main_verify_all_pass(tmp_path, capsys):
-    cfg_path, _ = write_cfg(tmp_path)
-    assert main(["verify", "--config", str(cfg_path)]) == 0
-    out = capsys.readouterr().out
-    assert out.count("[PASS]") == 6
-    assert "[FAIL]" not in out
-    assert "all checks passed" in out
+    # the last two pairs sit near the boundary, where U(400) is still far
+    # from 1/(1-a-b); the cumulative-weight check must pass there too
+    for a, b in [(0.3, 0.2), (0.2, 0.79), (-1.99, -0.995)]:
+        cfg_path, _ = write_cfg(tmp_path, BASE.replace("a = 0.3", f"a = {a}").replace("b = 0.2", f"b = {b}"))
+        assert main(["verify", "--config", str(cfg_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("[PASS]") == 6
+        assert "[FAIL]" not in out
+        assert "all checks passed" in out
 
 
 def test_main_overrides(tmp_path):

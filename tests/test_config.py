@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -160,6 +161,25 @@ def test_range_checks():
         parse_config_text(MINIMAL + "seed = -1\n")
     with pytest.raises(ValidationError, match=r"seed must fit in 64 unsigned bits"):
         parse_config_text(MINIMAL + f"seed = {2 ** 64}\n")
+
+    # dataclasses.replace (the CLI overrides) re-validates with the same messages
+    base = parse_config_text(MINIMAL)
+    for change, text in [
+        ({"replications": 99}, MINIMAL + "replications = 99\n"),
+        ({"master_seed": -1}, MINIMAL + "seed = -1\n"),
+        ({"master_seed": 2 ** 64}, MINIMAL + f"seed = {2 ** 64}\n"),
+        ({"grid_max": 0}, MINIMAL + "grid_max = 0\n"),
+        ({"coeffs": ARCoefficients(0.9, 0.5)}, MINIMAL.replace("a = 0.3", "a = 0.9").replace("b = 0.2", "b = 0.5")),
+        ({"output_path": ""}, None),  # an empty value never parses, so only replace() reaches this check
+    ]:
+        with pytest.raises(ValidationError) as replaced:
+            dataclasses.replace(base, **change)
+        if text is None:
+            assert str(replaced.value) == "output must be a non-empty path prefix"
+        else:
+            with pytest.raises(ValidationError) as parsed:
+                parse_config_text(text)
+            assert str(replaced.value) == str(parsed.value)
 
 
 # --- round trip ----------------------------------------------------------------

@@ -11,6 +11,7 @@ from ar2lab import (
     InfiniteMoment,
     InvalidParameters,
     NoiseSpec,
+    NonFiniteInput,
     SeriesParams,
     StreamKey,
     UnstableCoefficients,
@@ -18,6 +19,7 @@ from ar2lab import (
     default_grid,
     moment_growth_check,
     partial_series,
+    sample_block,
     tail_probability,
     weight_sequence,
     wilson_interval,
@@ -158,6 +160,21 @@ def test_tail_weighted_route_feeds_feedback():
     est = tail_probability(STABLE, NORMAL, params, 6, 100000, StreamKey(4, "tail", n=6))
     se = math.sqrt(exact * (1 - exact) / est.replications)
     assert abs(est.p_hat - exact) <= 4.5 * se
+
+
+def test_tail_refuses_nan_sums_and_counts_infinite_ones():
+    # alpha = 0.01 overflows ~0.08% of draws to +-inf; a path holding both
+    # has a NaN sum, which must be refused, not counted as no exceedance
+    heavy = NoiseSpec.symmetric_pareto(0.01, 1.0)
+    with pytest.raises(NonFiniteInput, match=r"NaN for 5 of 4096 replicates at n=64, block 0"):
+        tail_probability(STABLE, heavy, SeriesParams(1, 2, 1), 64, 4096, StreamKey(1, "tail", n=64))
+    with pytest.raises(NonFiniteInput, match=r"at n=64, block 0"):
+        moment_growth_check(STABLE, heavy, 0.005, (8, 16, 32, 64), 4096, 1)
+    # a lone infinite draw is an exceedance of any threshold
+    theta = sample_block(heavy, 4096, StreamKey(2, "tail", n=1, block=0))
+    assert np.isinf(theta).any()
+    est = tail_probability(FREE, heavy, SeriesParams(1, 2, 1e300), 1, 4096, StreamKey(2, "tail", n=1))
+    assert est.p_hat * 4096 == np.count_nonzero(np.abs(theta) > 1e300)
 
 
 def test_tail_validation():

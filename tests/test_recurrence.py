@@ -14,7 +14,6 @@ from ar2lab import (
     Stability,
     UnstableCoefficients,
     bound_report,
-    classify_stability,
     companion_power_column,
     companion_spectrum,
     weight_closed_form,
@@ -67,7 +66,7 @@ def test_rejects_non_finite_inputs():
 
 
 def test_named_pairs_are_stable(named_coeffs):
-    assert classify_stability(named_coeffs) is Stability.STABLE
+    assert named_coeffs.stability is Stability.STABLE
 
 
 @pytest.mark.parametrize(
@@ -76,12 +75,12 @@ def test_named_pairs_are_stable(named_coeffs):
 )
 def test_boundary_and_outside_are_unstable(a, b):
     # includes b = 1 - |a| and b = -1 exactly
-    assert classify_stability(ARCoefficients(a, b)) is Stability.UNSTABLE
+    assert ARCoefficients(a, b).stability is Stability.UNSTABLE
 
 
 def test_just_inside_boundary_is_stable():
-    assert classify_stability(ARCoefficients(0.5, 0.5 - 1e-9)) is Stability.STABLE
-    assert classify_stability(ARCoefficients(0.0, -1.0 + 1e-9)) is Stability.STABLE
+    assert ARCoefficients(0.5, 0.5 - 1e-9).stability is Stability.STABLE
+    assert ARCoefficients(0.0, -1.0 + 1e-9).stability is Stability.STABLE
 
 
 # --- spectrum ----------------------------------------------------------------
@@ -149,7 +148,7 @@ def test_stability_matches_spectral_radius(a, b):
     # stay clear of the boundary where float noise could flip either side
     assume(abs(b + 1.0) > 1e-6 and abs(b - (1.0 - abs(a))) > 1e-6)
     coeffs = ARCoefficients(a, b)
-    stable = classify_stability(coeffs) is Stability.STABLE
+    stable = coeffs.stability is Stability.STABLE
     assert stable == (companion_spectrum(coeffs).rho < 1.0)
 
 
