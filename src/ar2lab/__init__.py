@@ -36,7 +36,7 @@ from .estimate import (
     tail_probability,
     wilson_interval,
 )
-from .noise import MomentValue, NoiseFamily, NoiseSpec, StreamKey, absolute_moment, generator_for, sample_block
+from .noise import NoiseFamily, NoiseSpec, StreamKey, absolute_moment, generator_for, sample_block
 from .recurrence import (
     ARCoefficients,
     BoundReport,
@@ -72,7 +72,6 @@ __all__ = [
     "InvalidParameters",
     "LabError",
     "MomentGrowthReport",
-    "MomentValue",
     "NoiseFamily",
     "NoiseSpec",
     "NonFiniteInput",

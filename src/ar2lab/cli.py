@@ -14,6 +14,7 @@ All emitted files are deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -146,7 +147,7 @@ def run(config: ExperimentConfig) -> int:
     emit_series_csv(series, config.output_path + ".series.csv")
 
     moment = None
-    if absolute_moment(config.noise, config.params.r).is_finite:
+    if math.isfinite(absolute_moment(config.noise, config.params.r)):
         moment = est.moment_growth_check(
             config.coeffs,
             config.noise,
@@ -336,10 +337,7 @@ def main(argv=None) -> int:
         overrides = {"master_seed": args.seed, "replications": args.replications, "output_path": args.out}
         config = replace(parse_config(args.config), **{k: v for k, v in overrides.items() if v is not None})
         return _COMMANDS[args.command](config)
-    except LabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (LabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

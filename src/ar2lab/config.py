@@ -23,23 +23,15 @@ from dataclasses import dataclass
 
 from .errors import InvalidParameters, NonFiniteInput, ParseError, ValidationError
 from .estimate import SeriesParams
-from .noise import NoiseFamily, NoiseSpec
+from .noise import NoiseSpec
 from .recurrence import ARCoefficients, Stability
 
-_DEFAULTS = {"grid_max": 128, "replications": 100000, "seed": 1, "output": "results"}
+# Raw values of the optional keys, parsed like values read from a file.
+_DEFAULTS = {"grid_max": "128", "replications": "100000", "seed": "1", "output": "results"}
 
 _REQUIRED = ("a", "b", "p", "r", "epsilon", "noise.family")
 
 _KEYS = _REQUIRED + ("noise.param1", "noise.param2", "grid_max", "replications", "seed", "output")
-
-# How many parameters each family consumes from noise.param1/param2.
-_PARAM_COUNT = {
-    NoiseFamily.STANDARD_NORMAL: 0,
-    NoiseFamily.RADEMACHER: 0,
-    NoiseFamily.UNIFORM: 1,
-    NoiseFamily.STUDENT_T: 1,
-    NoiseFamily.SYMMETRIC_PARETO: 2,
-}
 
 
 @dataclass(frozen=True)
@@ -72,18 +64,13 @@ class ExperimentConfig:
             raise ValidationError("output must be a non-empty path prefix")
 
 
-def _parse_float(key: str, raw: str, line: int) -> float:
+def _parse_number(key: str, raw: str, line: int | None, kind: type):
+    """raw as a float or (base-10) int; ParseError names the key and line."""
     try:
-        return float(raw)
+        return float(raw) if kind is float else int(raw, 10)
     except ValueError:
-        raise ParseError(f"key {key!r} needs a number, got {raw!r}", line) from None
-
-
-def _parse_int(key: str, raw: str, line: int) -> int:
-    try:
-        return int(raw, 10)
-    except ValueError:
-        raise ParseError(f"key {key!r} needs an integer, got {raw!r}", line) from None
+        noun = "a number" if kind is float else "an integer"
+        raise ParseError(f"key {key!r} needs {noun}, got {raw!r}", line) from None
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -112,39 +99,24 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if key not in raw:
             raise ValidationError(f"missing required key {key!r}")
 
-    a = _parse_float("a", raw["a"], lines["a"])
-    b = _parse_float("b", raw["b"], lines["b"])
-    p = _parse_float("p", raw["p"], lines["p"])
-    r = _parse_float("r", raw["r"], lines["r"])
-    epsilon = _parse_float("epsilon", raw["epsilon"], lines["epsilon"])
-    grid_max = _parse_int("grid_max", raw["grid_max"], lines["grid_max"]) if "grid_max" in raw else _DEFAULTS["grid_max"]
-    replications = (
-        _parse_int("replications", raw["replications"], lines["replications"])
-        if "replications" in raw
-        else _DEFAULTS["replications"]
-    )
-    seed = _parse_int("seed", raw["seed"], lines["seed"]) if "seed" in raw else _DEFAULTS["seed"]
-    output = raw.get("output", _DEFAULTS["output"])
-
-    family = raw["noise.family"]
-    if family not in _PARAM_COUNT:
-        raise ValidationError(
-            f"noise.family must be one of {sorted(_PARAM_COUNT)}, got {family!r}"
-        )
-    want = _PARAM_COUNT[family]
-    given = [
-        _parse_float(key, raw[key], lines[key])
+    raw = {**_DEFAULTS, **raw}
+    a = _parse_number("a", raw["a"], lines["a"], float)
+    b = _parse_number("b", raw["b"], lines["b"], float)
+    p = _parse_number("p", raw["p"], lines["p"], float)
+    r = _parse_number("r", raw["r"], lines["r"], float)
+    epsilon = _parse_number("epsilon", raw["epsilon"], lines["epsilon"], float)
+    grid_max = _parse_number("grid_max", raw["grid_max"], lines.get("grid_max"), int)
+    replications = _parse_number("replications", raw["replications"], lines.get("replications"), int)
+    seed = _parse_number("seed", raw["seed"], lines.get("seed"), int)
+    noise_params = tuple(
+        _parse_number(key, raw[key], lines[key], float)
         for key in ("noise.param1", "noise.param2")
         if key in raw
-    ]
-    if len(given) != want:
-        raise ValidationError(
-            f"noise.family {family!r} takes exactly {want} parameter(s), got {len(given)}"
-        )
+    )
 
     try:
+        noise = NoiseSpec(raw["noise.family"], noise_params)
         coeffs = ARCoefficients(a, b)
-        noise = NoiseSpec(family, tuple(given))
         params = SeriesParams(p=p, r=r, epsilon=epsilon)
     except (InvalidParameters, NonFiniteInput) as exc:
         raise ValidationError(str(exc)) from None
@@ -156,7 +128,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         grid_max=grid_max,
         replications=replications,
         master_seed=seed,
-        output_path=output,
+        output_path=raw["output"],
     )
 
 

@@ -29,7 +29,7 @@ class InvalidOrder(LabError):
     """Moment order r must be positive."""
 
 
-class InsufficientHorizon(LabError):
+class InsufficientHorizon(InvalidParameters):
     """A weight table is too short for the requested sum length."""
 
 

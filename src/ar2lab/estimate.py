@@ -20,15 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyGrid,
-    InfiniteMoment,
-    InvalidParameters,
-    NonFiniteInput,
-    UnstableCoefficients,
-)
+from .errors import EmptyGrid, InfiniteMoment, InvalidParameters, NonFiniteInput
 from .noise import NoiseSpec, StreamKey, absolute_moment, sample_block
-from .recurrence import ARCoefficients, Stability, WeightTable, weight_sequence
+from .recurrence import ARCoefficients, WeightTable, require_stable, weight_sequence
+from .simulate import weights_for
 from .summation import CompensatedSum, compensated_cumsum
 
 # Two-sided 95% normal quantile used by every Wilson interval here.
@@ -138,11 +133,21 @@ def wilson_interval(successes: int, total: int, z: float = Z95) -> tuple:
     return low, high
 
 
-def _require_stable(coeffs: ARCoefficients):
-    if coeffs.stability is not Stability.STABLE:
-        raise UnstableCoefficients(
-            f"estimation needs -1 < b < 1 - |a|, got a={coeffs.a}, b={coeffs.b}"
-        )
+def _as_grid(grid, what: str) -> list:
+    """The grid as a list of ints, refused unless strictly increasing from >= 1."""
+    grid = [int(n) for n in grid]
+    if not grid:
+        raise EmptyGrid(f"{what} is empty")
+    if grid[0] < 1 or any(m >= n for m, n in zip(grid, grid[1:])):
+        raise InvalidParameters(f"{what} must be strictly increasing and >= 1")
+    return grid
+
+
+def _as_replications(replications) -> int:
+    replications = int(replications)
+    if replications < 100:
+        raise InvalidParameters(f"replications must be >= 100, got {replications}")
+    return replications
 
 
 def _abs_sums(spec: NoiseSpec, n: int, replications: int, key: StreamKey, weights: WeightTable):
@@ -179,22 +184,17 @@ def tail_probability(
 ) -> TailEstimate:
     """Estimate P{ |S_n| > eps * n^(1/p) } by simple Monte Carlo.
 
-    Uses the weighted-sum route with a weight table covering n - 1
-    (building one on the spot if none is supplied).  at_floor flags a
+    Uses the weighted-sum route with a weight table from weights_for
+    (built on the spot if none is supplied).  at_floor flags a
     zero count: the point estimate is then 0 but the Wilson upper bound
     stays positive.
     """
-    _require_stable(coeffs)
+    require_stable(coeffs, "estimation")
     n = int(n)
     if n < 1:
         raise InvalidParameters(f"n must be >= 1, got {n}")
-    replications = int(replications)
-    if replications < 100:
-        raise InvalidParameters(f"replications must be >= 100, got {replications}")
-    if weights is None:
-        weights = weight_sequence(coeffs, n - 1)
-    elif weights.horizon < n - 1:
-        raise InvalidParameters(f"weight table horizon {weights.horizon} < {n - 1}")
+    replications = _as_replications(replications)
+    weights = weights_for(coeffs, n, weights)
     threshold = params.epsilon * float(n) ** (1.0 / params.p)
     count = sum(
         int(np.count_nonzero(sums > threshold))
@@ -211,18 +211,6 @@ def tail_probability(
     )
 
 
-def _dyadic_block_starts(grid) -> list:
-    """Index where each dyadic block [2^k, 2^(k+1)) begins in the grid."""
-    starts = []
-    last_block = None
-    for i, n in enumerate(grid):
-        k = int(n).bit_length() - 1  # floor(log2 n)
-        if k != last_block:
-            starts.append(i)
-            last_block = k
-    return starts
-
-
 def _verdict(grid, terms, ci_terms, at_floor_flags, partial_sums, ci_totals) -> Verdict:
     """Stabilization taxonomy over the evaluated grid.
 
@@ -235,8 +223,9 @@ def _verdict(grid, terms, ci_terms, at_floor_flags, partial_sums, ci_totals) -> 
     """
     if partial_sums[-1] == 0.0:
         return Verdict.STABILIZED
-    starts = _dyadic_block_starts(grid)
-    tail_ci = math.fsum(ci_terms[starts[-1] :])
+    # the points sharing grid[-1]'s bit length form its block [2^k, 2^(k+1))
+    last_block = grid[-1].bit_length()
+    tail_ci = math.fsum(t for n, t in zip(grid, ci_terms) if n.bit_length() == last_block)
     if tail_ci <= STABILIZED_TAIL_SHARE * ci_totals[-1]:
         return Verdict.STABILIZED
     floor_fraction = sum(at_floor_flags) / len(at_floor_flags)
@@ -255,16 +244,18 @@ def partial_series(
 ) -> SeriesEstimate:
     """Evaluate terms n^(r/p-2) * p_hat_n over the grid and judge them.
 
-    The grid must be strictly increasing positive integers.  One weight
-    table serves every n; each n gets its own stream keys, so inserting
-    or removing grid points never perturbs the others.
+    The grid must be strictly increasing positive integers and reach at
+    least two dyadic blocks, since the verdict weighs the last block
+    against the whole sum.  One weight table serves every n; each n
+    gets its own stream keys, so inserting or removing grid points
+    never perturbs the others.
     """
-    grid = [int(n) for n in grid]
-    if not grid:
-        raise EmptyGrid("n-grid is empty")
-    if grid[0] < 1 or any(m >= n for m, n in zip(grid, grid[1:])):
-        raise InvalidParameters("grid must be strictly increasing and >= 1")
-    _require_stable(coeffs)
+    grid = _as_grid(grid, "grid")
+    if grid[0].bit_length() == grid[-1].bit_length():
+        raise InvalidParameters(
+            f"grid must reach at least two dyadic blocks [2^k, 2^(k+1)), got n = {grid[0]}..{grid[-1]}"
+        )
+    require_stable(coeffs, "estimation")
     weights = weight_sequence(coeffs, grid[-1] - 1)
     exponent = params.exponent
 
@@ -330,18 +321,14 @@ def moment_growth_check(
     sums are combined in fixed order, so the estimates are exactly
     reproducible for a given master seed.
     """
-    _require_stable(coeffs)
+    require_stable(coeffs, "estimation")
     r = float(r)
-    if not absolute_moment(spec, r).is_finite:
+    if not math.isfinite(absolute_moment(spec, r)):
         raise InfiniteMoment(f"E|theta|^{r} diverges for {spec.family}")
-    n_grid = [int(n) for n in n_grid]
+    n_grid = _as_grid(n_grid, "n_grid")
     if len(n_grid) < 4:
         raise InvalidParameters("n_grid needs >= 4 points for a slope fit")
-    if n_grid[0] < 1 or any(m >= n for m, n in zip(n_grid, n_grid[1:])):
-        raise InvalidParameters("n_grid must be strictly increasing and >= 1")
-    replications = int(replications)
-    if replications < 100:
-        raise InvalidParameters(f"replications must be >= 100, got {replications}")
+    replications = _as_replications(replications)
 
     weights = weight_sequence(coeffs, n_grid[-1] - 1)
     estimates = []

@@ -28,13 +28,14 @@ class NoiseFamily:
     SYMMETRIC_PARETO = "pareto"
 
 
-_FAMILIES = (
-    NoiseFamily.STANDARD_NORMAL,
-    NoiseFamily.RADEMACHER,
-    NoiseFamily.UNIFORM,
-    NoiseFamily.STUDENT_T,
-    NoiseFamily.SYMMETRIC_PARETO,
-)
+# Each family's parameters, in NoiseSpec.params order; all must be finite and > 0.
+_PARAMS = {
+    NoiseFamily.STANDARD_NORMAL: (),
+    NoiseFamily.RADEMACHER: (),
+    NoiseFamily.UNIFORM: ("half_width",),
+    NoiseFamily.STUDENT_T: ("dof",),
+    NoiseFamily.SYMMETRIC_PARETO: ("alpha", "x_min"),
+}
 
 
 @dataclass(frozen=True)
@@ -51,28 +52,17 @@ class NoiseSpec:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise InvalidParameters(f"unknown noise family {self.family!r}")
+        names = _PARAMS.get(self.family)
+        if names is None:
+            raise InvalidParameters(f"noise.family must be one of {sorted(_PARAMS)}, got {self.family!r}")
         params = tuple(float(p) for p in self.params)
         object.__setattr__(self, "params", params)
-        if self.family in (NoiseFamily.STANDARD_NORMAL, NoiseFamily.RADEMACHER):
-            if params:
-                raise InvalidParameters(f"{self.family} takes no parameters")
-        elif self.family == NoiseFamily.UNIFORM:
-            if len(params) != 1 or not params[0] > 0 or not math.isfinite(params[0]):
-                raise InvalidParameters("uniform needs one parameter: half_width > 0")
-        elif self.family == NoiseFamily.STUDENT_T:
-            if len(params) != 1 or not params[0] > 0 or not math.isfinite(params[0]):
-                raise InvalidParameters("student_t needs one parameter: dof > 0")
-        else:  # pareto
-            ok = (
-                len(params) == 2
-                and params[0] > 0
-                and params[1] > 0
-                and all(math.isfinite(p) for p in params)
+        if len(params) != len(names):
+            raise InvalidParameters(
+                f"noise.family {self.family!r} takes exactly {len(names)} parameter(s), got {len(params)}"
             )
-            if not ok:
-                raise InvalidParameters("pareto needs alpha > 0 and x_min > 0")
+        if not all(p > 0 and math.isfinite(p) for p in params):
+            raise InvalidParameters(f"{self.family} needs " + " and ".join(f"{name} > 0" for name in names))
 
     @classmethod
     def standard_normal(cls) -> "NoiseSpec":
@@ -95,19 +85,8 @@ class NoiseSpec:
         return cls(NoiseFamily.SYMMETRIC_PARETO, (alpha, x_min))
 
 
-@dataclass(frozen=True)
-class MomentValue:
-    """An absolute moment E|theta|^r; value is math.inf when it diverges."""
-
-    value: float
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
-
-def absolute_moment(spec: NoiseSpec, r: float) -> MomentValue:
-    """Closed-form E|theta|^r for r > 0.
+def absolute_moment(spec: NoiseSpec, r: float) -> float:
+    """Closed-form E|theta|^r for r > 0; math.inf when it diverges.
 
     normal:     2^(r/2) * Gamma((r+1)/2) / sqrt(pi)
     rademacher: 1
@@ -120,16 +99,16 @@ def absolute_moment(spec: NoiseSpec, r: float) -> MomentValue:
         raise InvalidOrder(f"moment order must satisfy r > 0, got {r}")
     fam = spec.family
     if fam == NoiseFamily.STANDARD_NORMAL:
-        return MomentValue(math.exp(0.5 * r * math.log(2.0) + math.lgamma((r + 1.0) / 2.0) - 0.5 * math.log(math.pi)))
+        return math.exp(0.5 * r * math.log(2.0) + math.lgamma((r + 1.0) / 2.0) - 0.5 * math.log(math.pi))
     if fam == NoiseFamily.RADEMACHER:
-        return MomentValue(1.0)
+        return 1.0
     if fam == NoiseFamily.UNIFORM:
         (c,) = spec.params
-        return MomentValue(c ** r / (r + 1.0))
+        return c ** r / (r + 1.0)
     if fam == NoiseFamily.STUDENT_T:
         (nu,) = spec.params
         if r >= nu:
-            return MomentValue(math.inf)
+            return math.inf
         log_val = (
             0.5 * r * math.log(nu)
             + math.lgamma((r + 1.0) / 2.0)
@@ -137,11 +116,11 @@ def absolute_moment(spec: NoiseSpec, r: float) -> MomentValue:
             - 0.5 * math.log(math.pi)
             - math.lgamma(nu / 2.0)
         )
-        return MomentValue(math.exp(log_val))
+        return math.exp(log_val)
     alpha, x_min = spec.params
     if r >= alpha:
-        return MomentValue(math.inf)
-    return MomentValue(alpha * x_min ** r / (alpha - r))
+        return math.inf
+    return alpha * x_min ** r / (alpha - r)
 
 
 # --- deterministic streams -------------------------------------------------

@@ -76,6 +76,12 @@ class ARCoefficients:
         object.__setattr__(self, "stability", Stability.STABLE if stable else Stability.UNSTABLE)
 
 
+def require_stable(coeffs: ARCoefficients, what: str) -> None:
+    """Refuse unstable coefficients, naming what needed stable ones."""
+    if coeffs.stability is not Stability.STABLE:
+        raise UnstableCoefficients(f"{what} needs -1 < b < 1 - |a|, got a={coeffs.a}, b={coeffs.b}")
+
+
 @dataclass(frozen=True)
 class CompanionSpectrum:
     """Roots of z^2 - a*z - b and derived growth data.
@@ -244,10 +250,7 @@ def bound_report(coeffs: ARCoefficients, horizon: int) -> BoundReport:
     nilpotent pair a = b = 0 (rho = 0) no ratio is defined and the
     extrema are NaN.
     """
-    if coeffs.stability is not Stability.STABLE:
-        raise UnstableCoefficients(
-            f"bound report needs -1 < b < 1 - |a|, got a={coeffs.a}, b={coeffs.b}"
-        )
+    require_stable(coeffs, "bound report")
     horizon = int(horizon)
     if horizon < 50:
         raise InvalidParameters(f"horizon must be >= 50, got {horizon}")

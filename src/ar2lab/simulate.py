@@ -41,6 +41,22 @@ def _as_theta(theta) -> np.ndarray:
     return arr
 
 
+def weights_for(coeffs: ARCoefficients, n: int, weights: WeightTable | None = None) -> WeightTable:
+    """A weight table covering U(0)..U(n-1) for these coefficients.
+
+    Without a table, a fresh one for exactly this n is built; a
+    caller-supplied one must have been built for the same coefficients
+    (InvalidParameters) and reach horizon n - 1 (InsufficientHorizon).
+    """
+    if weights is None:
+        return weight_sequence(coeffs, n - 1)
+    if weights.coeffs != coeffs:
+        raise InvalidParameters("weight table was built for different coefficients")
+    if weights.horizon < n - 1:
+        raise InsufficientHorizon(f"weight table horizon {weights.horizon} < n - 1 = {n - 1}")
+    return weights
+
+
 def simulate_path(coeffs: ARCoefficients, theta) -> Path:
     """Run the recursion from rest (xi_0 = xi_{-1} = 0) over theta.
 
@@ -64,20 +80,11 @@ def simulate_path(coeffs: ARCoefficients, theta) -> Path:
 def weighted_sum(coeffs: ARCoefficients, theta, weights: WeightTable | None = None) -> float:
     """S_n via sum_{k=1}^{n} U(n-k) * theta_k, compensated.
 
-    A caller-supplied WeightTable must cover horizon >= n - 1; without
-    one, a fresh table for exactly this n is built.
+    The weight table comes from weights_for (built or checked).
     """
     arr = _as_theta(theta)
     n = arr.size
-    if weights is None:
-        weights = weight_sequence(coeffs, n - 1)
-    else:
-        if weights.coeffs != coeffs:
-            raise InvalidParameters("weight table was built for different coefficients")
-        if weights.horizon < n - 1:
-            raise InsufficientHorizon(
-                f"weight table horizon {weights.horizon} < n - 1 = {n - 1}"
-            )
+    weights = weights_for(coeffs, n, weights)
     return float(compensated_cumsum(weights.cum[n - 1 :: -1] * arr)[-1])
 
 
@@ -105,12 +112,6 @@ def weighted_prefix_sums(coeffs: ARCoefficients, theta, weights: WeightTable | N
     """
     arr = _as_theta(theta)
     n = arr.size
-    if weights is None:
-        weights = weight_sequence(coeffs, n - 1)
-    elif weights.horizon < n - 1:
-        raise InsufficientHorizon(
-            f"weight table horizon {weights.horizon} < n - 1 = {n - 1}"
-        )
-    out = np.convolve(arr, weights.cum[:n])[:n]
+    out = np.convolve(arr, weights_for(coeffs, n, weights).cum[:n])[:n]
     out.setflags(write=False)
     return out

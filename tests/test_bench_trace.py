@@ -2,7 +2,8 @@
 
 bench/spans.py patches ar2lab functions by module and attribute name; a
 rename in the package would otherwise surface only as a broken
-`bench/run.py --trace 1` run.
+`bench/run.py --trace 1` run, and a call rerouted past a patched name
+only as a missing layer or a changed count in it.
 """
 
 import importlib.util
@@ -45,6 +46,14 @@ def test_traced_run_records_spans_for_each_layer(tmp_path, capsys):
         tracer.uninstall()
     assert codes[0] in (0, 2, 3)
     assert codes[1:] == [0, 0]
-    names = {span[0] for span in tracer.spans}
-    assert {"noise.sample_block", "simulate.simulate_path", "simulate.weighted_sum"} <= names
+    names = [span[0] for span in tracer.spans]
+    assert {
+        "noise.sample_block", "noise.generator_for", "simulate.simulate_path", "simulate.weighted_sum",
+        "recurrence.weight_sequence", "recurrence.bound_report", "estimate.partial_series",
+        "estimate.tail_probability", "estimate.moment_growth_check",
+    } <= set(names)
+    # tables: 20 probe residuals + bound report + 2 estimates + verify's table + 2 tail checks;
+    # streams: one per sampled block (series 30, simulate 10, verify 14)
+    assert names.count("recurrence.weight_sequence") == 26
+    assert names.count("noise.generator_for") == 54
     assert ar2lab.estimate.sample_block is ar2lab.noise.sample_block  # uninstall restored it

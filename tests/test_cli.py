@@ -20,7 +20,7 @@ replications = 400
 seed = 2026
 """
 
-GOLDEN = BASE  # pinned forever; regenerating must reproduce tests/data/golden.series.csv
+GOLDEN = BASE  # pinned forever; regenerating must reproduce the tests/data/golden.* files
 
 
 def write_cfg(tmp_path, text=BASE, **overrides):
@@ -129,8 +129,8 @@ def test_run_is_byte_deterministic(tmp_path):
 def test_run_matches_golden_series(tmp_path):
     config = parse_config_text(GOLDEN + f"output = {tmp_path / 'golden'}\n")
     run(config)
-    got = (tmp_path / "golden.series.csv").read_bytes()
-    assert got == (DATA / "golden.series.csv").read_bytes()
+    for name in ("golden.series.csv", "golden.spectrum.csv", "golden.summary.txt"):
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
 
 # --- exit codes -------------------------------------------------------------
@@ -229,6 +229,10 @@ def test_main_error_paths(tmp_path, capsys):
 
     assert main(["series", "--config", str(tmp_path / "missing.cfg")]) == 1
     assert "error:" in capsys.readouterr().err
+
+    one_block, _ = write_cfg(tmp_path, BASE.replace("grid_max = 12", "grid_max = 1"))
+    assert main(["series", "--config", str(one_block)]) == 1
+    assert "error: grid must reach at least two dyadic blocks [2^k, 2^(k+1))" in capsys.readouterr().err
 
 
 def test_main_requires_subcommand():

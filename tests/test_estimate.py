@@ -188,6 +188,9 @@ def test_tail_validation():
     short = weight_sequence(FREE, 1)
     with pytest.raises(InvalidParameters):
         tail_probability(FREE, NORMAL, params, 4, 1000, StreamKey(1, "t"), weights=short)
+    foreign = weight_sequence(ARCoefficients(0.9, 0.05), 100)
+    with pytest.raises(InvalidParameters):
+        tail_probability(STABLE, NORMAL, params, 64, 4096, StreamKey(1, "tail", n=64), weights=foreign)
 
 
 def test_series_params_validation():
@@ -294,6 +297,10 @@ def test_partial_series_validation():
         partial_series(STABLE, NORMAL, params, [0, 1], 1000, 1)
     with pytest.raises(UnstableCoefficients):
         partial_series(ARCoefficients(2.0, 0.5), NORMAL, params, [1, 2], 1000, 1)
+    # a grid inside one dyadic block [2^k, 2^(k+1)) cannot support a verdict
+    for one_block in ([1], range(64, 128)):
+        with pytest.raises(InvalidParameters, match=r"at least two dyadic blocks"):
+            partial_series(STABLE, NORMAL, params, one_block, 1000, 1)
 
 
 # --- moment growth ------------------------------------------------------------

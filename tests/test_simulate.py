@@ -127,6 +127,9 @@ def test_weight_table_reuse_and_horizon_checks():
     other = weight_sequence(ARCoefficients(0.1, 0.1), 20)
     with pytest.raises(InvalidParameters):
         weighted_sum(coeffs, theta, other)
+    foreign = weight_sequence(ARCoefficients(0.9, 0.05), 100)
+    with pytest.raises(InvalidParameters):
+        weighted_prefix_sums(coeffs, theta, foreign)
 
 
 def test_input_validation():
