@@ -124,11 +124,11 @@ def run(config: ExperimentConfig) -> int:
     ExperimentConfig guarantees stable coefficients.  Order: spectrum +
     envelope report, representation self-check, tail series over the
     default grid, moment-growth check (skipped when E|theta|^r
-    diverges), then CSVs and a text summary.
+    diverges), then CSVs and a text summary.  Nothing is written until
+    every stage has succeeded, so a refused run leaves no file behind.
     """
     spectrum = companion_spectrum(config.coeffs)
     report = bound_report(config.coeffs, _bound_horizon(config.grid_max))
-    emit_spectrum_csv(config, spectrum, report, config.output_path + ".spectrum.csv")
 
     residual = _self_check(config)
     if not residual <= RESIDUAL_TOL:
@@ -144,7 +144,6 @@ def run(config: ExperimentConfig) -> int:
         config.replications,
         config.master_seed,
     )
-    emit_series_csv(series, config.output_path + ".series.csv")
 
     moment = None
     if math.isfinite(absolute_moment(config.noise, config.params.r)):
@@ -157,6 +156,8 @@ def run(config: ExperimentConfig) -> int:
             config.master_seed,
         )
 
+    emit_spectrum_csv(config, spectrum, report, config.output_path + ".spectrum.csv")
+    emit_series_csv(series, config.output_path + ".series.csv")
     _write_text(config.output_path + ".summary.txt", _summary_text(config, spectrum, report, residual, series, moment))
     return _EXIT_CODE[series.verdict]
 
@@ -171,6 +172,7 @@ def _summary_text(config, spectrum, report, residual, series, moment) -> str:
         + ("" if not config.noise.params else " (" + ", ".join(_f(p) for p in config.noise.params) + ")"),
         f"replications per n: {config.replications}",
         f"master seed: {config.master_seed}",
+        f"sampling layout: {est.SAMPLING_LAYOUT}",
         f"spectral radius rho = {_f(spectrum.rho)}, multiplicity mu = {spectrum.mu}",
         f"cumulative weight bound L_star = {_f(report.L_star)}, limit {_f(report.cum_limit)}",
         f"envelope ratio range [{_f(report.koval_ratio_min)}, {_f(report.koval_ratio_max)}]"

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidParameters, NonFiniteInput, ParseError, ValidationError
-from .estimate import SeriesParams
+from .errors import InvalidParameters, NonFiniteInput, ParseError, UnstableCoefficients, ValidationError
+from .estimate import SeriesParams, _as_replications
 from .noise import NoiseSpec
-from .recurrence import ARCoefficients, Stability
+from .recurrence import ARCoefficients, require_stable
 
 # Raw values of the optional keys, parsed like values read from a file.
 _DEFAULTS = {"grid_max": "128", "replications": "100000", "seed": "1", "output": "results"}
@@ -50,14 +50,13 @@ class ExperimentConfig:
     output_path: str
 
     def __post_init__(self):
-        if self.coeffs.stability is not Stability.STABLE:
-            raise ValidationError(
-                f"coefficients must satisfy -1 < b < 1 - |a|, got a={self.coeffs.a}, b={self.coeffs.b}"
-            )
+        try:
+            require_stable(self.coeffs, "config")
+            _as_replications(self.replications)
+        except (UnstableCoefficients, InvalidParameters) as exc:
+            raise ValidationError(str(exc)) from None
         if self.grid_max < 1:
             raise ValidationError(f"grid_max must be >= 1, got {self.grid_max}")
-        if self.replications < 100:
-            raise ValidationError(f"replications must be >= 100, got {self.replications}")
         if not 0 <= self.master_seed <= 2 ** 64 - 1:
             raise ValidationError(f"seed must fit in 64 unsigned bits, got {self.master_seed}")
         if not self.output_path:

@@ -5,11 +5,11 @@ The object of interest is
     sum_{n >= 1} n^(r/p - 2) * P{ |S_n| / n^(1/p) > eps },  0 < p < 2, r >= p,
 
 whose convergence for every eps > 0 is the complete-convergence property
-of the normalized partial sums.  Each tail probability is estimated by
-independent replication blocks routed through the weighted-sum
-representation, with a 95% Wilson interval attached, and the partial
-sums over a finite n-grid are reported together with a stabilization
-verdict.
+of the normalized partial sums.  Each replicate is one noise path, drawn
+once in dyadic chunks and read at every grid point through the
+weighted-sum representation; each tail probability carries a 95% Wilson
+interval, and the partial sums over a finite n-grid are reported
+together with a stabilization verdict.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ Z95 = 1.959963984540054
 # of the deterministic sampling layout, so changing this constant
 # changes every estimate.
 BLOCK_REPLICATES = 4096
+
+# Version of the sampling layout described in _abs_sums.  Estimates
+# from different layouts agree in distribution, not draw for draw.
+SAMPLING_LAYOUT = 2
 
 # A dyadic block is {n : 2^k <= n < 2^(k+1)}.  The verdict looks at the
 # grid points falling in the highest occupied block.
@@ -102,8 +106,9 @@ class SeriesEstimate:
 def default_grid(n_max: int) -> list:
     """Evaluation grid policy: all of 1..n_max up to 128, dyadic beyond.
 
-    Above 128 only powers of two are kept; the per-point cost grows
-    linearly in n, so a full grid out there buys little and costs much.
+    Above 128 only powers of two are kept; each point's reduction reads
+    n steps of every path, so a full grid out there buys little and
+    costs much.
     """
     n_max = int(n_max)
     if n_max < 1:
@@ -150,27 +155,64 @@ def _as_replications(replications) -> int:
     return replications
 
 
-def _abs_sums(spec: NoiseSpec, n: int, replications: int, key: StreamKey, weights: WeightTable):
-    """Yield |S_n| of every replicate, one replication block at a time.
+def _abs_sums(spec: NoiseSpec, grid: list, replications: int, key: StreamKey, weights: WeightTable):
+    """Yield (i, |S_n|) for n = grid[i] over every replicate, block by block.
 
-    Each block draws BLOCK_REPLICATES paths worth of noise under its
-    own (purpose, n, block) key and evaluates S_n through the weighted
-    representation.  An infinite |S_n| is kept (it exceeds any
-    threshold); a NaN one, e.g. from +inf and -inf draws in one path,
-    has no magnitude and is refused rather than silently miscounted.
+    Sampling layout 2: each replicate is one noise path.  Its chunk k
+    holds the times 2^(k-1) < t <= 2^k (chunk 0 is t = 1), and for
+    replication block b that chunk is one sample_block call of
+    take * len draws under StreamKey(master_seed, purpose, n=2^k,
+    block=b), reshaped to (take, len).  Chunks are drawn whole and only
+    as far as grid[-1] needs, so a path's first n steps never depend on
+    how far it runs, and every grid point of a block reads its prefix of
+    the same paths through the weighted representation.  An infinite
+    |S_n| is kept (it exceeds any threshold); a NaN one, e.g. from +inf
+    and -inf draws in one path, has no magnitude and is refused rather
+    than silently miscounted.
     """
-    rev_cum = weights.cum[n - 1 :: -1]  # U(n-1), ..., U(0)
     for block, done in enumerate(range(0, replications, BLOCK_REPLICATES)):
         take = min(BLOCK_REPLICATES, replications - done)
-        block_key = StreamKey(key.master_seed, key.purpose, n=n, block=block)
-        theta = sample_block(spec, take * n, block_key).reshape(take, n)
-        sums = np.abs(np.einsum("ij,j->i", theta, rev_cum))
-        nan_count = int(np.count_nonzero(np.isnan(sums)))
-        if nan_count:
-            raise NonFiniteInput(
-                f"|S_n| is NaN for {nan_count} of {take} replicates at n={n}, block {block}"
+        # grown chunk by chunk, not preallocated: numpy backs large arrays
+        # with huge pages, so writing the first columns of a preallocated
+        # matrix makes all of it resident before the last chunk is sampled
+        theta = np.empty((take, 0))
+        for i, n in enumerate(grid):
+            while theta.shape[1] < n:
+                drawn = theta.shape[1]
+                end = max(1, 2 * drawn)
+                chunk_key = StreamKey(key.master_seed, key.purpose, n=end, block=block)
+                chunk = sample_block(spec, take * (end - drawn), chunk_key)
+                theta = np.concatenate([theta, chunk.reshape(take, end - drawn)], axis=1)
+            rev_cum = weights.cum[n - 1 :: -1]  # U(n-1), ..., U(0)
+            sums = np.abs(np.einsum("ij,j->i", theta[:, :n], rev_cum))
+            nan_count = int(np.count_nonzero(np.isnan(sums)))
+            if nan_count:
+                raise NonFiniteInput(
+                    f"|S_n| is NaN for {nan_count} of {take} replicates at n={n}, block {block}"
+                )
+            yield i, sums
+
+
+def _tail_estimates(spec, params, grid, replications, key, weights) -> list:
+    """One TailEstimate per grid point, all read off the same paths."""
+    thresholds = [params.epsilon * float(n) ** (1.0 / params.p) for n in grid]
+    counts = [0] * len(grid)
+    for i, sums in _abs_sums(spec, grid, replications, key, weights):
+        counts[i] += int(np.count_nonzero(sums > thresholds[i]))
+    estimates = []
+    for n, count in zip(grid, counts):
+        low, high = wilson_interval(count, replications)
+        estimates.append(
+            TailEstimate(
+                n=n,
+                replications=replications,
+                p_hat=count / replications,
+                ci_low=low,
+                ci_high=high,
+                at_floor=(count == 0),
             )
-        yield sums
+        )
+    return estimates
 
 
 def tail_probability(
@@ -185,9 +227,13 @@ def tail_probability(
     """Estimate P{ |S_n| > eps * n^(1/p) } by simple Monte Carlo.
 
     Uses the weighted-sum route with a weight table from weights_for
-    (built on the spot if none is supplied).  at_floor flags a
-    zero count: the point estimate is then 0 but the Wilson upper bound
-    stays positive.
+    (built on the spot if none is supplied).  The paths are addressed
+    by stream_key.master_seed and stream_key.purpose only; its n and
+    block fields are ignored, since the layout keys every chunk and
+    block itself.  With purpose "tail" the result therefore equals
+    partial_series's row at n for the same seed, bit for bit.  at_floor
+    flags a zero count: the point estimate is then 0 but the Wilson
+    upper bound stays positive.
     """
     require_stable(coeffs, "estimation")
     n = int(n)
@@ -195,20 +241,8 @@ def tail_probability(
         raise InvalidParameters(f"n must be >= 1, got {n}")
     replications = _as_replications(replications)
     weights = weights_for(coeffs, n, weights)
-    threshold = params.epsilon * float(n) ** (1.0 / params.p)
-    count = sum(
-        int(np.count_nonzero(sums > threshold))
-        for sums in _abs_sums(spec, n, replications, stream_key, weights)
-    )
-    low, high = wilson_interval(count, replications)
-    return TailEstimate(
-        n=n,
-        replications=replications,
-        p_hat=count / replications,
-        ci_low=low,
-        ci_high=high,
-        at_floor=(count == 0),
-    )
+    (estimate,) = _tail_estimates(spec, params, [n], replications, stream_key, weights)
+    return estimate
 
 
 def _verdict(grid, terms, ci_terms, at_floor_flags, partial_sums, ci_totals) -> Verdict:
@@ -246,9 +280,11 @@ def partial_series(
 
     The grid must be strictly increasing positive integers and reach at
     least two dyadic blocks, since the verdict weighs the last block
-    against the whole sum.  One weight table serves every n; each n
-    gets its own stream keys, so inserting or removing grid points
-    never perturbs the others.
+    against the whole sum.  One weight table and one path per replicate
+    serve every n.  A path's prefix does not depend on the grid, so
+    inserting or removing grid points never perturbs the others; the
+    shared paths do make the terms correlated across n, and the CI-upper
+    sum is a sum of per-point bounds, not a simultaneous bound.
     """
     grid = _as_grid(grid, "grid")
     if grid[0].bit_length() == grid[-1].bit_length():
@@ -256,23 +292,13 @@ def partial_series(
             f"grid must reach at least two dyadic blocks [2^k, 2^(k+1)), got n = {grid[0]}..{grid[-1]}"
         )
     require_stable(coeffs, "estimation")
+    replications = _as_replications(replications)
     weights = weight_sequence(coeffs, grid[-1] - 1)
-    exponent = params.exponent
-
-    tails = []
-    terms = []
-    ci_terms = []
-    flags = []
-    for n in grid:
-        est = tail_probability(
-            coeffs, spec, params, n, replications,
-            StreamKey(master_seed, "tail", n=n), weights=weights,
-        )
-        scale = float(n) ** exponent
-        tails.append(est)
-        terms.append(scale * est.p_hat)
-        ci_terms.append(scale * est.ci_high)
-        flags.append(est.at_floor)
+    tails = _tail_estimates(spec, params, grid, replications, StreamKey(master_seed, "tail"), weights)
+    scales = [float(n) ** params.exponent for n in grid]
+    terms = [scale * est.p_hat for scale, est in zip(scales, tails)]
+    ci_terms = [scale * est.ci_high for scale, est in zip(scales, tails)]
+    flags = [est.at_floor for est in tails]
 
     partial_sums = compensated_cumsum(terms).tolist()
     ci_totals = compensated_cumsum(ci_terms).tolist()
@@ -317,8 +343,9 @@ def moment_growth_check(
     """Monte Carlo E|S_n|^r over a grid and its log-log slope.
 
     Requires the analytic E|theta|^r to be finite (InfiniteMoment
-    otherwise) and at least 4 grid points for a meaningful fit.  Block
-    sums are combined in fixed order, so the estimates are exactly
+    otherwise) and at least 4 grid points for a meaningful fit.  Every
+    n reads the same paths (purpose "moment"), and each n's block sums
+    are combined in block order, so the estimates are exactly
     reproducible for a given master seed.
     """
     require_stable(coeffs, "estimation")
@@ -331,12 +358,10 @@ def moment_growth_check(
     replications = _as_replications(replications)
 
     weights = weight_sequence(coeffs, n_grid[-1] - 1)
-    estimates = []
-    for n in n_grid:
-        acc = CompensatedSum()
-        for sums in _abs_sums(spec, n, replications, StreamKey(master_seed, "moment", n=n), weights):
-            acc.add(float(np.sum(sums ** r)))
-        estimates.append(acc.total / replications)
+    accs = [CompensatedSum() for _ in n_grid]
+    for i, sums in _abs_sums(spec, n_grid, replications, StreamKey(master_seed, "moment"), weights):
+        accs[i].add(float(np.sum(sums ** r)))
+    estimates = [acc.total / replications for acc in accs]
 
     slope, intercept = np.polyfit(np.log(np.asarray(n_grid, dtype=float)), np.log(estimates), 1)
     return MomentGrowthReport(

@@ -231,8 +231,11 @@ def test_main_error_paths(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
     one_block, _ = write_cfg(tmp_path, BASE.replace("grid_max = 12", "grid_max = 1"))
-    assert main(["series", "--config", str(one_block)]) == 1
+    out_dir = tmp_path / "refused"
+    out_dir.mkdir()
+    assert main(["series", "--config", str(one_block), "--out", str(out_dir / "run")]) == 1
     assert "error: grid must reach at least two dyadic blocks [2^k, 2^(k+1))" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []  # a refused run writes no file
 
 
 def test_main_requires_subcommand():

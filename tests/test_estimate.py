@@ -162,13 +162,37 @@ def test_tail_weighted_route_feeds_feedback():
     assert abs(est.p_hat - exact) <= 4.5 * se
 
 
+def layout_paths(spec, seed, purpose, width):
+    """Block 0's 4096 paths to `width` steps, assembled from the documented chunks:
+    chunk k holds the times 2^(k-1) < t <= 2^k under StreamKey(seed, purpose, n=2^k, block=0)."""
+    chunks, drawn = [], 0
+    while drawn < width:
+        end = max(1, 2 * drawn)
+        key = StreamKey(seed, purpose, n=end, block=0)
+        chunks.append(sample_block(spec, 4096 * (end - drawn), key).reshape(4096, end - drawn))
+        drawn = end
+    return np.hstack(chunks)
+
+
+def nan_rows(theta, n):
+    """Paths whose first n steps hold both +inf and -inf, so that S_n is NaN."""
+    head = theta[:, :n]
+    return int(np.count_nonzero((head == np.inf).any(axis=1) & (head == -np.inf).any(axis=1)))
+
+
 def test_tail_refuses_nan_sums_and_counts_infinite_ones():
     # alpha = 0.01 overflows ~0.08% of draws to +-inf; a path holding both
     # has a NaN sum, which must be refused, not counted as no exceedance
     heavy = NoiseSpec.symmetric_pareto(0.01, 1.0)
-    with pytest.raises(NonFiniteInput, match=r"NaN for 5 of 4096 replicates at n=64, block 0"):
+    expected = nan_rows(layout_paths(heavy, 1, "tail", 64), 64)
+    assert expected > 0
+    with pytest.raises(NonFiniteInput, match=rf"NaN for {expected} of 4096 replicates at n=64, block 0"):
         tail_probability(STABLE, heavy, SeriesParams(1, 2, 1), 64, 4096, StreamKey(1, "tail", n=64))
-    with pytest.raises(NonFiniteInput, match=r"at n=64, block 0"):
+    # the moment check stops at the first grid point whose paths hold a NaN sum
+    moment_paths = layout_paths(heavy, 1, "moment", 64)
+    first = next(n for n in (8, 16, 32, 64) if nan_rows(moment_paths, n))
+    expected = nan_rows(moment_paths, first)
+    with pytest.raises(NonFiniteInput, match=rf"NaN for {expected} of 4096 replicates at n={first}, block 0"):
         moment_growth_check(STABLE, heavy, 0.005, (8, 16, 32, 64), 4096, 1)
     # a lone infinite draw is an exceedance of any threshold
     theta = sample_block(heavy, 4096, StreamKey(2, "tail", n=1, block=0))
@@ -258,12 +282,31 @@ def test_partial_series_is_deterministic():
 
 
 def test_partial_series_grid_insensitive_per_point():
-    # the estimate at n depends only on (seed, n), not on the rest of the grid
+    # the estimate at n depends only on (seed, n), not on the rest of the grid,
+    # also when another grid draws the paths further (width 512 against 16)
     full = partial_series(STABLE, NORMAL, SeriesParams(1, 2, 1), range(1, 17), 1000, 21)
     sparse = partial_series(STABLE, NORMAL, SeriesParams(1, 2, 1), [4, 8, 16], 1000, 21)
+    long = partial_series(STABLE, NORMAL, SeriesParams(1, 2, 1), [1, 2, 4, 8, 16, 100, 300], 1000, 21)
     by_n = {t.n: t for t in full.tails}
-    for tail in sparse.tails:
+    for tail in sparse.tails + long.tails[:5]:
         assert tail == by_n[tail.n]
+    # tail_probability is the one-point case of the same engine
+    for n in (4, 8, 16):
+        assert tail_probability(STABLE, NORMAL, SeriesParams(1, 2, 1), n, 1000, StreamKey(21, "tail")) == by_n[n]
+
+
+def test_wilson_coverage_against_exact_gaussian_tail():
+    # S_n ~ N(0, sum_{k<n} U(k)^2) exactly for normal noise; p = 1, eps = 1
+    # puts the threshold at n.  Every grid point's 95% interval, 40 seeds.
+    grid = range(1, 33)
+    cum = np.asarray(weight_sequence(STABLE, 31).cum)
+    exact = [math.erfc(n / math.sqrt(2.0 * float(np.sum(cum[:n] ** 2)))) for n in grid]
+    hits = np.zeros(len(grid), dtype=int)
+    for seed in range(1, 41):
+        series = partial_series(STABLE, NORMAL, SeriesParams(1, 2, 1), grid, 2000, seed)
+        hits += [t.ci_low <= p <= t.ci_high for t, p in zip(series.tails, exact)]
+    assert hits.sum() >= 1178  # of 1280
+    assert hits.min() >= 32  # of 40 at every point
 
 
 def test_verdict_zero_series_stabilizes():
@@ -281,7 +324,7 @@ def test_verdict_growing_on_truncated_grid():
 
 
 def test_verdict_floor_limited():
-    series = partial_series(STABLE, NORMAL, SeriesParams(1, 2, 1), range(1, 49), 200, 3)
+    series = partial_series(STABLE, NORMAL, SeriesParams(1, 2, 1), range(1, 97), 200, 3)
     floor_fraction = sum(t.at_floor for t in series.tails) / len(series.tails)
     assert floor_fraction >= 0.25
     assert series.verdict is Verdict.FLOOR_LIMITED
