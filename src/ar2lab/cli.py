@@ -108,9 +108,10 @@ def _self_check(config: ExperimentConfig) -> float:
     """Max dual-representation residual over probe paths."""
     worst = 0.0
     n = config.grid_max
+    table = weight_sequence(config.coeffs, n - 1)
     for i in range(SELF_CHECK_PATHS):
         theta = sample_block(config.noise, n, StreamKey(config.master_seed, "probe", n=n, block=i))
-        worst = max(worst, representation_residual(config.coeffs, theta))
+        worst = max(worst, representation_residual(config.coeffs, theta, table))
     return worst
 
 

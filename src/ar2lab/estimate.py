@@ -38,6 +38,11 @@ BLOCK_REPLICATES = 4096
 # from different layouts agree in distribution, not draw for draw.
 SAMPLING_LAYOUT = 2
 
+# Path cells (doubles) one row sub-block of a replication block holds,
+# 2^20 = 8 MiB.  Sub-blocks only split the work; no estimate depends on
+# this constant.
+PATH_CELLS = 2 ** 20
+
 # A dyadic block is {n : 2^k <= n < 2^(k+1)}.  The verdict looks at the
 # grid points falling in the highest occupied block.
 STABILIZED_TAIL_SHARE = 1e-3
@@ -160,37 +165,53 @@ def _abs_sums(spec: NoiseSpec, grid: list, replications: int, key: StreamKey, we
 
     Sampling layout 2: each replicate is one noise path.  Its chunk k
     holds the times 2^(k-1) < t <= 2^k (chunk 0 is t = 1), and for
-    replication block b that chunk is one sample_block call of
-    take * len draws under StreamKey(master_seed, purpose, n=2^k,
-    block=b), reshaped to (take, len).  Chunks are drawn whole and only
-    as far as grid[-1] needs, so a path's first n steps never depend on
-    how far it runs, and every grid point of a block reads its prefix of
-    the same paths through the weighted representation.  An infinite
-    |S_n| is kept (it exceeds any threshold); a NaN one, e.g. from +inf
-    and -inf draws in one path, has no magnitude and is refused rather
-    than silently miscounted.
+    replication block b that chunk is one block of take * len draws
+    under StreamKey(master_seed, purpose, n=2^k, block=b), reshaped to
+    (take, len).  Chunks are drawn whole and only as far as grid[-1]
+    needs, so a path's first n steps never depend on how far it runs,
+    and every grid point of a block reads its prefix of the same paths
+    through the weighted representation.
+
+    A block's paths are built in row sub-blocks of at most PATH_CELLS
+    cells (one row when a path alone is longer).  Rows r0..r1 of a chunk
+    are one contiguous range of its draws, taken with sample_block's
+    start and total, so the sub-block size changes no draw and no
+    result.  An infinite |S_n| is kept (it exceeds any threshold); a NaN
+    one, e.g. from +inf and -inf draws in one path, has no magnitude and
+    is refused rather than silently miscounted.
     """
+    width = 1 << (grid[-1] - 1).bit_length()  # the chunks end at 2^k >= grid[-1]
+    rows = max(1, PATH_CELLS // width)
+    # Chunk k copies the paths so far and its draws into the buffer that
+    # chunk k - 1 did not use, as one compact (rows, 2^k) matrix: short
+    # prefixes stay dense in cache, and no path array is allocated per chunk.
+    buffers = np.empty((2, min(rows, BLOCK_REPLICATES, replications) * width))
     for block, done in enumerate(range(0, replications, BLOCK_REPLICATES)):
         take = min(BLOCK_REPLICATES, replications - done)
-        # grown chunk by chunk, not preallocated: numpy backs large arrays
-        # with huge pages, so writing the first columns of a preallocated
-        # matrix makes all of it resident before the last chunk is sampled
-        theta = np.empty((take, 0))
+        sums = np.empty((len(grid), take))
+        for r0 in range(0, take, rows):
+            r1 = min(take, r0 + rows)
+            theta = np.empty((r1 - r0, 0))
+            for i, n in enumerate(grid):
+                while theta.shape[1] < n:
+                    drawn = theta.shape[1]
+                    end = max(1, 2 * drawn)
+                    chunk_key = StreamKey(key.master_seed, key.purpose, n=end, block=block)
+                    length = end - drawn
+                    chunk = sample_block(spec, (r1 - r0) * length, chunk_key, r0 * length, take * length)
+                    grown = buffers[end.bit_length() % 2, : (r1 - r0) * end].reshape(r1 - r0, end)
+                    grown[:, :drawn] = theta
+                    grown[:, drawn:] = chunk.reshape(r1 - r0, length)
+                    theta = grown
+                rev_cum = weights.cum[n - 1 :: -1]  # U(n-1), ..., U(0)
+                sums[i, r0:r1] = np.abs(np.einsum("ij,j->i", theta[:, :n], rev_cum))
         for i, n in enumerate(grid):
-            while theta.shape[1] < n:
-                drawn = theta.shape[1]
-                end = max(1, 2 * drawn)
-                chunk_key = StreamKey(key.master_seed, key.purpose, n=end, block=block)
-                chunk = sample_block(spec, take * (end - drawn), chunk_key)
-                theta = np.concatenate([theta, chunk.reshape(take, end - drawn)], axis=1)
-            rev_cum = weights.cum[n - 1 :: -1]  # U(n-1), ..., U(0)
-            sums = np.abs(np.einsum("ij,j->i", theta[:, :n], rev_cum))
-            nan_count = int(np.count_nonzero(np.isnan(sums)))
+            nan_count = int(np.count_nonzero(np.isnan(sums[i])))
             if nan_count:
                 raise NonFiniteInput(
                     f"|S_n| is NaN for {nan_count} of {take} replicates at n={n}, block {block}"
                 )
-            yield i, sums
+            yield i, sums[i]
 
 
 def _tail_estimates(spec, params, grid, replications, key, weights) -> list:

@@ -179,7 +179,9 @@ def generator_for(key: StreamKey) -> np.random.Generator:
 _OPEN_EPS = 2.0 ** -53
 
 
-def sample_block(spec: NoiseSpec, count: int, stream_key: StreamKey) -> np.ndarray:
+def sample_block(
+    spec: NoiseSpec, count: int, stream_key: StreamKey, start: int = 0, total: int | None = None
+) -> np.ndarray:
     """Draw `count` innovations for the given key.
 
     All families are fixed transforms of PCG64 uniforms: inversion for
@@ -187,21 +189,40 @@ def sample_block(spec: NoiseSpec, count: int, stream_key: StreamKey) -> np.ndarr
     and the trigonometric pair map sqrt(-2 log u1) * (cos, sin)(2 pi u2)
     for the standard normal.  Calling twice with the same key is
     bit-identical.
+
+    The block of `total` draws (default `start + count`) under this key
+    is fixed; the call returns its values start .. start + count - 1,
+    bit for bit, reaching each uniform it needs with
+    bit_generator.advance instead of drawing the ones before it.
     """
     count = int(count)
-    if count < 0:
-        raise InvalidParameters(f"count must be >= 0, got {count}")
+    start = int(start)
+    total = start + count if total is None else int(total)
+    if count < 0 or start < 0 or start + count > total:
+        raise InvalidParameters(f"need 0 <= start <= start + count <= total, got {start}, {count}, {total}")
     rng = generator_for(stream_key)
+    advance = rng.bit_generator.advance  # one 64-bit step per double
     fam = spec.family
     if fam == NoiseFamily.STANDARD_NORMAL:
-        pairs = (count + 1) // 2
-        u = rng.random((2, pairs))
-        radius = np.sqrt(-2.0 * np.log1p(-u[0]))  # 1 - u in (0, 1], no log(0)
-        angle = (2.0 * math.pi) * u[1]
-        out = np.empty(2 * pairs)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
-        return out[:count]
+        # value v is the cos (v even) or sin (v odd) half of pair v // 2,
+        # whose uniforms sit at v // 2 and pairs + v // 2 of the stream
+        pairs, first, stop = (total + 1) // 2, start // 2, (start + count + 1) // 2
+        advance(first)
+        radius = rng.random(stop - first)
+        advance(pairs + first - stop)
+        angle = rng.random(stop - first)
+        # sqrt(-2 log1p(-u1)) and (2 pi) u2, computed in place: the same bits
+        # with fewer temporaries, which a long run pays for in page faults
+        np.negative(radius, out=radius)
+        np.log1p(radius, out=radius)  # 1 - u in (0, 1], no log(0)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle *= 2.0 * math.pi
+        out = np.empty(2 * (stop - first))
+        np.multiply(radius, np.cos(angle), out=out[0::2])
+        np.multiply(radius, np.sin(angle, out=angle), out=out[1::2])
+        return out[start - 2 * first : start - 2 * first + count]
+    advance(start)
     if fam == NoiseFamily.RADEMACHER:
         u = rng.random(count)
         return np.where(u < 0.5, 1.0, -1.0)
@@ -213,8 +234,9 @@ def sample_block(spec: NoiseSpec, count: int, stream_key: StreamKey) -> np.ndarr
         u = rng.random(count)
         u = np.clip(u, _OPEN_EPS, 1.0 - _OPEN_EPS)
         return stdtrit(nu, u)
+    # magnitude uniforms fill 0 .. total - 1 of the stream, sign uniforms total .. 2 total - 1
     alpha, x_min = spec.params
-    u = rng.random((2, count))
-    magnitude = x_min * np.power(1.0 - u[0], -1.0 / alpha)  # 1 - u in (0, 1]
-    sign = np.where(u[1] < 0.5, 1.0, -1.0)
+    magnitude = x_min * np.power(1.0 - rng.random(count), -1.0 / alpha)  # 1 - u in (0, 1]
+    advance(total - count)
+    sign = np.where(rng.random(count) < 0.5, 1.0, -1.0)
     return sign * magnitude

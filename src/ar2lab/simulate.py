@@ -88,10 +88,13 @@ def weighted_sum(coeffs: ARCoefficients, theta, weights: WeightTable | None = No
     return float(compensated_cumsum(weights.cum[n - 1 :: -1] * arr)[-1])
 
 
-def representation_residual(coeffs: ARCoefficients, theta) -> float:
-    """|direct - weighted| / max(1, |direct|) on one noise vector."""
+def representation_residual(coeffs: ARCoefficients, theta, weights: WeightTable | None = None) -> float:
+    """|direct - weighted| / max(1, |direct|) on one noise vector.
+
+    weights goes to weighted_sum, so one table can serve many vectors.
+    """
     direct = simulate_path(coeffs, theta).s_n
-    other = weighted_sum(coeffs, theta)
+    other = weighted_sum(coeffs, theta, weights)
     return abs(direct - other) / max(1.0, abs(direct))
 
 

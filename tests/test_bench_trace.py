@@ -52,10 +52,11 @@ def test_traced_run_records_spans_for_each_layer(tmp_path, capsys):
         "recurrence.weight_sequence", "recurrence.bound_report", "estimate.partial_series",
         "estimate.tail_probability", "estimate.moment_growth_check",
     } <= set(names)
-    # tables: 20 probe residuals + bound report + 2 estimates + verify's table + 2 tail checks;
+    # tables: 2 self-checks (series, verify) + bound report + 2 estimates + verify's table
+    # + 2 tail checks;
     # streams: one per sampled chunk or block (series 26: 5 dyadic tail chunks to n = 16,
     # 11 moment chunks to n = 1024, 10 probes; simulate 10; verify 20: 10 probes, 2 draws,
     # 2 tail checks of 4 chunks to n = 8)
-    assert names.count("recurrence.weight_sequence") == 26
+    assert names.count("recurrence.weight_sequence") == 8
     assert names.count("noise.generator_for") == 56
     assert ar2lab.estimate.sample_block is ar2lab.noise.sample_block  # uninstall restored it

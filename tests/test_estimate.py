@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ar2lab import (
     weight_sequence,
     wilson_interval,
 )
+from ar2lab import estimate
 
 STABLE = ARCoefficients(0.3, 0.2)
 FREE = ARCoefficients(0.0, 0.0)  # no feedback: S_n is a plain i.i.d. sum
@@ -201,6 +203,59 @@ def test_tail_refuses_nan_sums_and_counts_infinite_ones():
     assert est.p_hat * 4096 == np.count_nonzero(np.abs(theta) > 1e300)
 
 
+FAMILIES = [
+    NORMAL,
+    RADEMACHER,
+    NoiseSpec.uniform(1.5),
+    NoiseSpec.student_t(5.0),
+    NoiseSpec.symmetric_pareto(3.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
+def test_row_sub_blocks_change_no_result(monkeypatch, spec):
+    # 4096 + 101 replicates: a full block and an odd last one.  Grid 1..40
+    # reaches path width 64 through chunk lengths 1, 2, 4, ..., 32.
+    replications = estimate.BLOCK_REPLICATES + 101
+    grid = [1, 2, 3, 5, 8, 13, 21, 34, 40]
+    params = SeriesParams(1, 2, 1)
+    whole = partial_series(STABLE, spec, params, grid, replications, 8)
+    moments = moment_growth_check(STABLE, spec, 2.0, grid, replications, 8)
+    # 1001 rows: 4096 = 4 * 1001 + 92; 7 rows: 4096 = 585 * 7 + 1 and 101 = 14 * 7 + 3
+    for rows in (1001, 7):
+        monkeypatch.setattr(estimate, "PATH_CELLS", rows * 64)
+        assert partial_series(STABLE, spec, params, grid, replications, 8) == whole
+        assert moment_growth_check(STABLE, spec, 2.0, grid, replications, 8) == moments
+    # one row per sub-block (PATH_CELLS below one path), on a grid of width 4
+    short = [1, 2, 3, 4]
+    monkeypatch.setattr(estimate, "PATH_CELLS", 2 ** 20)
+    whole = partial_series(STABLE, spec, params, short, replications, 9)
+    moments = moment_growth_check(STABLE, spec, 2.0, short, replications, 9)
+    monkeypatch.setattr(estimate, "PATH_CELLS", 3)
+    assert partial_series(STABLE, spec, params, short, replications, 9) == whole
+    assert moment_growth_check(STABLE, spec, 2.0, short, replications, 9) == moments
+
+
+def test_row_sub_blocks_keep_the_nan_refusal(monkeypatch):
+    # 7-row sub-blocks at width 64: the refusal still names the whole block's n and count
+    monkeypatch.setattr(estimate, "PATH_CELLS", 7 * 64)
+    test_tail_refuses_nan_sums_and_counts_infinite_ones()
+
+
+def test_path_memory_stays_within_the_budget():
+    # one unsplit block at n = 2^13 would hold 4096 x 8192 doubles (256 MiB) of
+    # paths, and growing it to its last chunk twice that.  Split, it holds two
+    # path buffers of PATH_CELLS doubles and one chunk of at most half a
+    # sub-block with its sampling temporaries.
+    tracemalloc.start()
+    try:
+        tail_probability(STABLE, NORMAL, SeriesParams(1, 2, 1), 2 ** 13, 4096, StreamKey(6, "tail"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * estimate.PATH_CELLS
+
+
 def test_tail_validation():
     params = SeriesParams(p=1, r=2, epsilon=1.0)
     with pytest.raises(UnstableCoefficients):
@@ -358,6 +413,21 @@ def test_moment_estimates_match_exact_variance():
         exact = float(np.sum(cum[:n] ** 2))
         se = exact * math.sqrt(2.0 / report.replications)  # Var(S^2) = 2 sigma^4
         assert abs(got - exact) <= 5 * se
+
+
+@pytest.mark.parametrize("coeffs", [STABLE, ARCoefficients(0.5, -0.9), ARCoefficients(-0.5, 0.45),
+                                    ARCoefficients(1.0, -0.25), ARCoefficients(0.2, 0.79)], ids=str)
+@pytest.mark.parametrize("seed", [3, 29])
+def test_gaussian_second_moment_against_exact_oracle(coeffs, seed):
+    # normal noise: S_n ~ N(0, v_n) with v_n = sum_{k<n} U(k)^2, so E S_n^2 = v_n
+    # and Var S_n^2 = 2 v_n^2; the mean of R squares lies within 5 standard errors
+    grid = (8, 16, 32, 64, 128)
+    replications = 6000
+    report = moment_growth_check(coeffs, NORMAL, 2.0, grid, replications, seed)
+    cum = np.asarray(weight_sequence(coeffs, grid[-1] - 1).cum)
+    for n, got in zip(grid, report.estimates):
+        exact = float(np.sum(cum[:n] ** 2))
+        assert abs(got - exact) <= 5 * math.sqrt(2.0) * exact / math.sqrt(replications)
 
 
 def test_moment_slope_windows():

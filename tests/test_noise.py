@@ -235,3 +235,26 @@ def test_rademacher_mean_window():
 def test_normal_second_moment_window():
     x = sample_block(NoiseSpec.standard_normal(), 1_000_000, StreamKey(1, "window"))
     assert 0.995 <= np.mean(x * x) <= 1.005
+
+
+RANGES = [  # (total, start, stop): odd totals and odd ends (mid-pair for normal), empty and full ranges
+    (1, 0, 1), (1, 0, 0), (1, 1, 1), (2, 1, 2), (7, 0, 7), (7, 3, 4), (7, 1, 6), (7, 2, 7), (7, 7, 7),
+    (8, 3, 3), (8, 2, 6), (1001, 0, 1001), (1001, 333, 1000), (1001, 500, 501), (1024, 512, 1024),
+]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+@pytest.mark.parametrize("total, start, stop", RANGES)
+def test_range_draw_is_a_slice_of_the_whole_block(spec, total, start, stop):
+    key = StreamKey(2024, "range", n=total, block=1)
+    part = sample_block(spec, stop - start, key, start=start, total=total)
+    whole = sample_block(spec, total, key)
+    assert part.shape == (stop - start,)
+    assert part.tobytes() == whole[start:stop].tobytes()
+
+
+def test_range_draw_validation():
+    key = StreamKey(5, "edge")
+    for start, count, total in [(-1, 2, 4), (3, 2, 4), (0, 5, 4)]:
+        with pytest.raises(InvalidParameters):
+            sample_block(NoiseSpec.standard_normal(), count, key, start=start, total=total)

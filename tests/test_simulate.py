@@ -130,6 +130,10 @@ def test_weight_table_reuse_and_horizon_checks():
     foreign = weight_sequence(ARCoefficients(0.9, 0.05), 100)
     with pytest.raises(InvalidParameters):
         weighted_prefix_sums(coeffs, theta, foreign)
+    # representation_residual passes its table on to weighted_sum
+    assert representation_residual(coeffs, theta, table) == representation_residual(coeffs, theta)
+    with pytest.raises(InsufficientHorizon):
+        representation_residual(coeffs, theta, short)
 
 
 def test_input_validation():
