@@ -36,7 +36,6 @@ from .simulate import representation_residual, simulate_path
 
 SELF_CHECK_PATHS = 10
 RESIDUAL_TOL = 1e-9
-MOMENT_GRID = (8, 16, 32, 64, 128, 256, 512, 1024)
 
 _EXIT_CODE = {
     est.Verdict.STABILIZED: 0,
@@ -124,8 +123,8 @@ def run(config: ExperimentConfig) -> int:
 
     ExperimentConfig guarantees stable coefficients.  Order: spectrum +
     envelope report, representation self-check, tail series over the
-    default grid, moment-growth check (skipped when E|theta|^r
-    diverges), then CSVs and a text summary.  Nothing is written until
+    default grid with the moment-growth fit read off the same paths,
+    then CSVs and a text summary.  Nothing is written until
     every stage has succeeded, so a refused run leaves no file behind.
     """
     spectrum = companion_spectrum(config.coeffs)
@@ -146,24 +145,13 @@ def run(config: ExperimentConfig) -> int:
         config.master_seed,
     )
 
-    moment = None
-    if math.isfinite(absolute_moment(config.noise, config.params.r)):
-        moment = est.moment_growth_check(
-            config.coeffs,
-            config.noise,
-            config.params.r,
-            MOMENT_GRID,
-            config.replications,
-            config.master_seed,
-        )
-
     emit_spectrum_csv(config, spectrum, report, config.output_path + ".spectrum.csv")
     emit_series_csv(series, config.output_path + ".series.csv")
-    _write_text(config.output_path + ".summary.txt", _summary_text(config, spectrum, report, residual, series, moment))
+    _write_text(config.output_path + ".summary.txt", _summary_text(config, spectrum, report, residual, series))
     return _EXIT_CODE[series.verdict]
 
 
-def _summary_text(config, spectrum, report, residual, series, moment) -> str:
+def _summary_text(config, spectrum, report, residual, series) -> str:
     lines = [
         "series run summary",
         f"coefficients: a = {_f(config.coeffs.a)}, b = {_f(config.coeffs.b)} ({config.coeffs.stability.value})",
@@ -185,15 +173,16 @@ def _summary_text(config, spectrum, report, residual, series, moment) -> str:
         f"terms at Monte Carlo floor: {sum(t.at_floor for t in series.tails)} of {len(series.tails)}",
         f"verdict: {series.verdict.value}",
     ]
-    if moment is None:
-        lines.append(
-            f"moment growth: skipped (E|theta|^{_f(config.params.r)} diverges)"
-        )
-    else:
+    moment = series.moments
+    if moment is not None:
         lines.append(
             f"moment growth: slope {_f(moment.slope)} vs bound {_f(moment.bound)}"
             f" over n = {moment.n_grid[0]}..{moment.n_grid[-1]}"
         )
+    elif math.isfinite(absolute_moment(config.noise, config.params.r)):
+        lines.append("moment growth: skipped (fewer than 4 powers of two >= 16 on the grid)")
+    else:
+        lines.append(f"moment growth: skipped (E|theta|^{_f(config.params.r)} diverges)")
     return "\n".join(lines) + "\n"
 
 
@@ -295,8 +284,8 @@ def _cmd_verify(config: ExperimentConfig) -> int:
 
     # tail estimate determinism on a small case
     params = config.params
-    t1 = est.tail_probability(coeffs, config.noise, params, 8, 500, StreamKey(config.master_seed, "tail", n=8))
-    t2 = est.tail_probability(coeffs, config.noise, params, 8, 500, StreamKey(config.master_seed, "tail", n=8))
+    t1 = est.tail_probability(coeffs, config.noise, params, 8, 500, config.master_seed)
+    t2 = est.tail_probability(coeffs, config.noise, params, 8, 500, config.master_seed)
     check("tail estimate is reproducible", t1 == t2)
 
     print(f"{'all checks passed' if failures == 0 else f'{failures} check(s) failed'}")

@@ -36,7 +36,7 @@ BLOCK_REPLICATES = 4096
 
 # Version of the sampling layout described in _abs_sums.  Estimates
 # from different layouts agree in distribution, not draw for draw.
-SAMPLING_LAYOUT = 2
+SAMPLING_LAYOUT = 3
 
 # Path cells (doubles) one row sub-block of a replication block holds,
 # 2^20 = 8 MiB.  Sub-blocks only split the work; no estimate depends on
@@ -96,6 +96,24 @@ class Verdict(enum.Enum):
 
 
 @dataclass(frozen=True)
+class MomentGrowthReport:
+    """Least-squares slope of log E|S_n|^r against log n.
+
+    bound = max(1, r/2) is the growth exponent that E|S_n|^r of a
+    stable recursion with E|theta|^r < inf cannot exceed (up to a
+    constant); slope materially above it signals a defect.
+    """
+
+    r: float
+    n_grid: tuple
+    estimates: tuple
+    slope: float
+    intercept: float
+    bound: float
+    replications: int
+
+
+@dataclass(frozen=True)
 class SeriesEstimate:
     """Per-point estimates and running sums over an n-grid."""
 
@@ -106,6 +124,7 @@ class SeriesEstimate:
     partial_sums: tuple
     partial_sum_ci_high: tuple
     verdict: Verdict
+    moments: MomentGrowthReport | None  # the fit of E|S_n|^r on the same paths, None if skipped
 
 
 def default_grid(n_max: int) -> list:
@@ -160,13 +179,13 @@ def _as_replications(replications) -> int:
     return replications
 
 
-def _abs_sums(spec: NoiseSpec, grid: list, replications: int, key: StreamKey, weights: WeightTable):
+def _abs_sums(spec: NoiseSpec, grid: list, replications: int, master_seed: int, weights: WeightTable):
     """Yield (i, |S_n|) for n = grid[i] over every replicate, block by block.
 
-    Sampling layout 2: each replicate is one noise path.  Its chunk k
+    Sampling layout 3: each replicate is one noise path.  Its chunk k
     holds the times 2^(k-1) < t <= 2^k (chunk 0 is t = 1), and for
     replication block b that chunk is one block of take * len draws
-    under StreamKey(master_seed, purpose, n=2^k, block=b), reshaped to
+    under StreamKey(master_seed, "tail", n=2^k, block=b), reshaped to
     (take, len).  Chunks are drawn whole and only as far as grid[-1]
     needs, so a path's first n steps never depend on how far it runs,
     and every grid point of a block reads its prefix of the same paths
@@ -196,7 +215,7 @@ def _abs_sums(spec: NoiseSpec, grid: list, replications: int, key: StreamKey, we
                 while theta.shape[1] < n:
                     drawn = theta.shape[1]
                     end = max(1, 2 * drawn)
-                    chunk_key = StreamKey(key.master_seed, key.purpose, n=end, block=block)
+                    chunk_key = StreamKey(master_seed, "tail", n=end, block=block)
                     length = end - drawn
                     chunk = sample_block(spec, (r1 - r0) * length, chunk_key, r0 * length, take * length)
                     grown = buffers[end.bit_length() % 2, : (r1 - r0) * end].reshape(r1 - r0, end)
@@ -214,26 +233,28 @@ def _abs_sums(spec: NoiseSpec, grid: list, replications: int, key: StreamKey, we
             yield i, sums[i]
 
 
-def _tail_estimates(spec, params, grid, replications, key, weights) -> list:
-    """One TailEstimate per grid point, all read off the same paths."""
-    thresholds = [params.epsilon * float(n) ** (1.0 / params.p) for n in grid]
+def _read_paths(spec, grid, replications, master_seed, weights, params=None, r=None, moment_at=()) -> tuple:
+    """Tail estimates and moments, read off one pass over the paths.
+
+    Returns one TailEstimate per grid point (None without params) and
+    the mean of |S_n|^r at grid[i] for i in moment_at.  Each mean adds
+    one np.sum of |S_n|^r per block into a CompensatedSum, in block
+    order, so it depends only on the seed, n and R.
+    """
     counts = [0] * len(grid)
-    for i, sums in _abs_sums(spec, grid, replications, key, weights):
-        counts[i] += int(np.count_nonzero(sums > thresholds[i]))
-    estimates = []
-    for n, count in zip(grid, counts):
-        low, high = wilson_interval(count, replications)
-        estimates.append(
-            TailEstimate(
-                n=n,
-                replications=replications,
-                p_hat=count / replications,
-                ci_low=low,
-                ci_high=high,
-                at_floor=(count == 0),
-            )
-        )
-    return estimates
+    accs = {i: CompensatedSum() for i in moment_at}
+    for i, sums in _abs_sums(spec, grid, replications, master_seed, weights):
+        if params is not None:
+            counts[i] += int(np.count_nonzero(sums > params.epsilon * float(grid[i]) ** (1.0 / params.p)))
+        if i in accs:
+            accs[i].add(float(np.sum(sums ** r)))
+    tails = None if params is None else [_tail_estimate(n, c, replications) for n, c in zip(grid, counts)]
+    return tails, [accs[i].total / replications for i in moment_at]
+
+
+def _tail_estimate(n: int, count: int, replications: int) -> TailEstimate:
+    low, high = wilson_interval(count, replications)
+    return TailEstimate(n, replications, count / replications, low, high, at_floor=(count == 0))
 
 
 def tail_probability(
@@ -242,19 +263,16 @@ def tail_probability(
     params: SeriesParams,
     n: int,
     replications: int,
-    stream_key: StreamKey,
+    master_seed: int,
     weights: WeightTable | None = None,
 ) -> TailEstimate:
     """Estimate P{ |S_n| > eps * n^(1/p) } by simple Monte Carlo.
 
     Uses the weighted-sum route with a weight table from weights_for
-    (built on the spot if none is supplied).  The paths are addressed
-    by stream_key.master_seed and stream_key.purpose only; its n and
-    block fields are ignored, since the layout keys every chunk and
-    block itself.  With purpose "tail" the result therefore equals
-    partial_series's row at n for the same seed, bit for bit.  at_floor
-    flags a zero count: the point estimate is then 0 but the Wilson
-    upper bound stays positive.
+    (built on the spot if none is supplied).  It reads the same paths
+    as partial_series, so the result equals partial_series's row at n
+    for the same seed, bit for bit.  at_floor flags a zero count: the
+    point estimate is then 0 but the Wilson upper bound stays positive.
     """
     require_stable(coeffs, "estimation")
     n = int(n)
@@ -262,11 +280,11 @@ def tail_probability(
         raise InvalidParameters(f"n must be >= 1, got {n}")
     replications = _as_replications(replications)
     weights = weights_for(coeffs, n, weights)
-    (estimate,) = _tail_estimates(spec, params, [n], replications, stream_key, weights)
+    (estimate,), _ = _read_paths(spec, [n], replications, master_seed, weights, params)
     return estimate
 
 
-def _verdict(grid, terms, ci_terms, at_floor_flags, partial_sums, ci_totals) -> Verdict:
+def _verdict(grid, ci_terms, at_floor_flags, partial_sums, ci_totals) -> Verdict:
     """Stabilization taxonomy over the evaluated grid.
 
     Stabilized: the point-estimate sum is identically zero, or the grid
@@ -289,6 +307,14 @@ def _verdict(grid, terms, ci_terms, at_floor_flags, partial_sums, ci_totals) -> 
     return Verdict.GROWING
 
 
+def _moment_report(r, n_grid, estimates, replications) -> MomentGrowthReport:
+    """Least-squares fit of log E|S_n|^r against log n."""
+    slope, intercept = np.polyfit(np.log(np.asarray(n_grid, dtype=float)), np.log(estimates), 1)
+    return MomentGrowthReport(
+        r, tuple(n_grid), tuple(estimates), float(slope), float(intercept), max(1.0, r / 2.0), replications
+    )
+
+
 def partial_series(
     coeffs: ARCoefficients,
     spec: NoiseSpec,
@@ -306,6 +332,12 @@ def partial_series(
     inserting or removing grid points never perturbs the others; the
     shared paths do make the terms correlated across n, and the CI-upper
     sum is a sum of per-point bounds, not a simultaneous bound.
+
+    The same pass estimates E|S_n|^r at the grid's powers of two from 16
+    on and fits its log-log slope (moments), equal bit for bit to
+    moment_growth_check on those n.  The fit is skipped (moments None)
+    when E|theta|^r diverges or fewer than 4 such points are on the grid;
+    below n = 16 the curvature of log E|S_n|^r would tilt the slope.
     """
     grid = _as_grid(grid, "grid")
     if grid[0].bit_length() == grid[-1].bit_length():
@@ -314,8 +346,11 @@ def partial_series(
         )
     require_stable(coeffs, "estimation")
     replications = _as_replications(replications)
+    moment_at = [i for i, n in enumerate(grid) if n >= 16 and n & (n - 1) == 0]
+    if len(moment_at) < 4 or not math.isfinite(absolute_moment(spec, params.r)):
+        moment_at = []
     weights = weight_sequence(coeffs, grid[-1] - 1)
-    tails = _tail_estimates(spec, params, grid, replications, StreamKey(master_seed, "tail"), weights)
+    tails, means = _read_paths(spec, grid, replications, master_seed, weights, params, params.r, moment_at)
     scales = [float(n) ** params.exponent for n in grid]
     terms = [scale * est.p_hat for scale, est in zip(scales, tails)]
     ci_terms = [scale * est.ci_high for scale, est in zip(scales, tails)]
@@ -323,7 +358,9 @@ def partial_series(
 
     partial_sums = compensated_cumsum(terms).tolist()
     ci_totals = compensated_cumsum(ci_terms).tolist()
-    verdict = _verdict(grid, terms, ci_terms, flags, partial_sums, ci_totals)
+    moments = None
+    if moment_at:
+        moments = _moment_report(params.r, [grid[i] for i in moment_at], means, replications)
     return SeriesEstimate(
         params=params,
         grid=tuple(grid),
@@ -331,26 +368,9 @@ def partial_series(
         terms=tuple(terms),
         partial_sums=tuple(partial_sums),
         partial_sum_ci_high=tuple(ci_totals),
-        verdict=verdict,
+        verdict=_verdict(grid, ci_terms, flags, partial_sums, ci_totals),
+        moments=moments,
     )
-
-
-@dataclass(frozen=True)
-class MomentGrowthReport:
-    """Least-squares slope of log E|S_n|^r against log n.
-
-    bound = max(1, r/2) is the growth exponent that E|S_n|^r of a
-    stable recursion with E|theta|^r < inf cannot exceed (up to a
-    constant); slope materially above it signals a defect.
-    """
-
-    r: float
-    n_grid: tuple
-    estimates: tuple
-    slope: float
-    intercept: float
-    bound: float
-    replications: int
 
 
 def moment_growth_check(
@@ -364,10 +384,11 @@ def moment_growth_check(
     """Monte Carlo E|S_n|^r over a grid and its log-log slope.
 
     Requires the analytic E|theta|^r to be finite (InfiniteMoment
-    otherwise) and at least 4 grid points for a meaningful fit.  Every
-    n reads the same paths (purpose "moment"), and each n's block sums
-    are combined in block order, so the estimates are exactly
-    reproducible for a given master seed.
+    otherwise) and at least 4 grid points for a meaningful fit.  It
+    reads the same paths as partial_series, and each n's block sums are
+    combined in block order, so the estimates are exactly reproducible
+    for a given master seed and equal partial_series's moments at the
+    same n.
     """
     require_stable(coeffs, "estimation")
     r = float(r)
@@ -377,20 +398,6 @@ def moment_growth_check(
     if len(n_grid) < 4:
         raise InvalidParameters("n_grid needs >= 4 points for a slope fit")
     replications = _as_replications(replications)
-
     weights = weight_sequence(coeffs, n_grid[-1] - 1)
-    accs = [CompensatedSum() for _ in n_grid]
-    for i, sums in _abs_sums(spec, n_grid, replications, StreamKey(master_seed, "moment"), weights):
-        accs[i].add(float(np.sum(sums ** r)))
-    estimates = [acc.total / replications for acc in accs]
-
-    slope, intercept = np.polyfit(np.log(np.asarray(n_grid, dtype=float)), np.log(estimates), 1)
-    return MomentGrowthReport(
-        r=r,
-        n_grid=tuple(n_grid),
-        estimates=tuple(estimates),
-        slope=float(slope),
-        intercept=float(intercept),
-        bound=max(1.0, r / 2.0),
-        replications=replications,
-    )
+    _, estimates = _read_paths(spec, n_grid, replications, master_seed, weights, None, r, range(len(n_grid)))
+    return _moment_report(r, n_grid, estimates, replications)

@@ -141,9 +141,9 @@ def _fnv1a64(data: bytes) -> int:
 class StreamKey:
     """Address of one block of random draws.
 
-    purpose separates independent uses of the same master seed (tail
-    estimation, moment estimation, probe paths, ...); n and block index
-    the grid point and replication block inside a purpose.
+    purpose separates independent uses of the same master seed (the
+    estimation paths, probe paths, ...); n and block index the grid
+    point or chunk and the replication block inside a purpose.
     """
 
     master_seed: int

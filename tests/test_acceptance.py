@@ -208,9 +208,9 @@ def test_criterion_06_koval_envelope():
 def test_criterion_07_exact_tail_checkpoints():
     start = time.perf_counter()
     params = SeriesParams(p=1, r=2, epsilon=0.5)
-    sure = tail_probability(FREE, RADEMACHER, params, 1, 1000, StreamKey(3, "tail", n=1))
+    sure = tail_probability(FREE, RADEMACHER, params, 1, 1000, 3)
     never = tail_probability(
-        FREE, RADEMACHER, dataclasses.replace(params, epsilon=2.0), 1, 1000, StreamKey(3, "tail", n=1)
+        FREE, RADEMACHER, dataclasses.replace(params, epsilon=2.0), 1, 1000, 3
     )
     exact_ok = sure.p_hat == 1.0 and never.p_hat == 0.0 and never.at_floor
 
@@ -218,7 +218,7 @@ def test_criterion_07_exact_tail_checkpoints():
     gauss_params = SeriesParams(p=1, r=2, epsilon=1.0)
     hits = 0
     for seed in range(1, 101):
-        est = tail_probability(FREE, NORMAL, gauss_params, 4, 100000, StreamKey(seed, "tail", n=4))
+        est = tail_probability(FREE, NORMAL, gauss_params, 4, 100000, seed)
         hits += est.ci_low <= target <= est.ci_high
     elapsed = time.perf_counter() - start
     _report(
@@ -329,7 +329,7 @@ def test_criterion_11_hypothesis_enforcement():
     unstable = ARCoefficients(1.2, 0.3)
     params = SeriesParams(1, 2, 1)
     for call in (
-        lambda: tail_probability(unstable, NORMAL, params, 4, 1000, StreamKey(1, "t")),
+        lambda: tail_probability(unstable, NORMAL, params, 4, 1000, 1),
         lambda: partial_series(unstable, NORMAL, params, [1, 2], 1000, 1),
         lambda: moment_growth_check(unstable, NORMAL, 2.0, (8, 16, 32, 64), 1000, 1),
     ):

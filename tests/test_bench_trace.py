@@ -50,13 +50,13 @@ def test_traced_run_records_spans_for_each_layer(tmp_path, capsys):
     assert {
         "noise.sample_block", "noise.generator_for", "simulate.simulate_path", "simulate.weighted_sum",
         "recurrence.weight_sequence", "recurrence.bound_report", "estimate.partial_series",
-        "estimate.tail_probability", "estimate.moment_growth_check",
+        "estimate.tail_probability",
     } <= set(names)
-    # tables: 2 self-checks (series, verify) + bound report + 2 estimates + verify's table
+    # tables: 2 self-checks (series, verify) + bound report + 1 estimate + verify's table
     # + 2 tail checks;
-    # streams: one per sampled chunk or block (series 26: 5 dyadic tail chunks to n = 16,
-    # 11 moment chunks to n = 1024, 10 probes; simulate 10; verify 20: 10 probes, 2 draws,
-    # 2 tail checks of 4 chunks to n = 8)
-    assert names.count("recurrence.weight_sequence") == 8
-    assert names.count("noise.generator_for") == 56
+    # streams: one per sampled chunk or block (series 15: 5 dyadic chunks to n = 16, read
+    # by the tail counts and the moments alike, 10 probes; simulate 10; verify 20:
+    # 10 probes, 2 draws, 2 tail checks of 4 chunks to n = 8)
+    assert names.count("recurrence.weight_sequence") == 7
+    assert names.count("noise.generator_for") == 45
     assert ar2lab.estimate.sample_block is ar2lab.noise.sample_block  # uninstall restored it

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+import ar2lab.cli
+import ar2lab.estimate
 from ar2lab import default_grid, parse_config_text, partial_series
 from ar2lab.cli import main, run
 
@@ -103,7 +105,8 @@ def test_run_summary_content(tmp_path):
     assert "coefficients: a = 0.29999999999999999, b = 0.20000000000000001 (Stable)" in text
     assert "noise: normal" in text
     assert "verdict: Growing" in text
-    assert "moment growth: slope" in text
+    # grid 1..12 holds no power of two >= 16 for the moment fit
+    assert "moment growth: skipped (fewer than 4 powers of two >= 16 on the grid)" in text
     assert "representation residual" in text
 
 
@@ -114,6 +117,60 @@ def test_run_skips_moment_check_when_moment_diverges(tmp_path):
     run(config)
     summary = Path(str(out) + ".summary.txt").read_text(encoding="utf-8")
     assert "moment growth: skipped" in summary
+
+
+def summary_line(out, field):
+    text = Path(str(out) + ".summary.txt").read_text(encoding="utf-8")
+    return next(line for line in text.splitlines() if line.startswith(field + ": "))
+
+
+PARETO_1_5 = "pareto\nnoise.param1 = 1.5\nnoise.param2 = 1.0"  # E|theta|^2 diverges
+
+
+@pytest.mark.parametrize(
+    "grid_max, family, expected",
+    [
+        (128, "normal", None),
+        (64, "normal", "moment growth: skipped (fewer than 4 powers of two >= 16 on the grid)"),
+        (128, PARETO_1_5, "moment growth: skipped (E|theta|^2 diverges)"),
+    ],
+    ids=["fit", "short-grid", "diverges"],
+)
+def test_run_summary_says_why_the_moment_fit_is_skipped(tmp_path, grid_max, family, expected):
+    text = (BASE.replace("grid_max = 12", f"grid_max = {grid_max}")
+            .replace("noise.family = normal", f"noise.family = {family}")
+            .replace("replications = 400", "replications = 200"))
+    config, out = configure(tmp_path, text)
+    code = run(config)
+    series = partial_series(config.coeffs, config.noise, config.params,
+                            default_grid(config.grid_max), config.replications, config.master_seed)
+    if expected is None:  # the fit, read off the series' own paths at 16, 32, 64, 128
+        expected = f"moment growth: slope {series.moments.slope:.17g} vs bound 1 over n = 16..128"
+    else:
+        assert series.moments is None
+    assert summary_line(out, "moment growth") == expected
+    # the moment fit never moves the exit code: it is the verdict's
+    assert summary_line(out, "verdict") == f"verdict: {series.verdict.value}"
+    assert code == {"Stabilized": 0, "FloorLimited": 2, "Growing": 3}[series.verdict.value]
+
+
+@pytest.mark.parametrize("grid_max", [100, 128])
+def test_series_run_draws_each_path_once(tmp_path, monkeypatch, grid_max):
+    # one pass: R paths to 2^ceil(log2 grid_max) = 128 steps feed the tail
+    # counts and the moments alike, plus 10 probe paths of grid_max steps
+    draws = []
+    for module in (ar2lab.cli, ar2lab.estimate):
+        def counted(spec, count, *args, _sample=module.sample_block, **kwargs):
+            draws.append(count)
+            return _sample(spec, count, *args, **kwargs)
+
+        monkeypatch.setattr(module, "sample_block", counted)
+    text = BASE.replace("grid_max = 12", f"grid_max = {grid_max}").replace(
+        "replications = 400", "replications = 200"
+    )
+    config, _ = configure(tmp_path, text)
+    run(config)
+    assert sum(draws) == 200 * 128 + 10 * grid_max
 
 
 def test_run_is_byte_deterministic(tmp_path):

@@ -108,7 +108,7 @@ def test_default_grid_policy():
 
 def test_tail_certain_exceedance():
     params = SeriesParams(p=1, r=2, epsilon=0.5)
-    est = tail_probability(FREE, RADEMACHER, params, 1, 1000, StreamKey(1, "tail", n=1))
+    est = tail_probability(FREE, RADEMACHER, params, 1, 1000, 1)
     assert est.p_hat == 1.0
     assert est.ci_high == 1.0
     assert not est.at_floor
@@ -116,7 +116,7 @@ def test_tail_certain_exceedance():
 
 def test_tail_impossible_exceedance():
     params = SeriesParams(p=1, r=2, epsilon=2.0)
-    est = tail_probability(FREE, RADEMACHER, params, 1, 1000, StreamKey(1, "tail", n=1))
+    est = tail_probability(FREE, RADEMACHER, params, 1, 1000, 1)
     assert est.p_hat == 0.0
     assert est.at_floor
     assert est.ci_low == 0.0
@@ -128,7 +128,7 @@ def test_tail_matches_exact_binomial():
     exact = oracle_rademacher_tail(10, 5.0)
     assert exact == 112 / 1024
     params = SeriesParams(p=1, r=2, epsilon=0.5)
-    est = tail_probability(FREE, RADEMACHER, params, 10, 50000, StreamKey(9, "tail", n=10))
+    est = tail_probability(FREE, RADEMACHER, params, 10, 50000, 9)
     assert est.ci_low <= exact <= est.ci_high
 
 
@@ -136,7 +136,7 @@ def test_tail_matches_gaussian_oracle():
     # S_4 ~ N(0, 4) without feedback; threshold 4 gives 2*Phi(-2)
     exact = oracle_gaussian_tail(2.0, 4.0)
     params = SeriesParams(p=1, r=2, epsilon=1.0)
-    est = tail_probability(FREE, NORMAL, params, 4, 100000, StreamKey(1, "tail", n=4))
+    est = tail_probability(FREE, NORMAL, params, 4, 100000, 1)
     se = math.sqrt(exact * (1 - exact) / est.replications)
     assert abs(est.p_hat - exact) <= 4.5 * se
 
@@ -147,7 +147,7 @@ def test_tail_coverage_over_seeds():
     params = SeriesParams(p=1, r=2, epsilon=1.0)
     hits = 0
     for seed in range(1, 21):
-        est = tail_probability(FREE, NORMAL, params, 4, 20000, StreamKey(seed, "tail", n=4))
+        est = tail_probability(FREE, NORMAL, params, 4, 20000, seed)
         hits += est.ci_low <= exact <= est.ci_high
     assert hits >= 16
 
@@ -159,7 +159,7 @@ def test_tail_weighted_route_feeds_feedback():
     sigma = math.sqrt(float(np.sum(np.asarray(table.cum) ** 2)))
     exact = oracle_gaussian_tail(sigma, 6.0)
     params = SeriesParams(p=1, r=2, epsilon=1.0)
-    est = tail_probability(STABLE, NORMAL, params, 6, 100000, StreamKey(4, "tail", n=6))
+    est = tail_probability(STABLE, NORMAL, params, 6, 100000, 4)
     se = math.sqrt(exact * (1 - exact) / est.replications)
     assert abs(est.p_hat - exact) <= 4.5 * se
 
@@ -186,20 +186,21 @@ def test_tail_refuses_nan_sums_and_counts_infinite_ones():
     # alpha = 0.01 overflows ~0.08% of draws to +-inf; a path holding both
     # has a NaN sum, which must be refused, not counted as no exceedance
     heavy = NoiseSpec.symmetric_pareto(0.01, 1.0)
-    expected = nan_rows(layout_paths(heavy, 1, "tail", 64), 64)
+    paths = layout_paths(heavy, 1, "tail", 64)
+    expected = nan_rows(paths, 64)
     assert expected > 0
     with pytest.raises(NonFiniteInput, match=rf"NaN for {expected} of 4096 replicates at n=64, block 0"):
-        tail_probability(STABLE, heavy, SeriesParams(1, 2, 1), 64, 4096, StreamKey(1, "tail", n=64))
-    # the moment check stops at the first grid point whose paths hold a NaN sum
-    moment_paths = layout_paths(heavy, 1, "moment", 64)
-    first = next(n for n in (8, 16, 32, 64) if nan_rows(moment_paths, n))
-    expected = nan_rows(moment_paths, first)
+        tail_probability(STABLE, heavy, SeriesParams(1, 2, 1), 64, 4096, 1)
+    # the moment check reads the same paths and stops at the first grid
+    # point whose paths hold a NaN sum
+    first = next(n for n in (8, 16, 32, 64) if nan_rows(paths, n))
+    expected = nan_rows(paths, first)
     with pytest.raises(NonFiniteInput, match=rf"NaN for {expected} of 4096 replicates at n={first}, block 0"):
         moment_growth_check(STABLE, heavy, 0.005, (8, 16, 32, 64), 4096, 1)
     # a lone infinite draw is an exceedance of any threshold
     theta = sample_block(heavy, 4096, StreamKey(2, "tail", n=1, block=0))
     assert np.isinf(theta).any()
-    est = tail_probability(FREE, heavy, SeriesParams(1, 2, 1e300), 1, 4096, StreamKey(2, "tail", n=1))
+    est = tail_probability(FREE, heavy, SeriesParams(1, 2, 1e300), 1, 4096, 2)
     assert est.p_hat * 4096 == np.count_nonzero(np.abs(theta) > 1e300)
 
 
@@ -249,7 +250,7 @@ def test_path_memory_stays_within_the_budget():
     # sub-block with its sampling temporaries.
     tracemalloc.start()
     try:
-        tail_probability(STABLE, NORMAL, SeriesParams(1, 2, 1), 2 ** 13, 4096, StreamKey(6, "tail"))
+        tail_probability(STABLE, NORMAL, SeriesParams(1, 2, 1), 2 ** 13, 4096, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -259,17 +260,17 @@ def test_path_memory_stays_within_the_budget():
 def test_tail_validation():
     params = SeriesParams(p=1, r=2, epsilon=1.0)
     with pytest.raises(UnstableCoefficients):
-        tail_probability(ARCoefficients(1.0, 0.5), NORMAL, params, 4, 1000, StreamKey(1, "t"))
+        tail_probability(ARCoefficients(1.0, 0.5), NORMAL, params, 4, 1000, 1)
     with pytest.raises(InvalidParameters):
-        tail_probability(FREE, NORMAL, params, 0, 1000, StreamKey(1, "t"))
+        tail_probability(FREE, NORMAL, params, 0, 1000, 1)
     with pytest.raises(InvalidParameters):
-        tail_probability(FREE, NORMAL, params, 4, 99, StreamKey(1, "t"))
+        tail_probability(FREE, NORMAL, params, 4, 99, 1)
     short = weight_sequence(FREE, 1)
     with pytest.raises(InvalidParameters):
-        tail_probability(FREE, NORMAL, params, 4, 1000, StreamKey(1, "t"), weights=short)
+        tail_probability(FREE, NORMAL, params, 4, 1000, 1, weights=short)
     foreign = weight_sequence(ARCoefficients(0.9, 0.05), 100)
     with pytest.raises(InvalidParameters):
-        tail_probability(STABLE, NORMAL, params, 64, 4096, StreamKey(1, "tail", n=64), weights=foreign)
+        tail_probability(STABLE, NORMAL, params, 64, 4096, 1, weights=foreign)
 
 
 def test_series_params_validation():
@@ -290,20 +291,20 @@ def test_series_params_validation():
 def test_scale_equivariance_uniform_dyadic():
     # theta -> 2 theta and eps -> 2 eps is exact in binary floating point
     base = tail_probability(
-        STABLE, NoiseSpec.uniform(1.0), SeriesParams(1, 2, 0.25), 12, 20000, StreamKey(5, "tail", n=12)
+        STABLE, NoiseSpec.uniform(1.0), SeriesParams(1, 2, 0.25), 12, 20000, 5
     )
     scaled = tail_probability(
-        STABLE, NoiseSpec.uniform(2.0), SeriesParams(1, 2, 0.5), 12, 20000, StreamKey(5, "tail", n=12)
+        STABLE, NoiseSpec.uniform(2.0), SeriesParams(1, 2, 0.5), 12, 20000, 5
     )
     assert base.p_hat == scaled.p_hat
 
 
 def test_scale_equivariance_pareto_dyadic():
     base = tail_probability(
-        STABLE, NoiseSpec.symmetric_pareto(2.5, 1.0), SeriesParams(1, 2, 4.0), 9, 20000, StreamKey(6, "tail", n=9)
+        STABLE, NoiseSpec.symmetric_pareto(2.5, 1.0), SeriesParams(1, 2, 4.0), 9, 20000, 6
     )
     scaled = tail_probability(
-        STABLE, NoiseSpec.symmetric_pareto(2.5, 2.0), SeriesParams(1, 2, 8.0), 9, 20000, StreamKey(6, "tail", n=9)
+        STABLE, NoiseSpec.symmetric_pareto(2.5, 2.0), SeriesParams(1, 2, 8.0), 9, 20000, 6
     )
     assert base.p_hat == scaled.p_hat
 
@@ -347,7 +348,7 @@ def test_partial_series_grid_insensitive_per_point():
         assert tail == by_n[tail.n]
     # tail_probability is the one-point case of the same engine
     for n in (4, 8, 16):
-        assert tail_probability(STABLE, NORMAL, SeriesParams(1, 2, 1), n, 1000, StreamKey(21, "tail")) == by_n[n]
+        assert tail_probability(STABLE, NORMAL, SeriesParams(1, 2, 1), n, 1000, 21) == by_n[n]
 
 
 def test_wilson_coverage_against_exact_gaussian_tail():
@@ -438,6 +439,22 @@ def test_moment_slope_windows():
     signs = moment_growth_check(STABLE, RADEMACHER, 1.0, grid, 20000, 17)
     assert signs.bound == 1.0
     assert signs.slope <= 0.6
+
+
+@pytest.mark.parametrize("spec, r", [(NORMAL, 2.0), (RADEMACHER, 1.0), (NoiseSpec.symmetric_pareto(3.0, 1.0), 2.5)],
+                         ids=["normal", "rademacher", "pareto"])
+def test_series_moments_equal_the_moment_check(spec, r):
+    # one pass: the series reads E|S_n|^r off its own paths at the grid's
+    # powers of two from 16 on, bit for bit what the moment check gives there
+    replications = estimate.BLOCK_REPLICATES + 101
+    series = partial_series(STABLE, spec, SeriesParams(1, r, 1), range(1, 129), replications, 4)
+    check = moment_growth_check(STABLE, spec, r, (16, 32, 64, 128), replications, 4)
+    assert series.moments == check
+    assert check.n_grid == (16, 32, 64, 128)
+    # skipped below 4 such points, and when E|theta|^r diverges
+    assert partial_series(STABLE, spec, SeriesParams(1, r, 1), range(1, 65), 200, 4).moments is None
+    heavy = NoiseSpec.symmetric_pareto(1.5, 1.0)
+    assert partial_series(STABLE, heavy, SeriesParams(1, 2, 1), range(1, 129), 200, 4).moments is None
 
 
 def test_moment_growth_is_deterministic():
