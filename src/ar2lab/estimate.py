@@ -36,7 +36,7 @@ BLOCK_REPLICATES = 4096
 
 # Version of the sampling layout described in _abs_sums.  Estimates
 # from different layouts agree in distribution, not draw for draw.
-SAMPLING_LAYOUT = 3
+SAMPLING_LAYOUT = 4
 
 # Path cells (doubles) one row sub-block of a replication block holds,
 # 2^20 = 8 MiB.  Sub-blocks only split the work; no estimate depends on
@@ -182,14 +182,15 @@ def _as_replications(replications) -> int:
 def _abs_sums(spec: NoiseSpec, grid: list, replications: int, master_seed: int, weights: WeightTable):
     """Yield (i, |S_n|) for n = grid[i] over every replicate, block by block.
 
-    Sampling layout 3: each replicate is one noise path.  Its chunk k
-    holds the times 2^(k-1) < t <= 2^k (chunk 0 is t = 1), and for
-    replication block b that chunk is one block of take * len draws
-    under StreamKey(master_seed, "tail", n=2^k, block=b), reshaped to
-    (take, len).  Chunks are drawn whole and only as far as grid[-1]
-    needs, so a path's first n steps never depend on how far it runs,
-    and every grid point of a block reads its prefix of the same paths
-    through the weighted representation.
+    Sampling layout 4 (layout 3's paths; 4 changed the student_t and
+    rademacher transforms in sample_block): each replicate is one noise
+    path.  Its chunk k holds the times 2^(k-1) < t <= 2^k (chunk 0 is
+    t = 1), and for replication block b that chunk is one block of
+    take * len draws under StreamKey(master_seed, "tail", n=2^k,
+    block=b), reshaped to (take, len).  Chunks are drawn whole and only
+    as far as grid[-1] needs, so a path's first n steps never depend on
+    how far it runs, and every grid point of a block reads its prefix of
+    the same paths through the weighted representation.
 
     A block's paths are built in row sub-blocks of at most PATH_CELLS
     cells (one row when a path alone is longer).  Rows r0..r1 of a chunk
@@ -217,10 +218,13 @@ def _abs_sums(spec: NoiseSpec, grid: list, replications: int, master_seed: int, 
                     end = max(1, 2 * drawn)
                     chunk_key = StreamKey(master_seed, "tail", n=end, block=block)
                     length = end - drawn
-                    chunk = sample_block(spec, (r1 - r0) * length, chunk_key, r0 * length, take * length)
                     grown = buffers[end.bit_length() % 2, : (r1 - r0) * end].reshape(r1 - r0, end)
                     grown[:, :drawn] = theta
-                    grown[:, drawn:] = chunk.reshape(r1 - r0, length)
+                    # the draws are freed once copied, so the next chunk's
+                    # allocation can reuse their pages instead of faulting fresh ones
+                    grown[:, drawn:] = sample_block(
+                        spec, (r1 - r0) * length, chunk_key, r0 * length, take * length
+                    ).reshape(r1 - r0, length)
                     theta = grown
                 rev_cum = weights.cum[n - 1 :: -1]  # U(n-1), ..., U(0)
                 sums[i, r0:r1] = np.abs(np.einsum("ij,j->i", theta[:, :n], rev_cum))

@@ -2,9 +2,9 @@
 
 Every family is symmetric about zero.  Sampling is fully deterministic:
 a StreamKey (master seed, purpose tag, sequence length n, block index)
-is hashed into a PCG64 stream, uniforms are drawn from it, and each
-family is produced by a fixed transform of those uniforms, so the same
-key always yields the same block on any worker.
+is hashed into a PCG64 stream, and each family is produced by a fixed
+numpy transform of that stream's output (uniforms, or raw bits for
+rademacher), so the same key always yields the same block on any worker.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
+from numpy.random import PCG64, Generator, SeedSequence  # at import: numpy loads it lazily, at first use
 
 from .errors import InvalidOrder, InvalidParameters
 
@@ -162,7 +162,7 @@ class StreamKey:
         object.__setattr__(self, "block", int(self.block))
 
 
-def generator_for(key: StreamKey) -> np.random.Generator:
+def generator_for(key: StreamKey) -> Generator:
     """PCG64 generator derived from (master_seed, purpose, n, block).
 
     The purpose tag enters through FNV-1a so that distinct tags give
@@ -171,12 +171,11 @@ def generator_for(key: StreamKey) -> np.random.Generator:
     reproducibility contract.
     """
     entropy = [key.master_seed, _fnv1a64(key.purpose.encode("utf-8")), key.n, key.block]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    return Generator(PCG64(SeedSequence(entropy)))
 
 
-# Smallest spacing kept between a uniform draw and the endpoints where a
-# quantile transform would return +/-inf.
-_OPEN_EPS = 2.0 ** -53
+# exp(x) is finite for every x <= 709 (the largest double is e^709.78...).
+_EXP_FINITE = 709.0
 
 
 def sample_block(
@@ -184,15 +183,18 @@ def sample_block(
 ) -> np.ndarray:
     """Draw `count` innovations for the given key.
 
-    All families are fixed transforms of PCG64 uniforms: inversion for
-    uniform / rademacher / pareto and Student-t (via the t quantile),
-    and the trigonometric pair map sqrt(-2 log u1) * (cos, sin)(2 pi u2)
-    for the standard normal.  Calling twice with the same key is
-    bit-identical.
+    Every family is a fixed numpy transform of the PCG64 stream:
+    inversion of uniforms for uniform and pareto, the trigonometric pair
+    map sqrt(-2 log u1) * (cos, sin)(2 pi u2) for the standard normal,
+    Bailey's polar map without rejection for Student-t,
+    T = sqrt(nu) * w^(-1/nu) * sqrt(1 - w^(2/nu)) * cos(2 pi v) with
+    w = 1 - u1 (exact, not a quantile approximation), and one raw bit
+    per sign for rademacher (bit v % 64 of 64-bit word v // 64).
+    Calling twice with the same key is bit-identical.
 
     The block of `total` draws (default `start + count`) under this key
     is fixed; the call returns its values start .. start + count - 1,
-    bit for bit, reaching each uniform it needs with
+    bit for bit, reaching each uniform or word it needs with
     bit_generator.advance instead of drawing the ones before it.
     """
     count = int(count)
@@ -201,7 +203,7 @@ def sample_block(
     if count < 0 or start < 0 or start + count > total:
         raise InvalidParameters(f"need 0 <= start <= start + count <= total, got {start}, {count}, {total}")
     rng = generator_for(stream_key)
-    advance = rng.bit_generator.advance  # one 64-bit step per double
+    advance = rng.bit_generator.advance  # one 64-bit step per double or raw word
     fam = spec.family
     if fam == NoiseFamily.STANDARD_NORMAL:
         # value v is the cos (v even) or sin (v odd) half of pair v // 2,
@@ -222,21 +224,60 @@ def sample_block(
         np.multiply(radius, np.cos(angle), out=out[0::2])
         np.multiply(radius, np.sin(angle, out=angle), out=out[1::2])
         return out[start - 2 * first : start - 2 * first + count]
-    advance(start)
     if fam == NoiseFamily.RADEMACHER:
-        u = rng.random(count)
-        return np.where(u < 0.5, 1.0, -1.0)
+        # value v is bit v % 64 (least significant first) of raw word v // 64
+        first = start // 64
+        advance(first)
+        words = rng.bit_generator.random_raw((start + count + 63) // 64 - first)
+        bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+        out = np.empty(count)
+        np.multiply(bits[start - 64 * first : start - 64 * first + count], -2.0, out=out)
+        out += 1.0
+        return out
+    advance(start)
     if fam == NoiseFamily.UNIFORM:
         (c,) = spec.params
-        return c * (2.0 * rng.random(count) - 1.0)
+        # c * (2 u - 1), in place
+        out = rng.random(count)
+        out *= 2.0
+        out -= 1.0
+        out *= c
+        return out
+    # student_t and pareto: first uniforms at 0 .. total - 1 of the stream, second at total .. 2 total - 1
     if fam == NoiseFamily.STUDENT_T:
         (nu,) = spec.params
-        u = rng.random(count)
-        u = np.clip(u, _OPEN_EPS, 1.0 - _OPEN_EPS)
-        return stdtrit(nu, u)
-    # magnitude uniforms fill 0 .. total - 1 of the stream, sign uniforms total .. 2 total - 1
+        # T = exp(log(nu) / 2 - log(w) / nu) * sqrt(-expm1(2 log(w) / nu)) * cos(2 pi v),
+        # in log space: w^(-2/nu) would overflow long before T does
+        out = rng.random(count)
+        np.negative(out, out=out)
+        np.log1p(out, out=out)  # log w, w = 1 - u in (0, 1]
+        factor = np.multiply(out, 2.0 / nu)
+        np.expm1(factor, out=factor)
+        np.negative(factor, out=factor)
+        np.sqrt(factor, out=factor)
+        out *= -1.0 / nu
+        out += 0.5 * math.log(nu)
+        advance(total - count)
+        angle = rng.random(count)
+        angle *= 2.0 * math.pi
+        np.cos(angle, out=angle)
+        factor *= angle  # |factor| <= 1
+        # where exp of the exponent alone may overflow, fold log|factor| in
+        # first, so that T is infinite only when |T| exceeds the largest double
+        big = np.flatnonzero(out > _EXP_FINITE)
+        big_log = out[big] + np.log(np.abs(factor[big]))
+        with np.errstate(over="ignore"):
+            np.exp(out, out=out)
+            out *= factor
+            out[big] = np.copysign(np.exp(big_log), factor[big])
+        return out
+    # pareto: x_min * (1 - u1)^(-1/alpha), negated when u2 >= 1/2, in place
     alpha, x_min = spec.params
-    magnitude = x_min * np.power(1.0 - rng.random(count), -1.0 / alpha)  # 1 - u in (0, 1]
+    out = rng.random(count)
+    np.subtract(1.0, out, out=out)  # 1 - u in (0, 1]
+    np.power(out, -1.0 / alpha, out=out)
+    out *= x_min
     advance(total - count)
-    sign = np.where(rng.random(count) < 0.5, 1.0, -1.0)
-    return sign * magnitude
+    sign = rng.random(count)
+    np.negative(out, out=out, where=sign >= 0.5)
+    return out

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -188,6 +191,15 @@ def test_run_matches_golden_series(tmp_path):
     run(config)
     for name in ("golden.series.csv", "golden.spectrum.csv", "golden.summary.txt"):
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; importing it cost most of a run's start-up
+    src = str(Path(ar2lab.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, ar2lab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 # --- exit codes -------------------------------------------------------------

@@ -1,7 +1,10 @@
 import math
 
+import sys
+
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 
 from ar2lab import (
@@ -240,6 +243,10 @@ def test_normal_second_moment_window():
 RANGES = [  # (total, start, stop): odd totals and odd ends (mid-pair for normal), empty and full ranges
     (1, 0, 1), (1, 0, 0), (1, 1, 1), (2, 1, 2), (7, 0, 7), (7, 3, 4), (7, 1, 6), (7, 2, 7), (7, 7, 7),
     (8, 3, 3), (8, 2, 6), (1001, 0, 1001), (1001, 333, 1000), (1001, 500, 501), (1024, 512, 1024),
+    # rademacher reads 64 values per raw word: ranges that start or end at a word's edge or one off it
+    (200, 0, 63), (200, 0, 64), (200, 0, 65), (200, 63, 64), (200, 63, 65), (200, 64, 128),
+    (200, 65, 128), (200, 63, 129), (200, 128, 200), (128, 65, 128), (129, 64, 129),
+    (1_000_003, 777_777, 999_999),  # a start that is not word-aligned inside a large block
 ]
 
 
@@ -251,6 +258,50 @@ def test_range_draw_is_a_slice_of_the_whole_block(spec, total, start, stop):
     whole = sample_block(spec, total, key)
     assert part.shape == (stop - start,)
     assert part.tobytes() == whole[start:stop].tobytes()
+
+
+@pytest.mark.parametrize("nu", [0.3, 1.0, 3.0, 30.0])
+def test_student_t_matches_the_exact_cdf(nu):
+    x = sample_block(NoiseSpec.student_t(nu), 1_000_000, StreamKey(31337, "ks", n=int(10 * nu)))
+    # a correct sampler falls below the floor once in 10^4 keys
+    assert stats.kstest(x, stats.t(nu).cdf).pvalue > 1e-4
+
+
+def _t_overflow_probability(nu):
+    """Exact P{|T| > DBL_MAX}: 2 c nu^((nu+1)/2) x^(-nu) / nu, the t tail, whose
+    relative error nu / x^2 vanishes here; c is the t density's constant."""
+    log_c = math.lgamma((nu + 1) / 2) - 0.5 * math.log(nu * math.pi) - math.lgamma(nu / 2)
+    return 2.0 * math.exp(log_c + (nu + 1) / 2 * math.log(nu) - nu * math.log(sys.float_info.max)) / nu
+
+
+@pytest.mark.parametrize("nu, mean", [(0.02, 0.6486), (0.01, 802.5)])
+def test_student_t_is_infinite_only_beyond_the_largest_double(nu, mean):
+    # 10^6 draws: about 0.65 infinities expected at nu = 0.02 and 802 at 0.01;
+    # computing w^(-2/nu) directly gives about 830 and 29,000
+    count = 1_000_000
+    assert count * _t_overflow_probability(nu) == pytest.approx(mean, rel=1e-3)
+    x = sample_block(NoiseSpec.student_t(nu), count, StreamKey(4099, "tiny dof"))
+    assert not np.isnan(x).any()
+    law = stats.poisson(count * _t_overflow_probability(nu))
+    assert law.ppf(1e-6) <= np.isinf(x).sum() <= law.isf(1e-6)
+
+
+@pytest.mark.parametrize("nu", [0.005, 0.7, 40.0])
+def test_student_t_follows_the_polar_map_in_log_space(nu):
+    # reference: log|T| = log(nu)/2 - log(w)/nu + log(1 - w^(2/nu))/2 + log|cos(2 pi v)|
+    # from the key's own uniforms, w = 1 - u at 0..count-1 and v at count..2 count-1
+    count = 100_000
+    key = StreamKey(8191, "polar", n=3)
+    x = sample_block(NoiseSpec.student_t(nu), count, key)
+    u = generator_for(key).random(2 * count)
+    log_w, cos = np.log1p(-u[:count]), np.cos(2.0 * math.pi * u[count:])
+    with np.errstate(divide="ignore"):
+        log_t = 0.5 * math.log(nu) - log_w / nu + 0.5 * np.log(-np.expm1(2.0 * log_w / nu)) + np.log(np.abs(cos))
+    overflow = log_t > math.log(sys.float_info.max)
+    assert np.array_equal(np.isinf(x), overflow)
+    assert np.array_equal(np.signbit(x[x != 0]), np.signbit(cos[x != 0]))
+    with np.errstate(divide="ignore"):
+        np.testing.assert_allclose(np.log(np.abs(x[~overflow])), log_t[~overflow], rtol=0, atol=1e-11)
 
 
 def test_range_draw_validation():
