@@ -36,7 +36,7 @@ from .estimate import (
     tail_probability,
     wilson_interval,
 )
-from .noise import NoiseFamily, NoiseSpec, StreamKey, absolute_moment, generator_for, sample_block
+from .noise import NoiseSpec, StreamKey, absolute_moment, generator_for, sample_block
 from .recurrence import (
     ARCoefficients,
     BoundReport,
@@ -72,7 +72,6 @@ __all__ = [
     "InvalidParameters",
     "LabError",
     "MomentGrowthReport",
-    "NoiseFamily",
     "NoiseSpec",
     "NonFiniteInput",
     "ParseError",

@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import EmptyGrid, InfiniteMoment, InvalidParameters, NonFiniteInput
 from .noise import NoiseSpec, StreamKey, absolute_moment, sample_block
-from .recurrence import ARCoefficients, WeightTable, require_stable, weight_sequence
-from .simulate import weights_for
+from .recurrence import ARCoefficients, require_stable, weight_sequence
 from .summation import CompensatedSum, compensated_cumsum
 
 # Two-sided 95% normal quantile used by every Wilson interval here.
@@ -34,7 +33,7 @@ Z95 = 1.959963984540054
 # changes every estimate.
 BLOCK_REPLICATES = 4096
 
-# Version of the sampling layout described in _abs_sums.  Estimates
+# Version of the sampling layout described in _read_paths.  Estimates
 # from different layouts agree in distribution, not draw for draw.
 SAMPLING_LAYOUT = 4
 
@@ -145,16 +144,16 @@ def default_grid(n_max: int) -> list:
     return grid
 
 
-def wilson_interval(successes: int, total: int, z: float = Z95) -> tuple:
+def wilson_interval(successes: int, total: int) -> tuple:
     """95% two-sided Wilson score interval, well-defined at 0 and total."""
     if total <= 0:
         raise InvalidParameters(f"total must be >= 1, got {total}")
     if not 0 <= successes <= total:
         raise InvalidParameters("successes must lie in [0, total]")
     p_hat = successes / total
-    denom = 1.0 + z * z / total
-    center = (p_hat + z * z / (2.0 * total)) / denom
-    spread = z * math.sqrt((p_hat * (1.0 - p_hat) + z * z / (4.0 * total)) / total) / denom
+    denom = 1.0 + Z95 * Z95 / total
+    center = (p_hat + Z95 * Z95 / (2.0 * total)) / denom
+    spread = Z95 * math.sqrt((p_hat * (1.0 - p_hat) + Z95 * Z95 / (4.0 * total)) / total) / denom
     # the endpoints are exact at the degenerate counts; do not let sqrt
     # rounding leak a ~1e-19 residue into them
     low = 0.0 if successes == 0 else max(0.0, center - spread)
@@ -179,8 +178,8 @@ def _as_replications(replications) -> int:
     return replications
 
 
-def _abs_sums(spec: NoiseSpec, grid: list, replications: int, master_seed: int, weights: WeightTable):
-    """Yield (i, |S_n|) for n = grid[i] over every replicate, block by block.
+def _read_paths(spec, grid, replications, master_seed, weights, thresholds, r, moment_at) -> tuple:
+    """Exceedance counts and moments, read off one pass over the paths.
 
     Sampling layout 4 (layout 3's paths; 4 changed the student_t and
     rademacher transforms in sample_block): each replicate is one noise
@@ -196,19 +195,32 @@ def _abs_sums(spec: NoiseSpec, grid: list, replications: int, master_seed: int, 
     cells (one row when a path alone is longer).  Rows r0..r1 of a chunk
     are one contiguous range of its draws, taken with sample_block's
     start and total, so the sub-block size changes no draw and no
-    result.  An infinite |S_n| is kept (it exceeds any threshold); a NaN
-    one, e.g. from +inf and -inf draws in one path, has no magnitude and
-    is refused rather than silently miscounted.
+    result.  Each sub-block is reduced once its paths are built: its
+    |S_n| fill a (len(grid), rows) buffer, no larger than the path
+    buffer since len(grid) <= width.
+
+    Returns the count of |S_n| > thresholds[i] at each grid point and
+    the mean of |S_n|^r at grid[i] for i in moment_at.  Those rows are
+    kept whole per block, and each mean adds one np.sum of |S_n|^r per
+    block into a CompensatedSum, in block order, so it depends only on
+    the seed, n and R.  An infinite |S_n| is kept (it exceeds any finite
+    threshold); a NaN one, e.g. from +inf and -inf draws in one path,
+    has no magnitude and is refused rather than silently miscounted.
     """
     width = 1 << (grid[-1] - 1).bit_length()  # the chunks end at 2^k >= grid[-1]
-    rows = max(1, PATH_CELLS // width)
+    rows = min(max(1, PATH_CELLS // width), BLOCK_REPLICATES, replications)
     # Chunk k copies the paths so far and its draws into the buffer that
     # chunk k - 1 did not use, as one compact (rows, 2^k) matrix: short
     # prefixes stay dense in cache, and no path array is allocated per chunk.
-    buffers = np.empty((2, min(rows, BLOCK_REPLICATES, replications) * width))
+    buffers = np.empty((2, rows * width))
+    sums = np.empty((len(grid), rows))
+    limits = np.asarray(thresholds, dtype=float)
+    counts = np.zeros(len(grid), dtype=np.int64)
+    accs = [CompensatedSum() for _ in moment_at]
     for block, done in enumerate(range(0, replications, BLOCK_REPLICATES)):
         take = min(BLOCK_REPLICATES, replications - done)
-        sums = np.empty((len(grid), take))
+        kept = np.empty((len(moment_at), take))
+        nans = np.zeros(len(grid), dtype=np.int64)
         for r0 in range(0, take, rows):
             r1 = min(take, r0 + rows)
             theta = np.empty((r1 - r0, 0))
@@ -227,33 +239,19 @@ def _abs_sums(spec: NoiseSpec, grid: list, replications: int, master_seed: int, 
                     ).reshape(r1 - r0, length)
                     theta = grown
                 rev_cum = weights.cum[n - 1 :: -1]  # U(n-1), ..., U(0)
-                sums[i, r0:r1] = np.abs(np.einsum("ij,j->i", theta[:, :n], rev_cum))
-        for i, n in enumerate(grid):
-            nan_count = int(np.count_nonzero(np.isnan(sums[i])))
+                np.abs(np.einsum("ij,j->i", theta[:, :n], rev_cum), out=sums[i, : r1 - r0])
+            part = sums[:, : r1 - r0]
+            counts += np.count_nonzero(part.T > limits, axis=0)
+            nans += np.count_nonzero(np.isnan(part), axis=1)
+            kept[:, r0:r1] = part[moment_at]
+        for n, nan_count in zip(grid, nans.tolist()):
             if nan_count:
                 raise NonFiniteInput(
                     f"|S_n| is NaN for {nan_count} of {take} replicates at n={n}, block {block}"
                 )
-            yield i, sums[i]
-
-
-def _read_paths(spec, grid, replications, master_seed, weights, params=None, r=None, moment_at=()) -> tuple:
-    """Tail estimates and moments, read off one pass over the paths.
-
-    Returns one TailEstimate per grid point (None without params) and
-    the mean of |S_n|^r at grid[i] for i in moment_at.  Each mean adds
-    one np.sum of |S_n|^r per block into a CompensatedSum, in block
-    order, so it depends only on the seed, n and R.
-    """
-    counts = [0] * len(grid)
-    accs = {i: CompensatedSum() for i in moment_at}
-    for i, sums in _abs_sums(spec, grid, replications, master_seed, weights):
-        if params is not None:
-            counts[i] += int(np.count_nonzero(sums > params.epsilon * float(grid[i]) ** (1.0 / params.p)))
-        if i in accs:
-            accs[i].add(float(np.sum(sums ** r)))
-    tails = None if params is None else [_tail_estimate(n, c, replications) for n, c in zip(grid, counts)]
-    return tails, [accs[i].total / replications for i in moment_at]
+        for acc, row in zip(accs, kept):
+            acc.add(float(np.sum(row ** r)))
+    return counts.tolist(), [acc.total / replications for acc in accs]
 
 
 def _tail_estimate(n: int, count: int, replications: int) -> TailEstimate:
@@ -268,24 +266,24 @@ def tail_probability(
     n: int,
     replications: int,
     master_seed: int,
-    weights: WeightTable | None = None,
 ) -> TailEstimate:
     """Estimate P{ |S_n| > eps * n^(1/p) } by simple Monte Carlo.
 
-    Uses the weighted-sum route with a weight table from weights_for
-    (built on the spot if none is supplied).  It reads the same paths
-    as partial_series, so the result equals partial_series's row at n
-    for the same seed, bit for bit.  at_floor flags a zero count: the
-    point estimate is then 0 but the Wilson upper bound stays positive.
+    Uses the weighted-sum route with a weight table built for this n.
+    It reads the same paths as partial_series, so the result equals
+    partial_series's row at n for the same seed, bit for bit.  at_floor
+    flags a zero count: the point estimate is then 0 but the Wilson
+    upper bound stays positive.
     """
     require_stable(coeffs, "estimation")
     n = int(n)
     if n < 1:
         raise InvalidParameters(f"n must be >= 1, got {n}")
     replications = _as_replications(replications)
-    weights = weights_for(coeffs, n, weights)
-    (estimate,), _ = _read_paths(spec, [n], replications, master_seed, weights, params)
-    return estimate
+    weights = weight_sequence(coeffs, n - 1)
+    threshold = params.epsilon * float(n) ** (1.0 / params.p)
+    (count,), _ = _read_paths(spec, [n], replications, master_seed, weights, [threshold], params.r, [])
+    return _tail_estimate(n, count, replications)
 
 
 def _verdict(grid, ci_terms, at_floor_flags, partial_sums, ci_totals) -> Verdict:
@@ -354,7 +352,9 @@ def partial_series(
     if len(moment_at) < 4 or not math.isfinite(absolute_moment(spec, params.r)):
         moment_at = []
     weights = weight_sequence(coeffs, grid[-1] - 1)
-    tails, means = _read_paths(spec, grid, replications, master_seed, weights, params, params.r, moment_at)
+    limits = [params.epsilon * float(n) ** (1.0 / params.p) for n in grid]
+    counts, means = _read_paths(spec, grid, replications, master_seed, weights, limits, params.r, moment_at)
+    tails = [_tail_estimate(n, count, replications) for n, count in zip(grid, counts)]
     scales = [float(n) ** params.exponent for n in grid]
     terms = [scale * est.p_hat for scale, est in zip(scales, tails)]
     ci_terms = [scale * est.ci_high for scale, est in zip(scales, tails)]
@@ -403,5 +403,8 @@ def moment_growth_check(
         raise InvalidParameters("n_grid needs >= 4 points for a slope fit")
     replications = _as_replications(replications)
     weights = weight_sequence(coeffs, n_grid[-1] - 1)
-    _, estimates = _read_paths(spec, n_grid, replications, master_seed, weights, None, r, range(len(n_grid)))
+    # an infinite threshold counts nothing; only the moments are read
+    _, estimates = _read_paths(
+        spec, n_grid, replications, master_seed, weights, [math.inf] * len(n_grid), r, range(len(n_grid))
+    )
     return _moment_report(r, n_grid, estimates, replications)

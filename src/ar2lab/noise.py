@@ -18,23 +18,14 @@ from numpy.random import PCG64, Generator, SeedSequence  # at import: numpy load
 from .errors import InvalidOrder, InvalidParameters
 
 
-class NoiseFamily:
-    """Family tags; values double as the config-file spelling."""
-
-    STANDARD_NORMAL = "normal"
-    RADEMACHER = "rademacher"
-    UNIFORM = "uniform"
-    STUDENT_T = "student_t"
-    SYMMETRIC_PARETO = "pareto"
-
-
 # Each family's parameters, in NoiseSpec.params order; all must be finite and > 0.
+# The keys are the config-file spellings of the families.
 _PARAMS = {
-    NoiseFamily.STANDARD_NORMAL: (),
-    NoiseFamily.RADEMACHER: (),
-    NoiseFamily.UNIFORM: ("half_width",),
-    NoiseFamily.STUDENT_T: ("dof",),
-    NoiseFamily.SYMMETRIC_PARETO: ("alpha", "x_min"),
+    "normal": (),
+    "rademacher": (),
+    "uniform": ("half_width",),
+    "student_t": ("dof",),
+    "pareto": ("alpha", "x_min"),
 }
 
 
@@ -66,23 +57,23 @@ class NoiseSpec:
 
     @classmethod
     def standard_normal(cls) -> "NoiseSpec":
-        return cls(NoiseFamily.STANDARD_NORMAL)
+        return cls("normal")
 
     @classmethod
     def rademacher(cls) -> "NoiseSpec":
-        return cls(NoiseFamily.RADEMACHER)
+        return cls("rademacher")
 
     @classmethod
     def uniform(cls, half_width: float) -> "NoiseSpec":
-        return cls(NoiseFamily.UNIFORM, (half_width,))
+        return cls("uniform", (half_width,))
 
     @classmethod
     def student_t(cls, dof: float) -> "NoiseSpec":
-        return cls(NoiseFamily.STUDENT_T, (dof,))
+        return cls("student_t", (dof,))
 
     @classmethod
     def symmetric_pareto(cls, alpha: float, x_min: float) -> "NoiseSpec":
-        return cls(NoiseFamily.SYMMETRIC_PARETO, (alpha, x_min))
+        return cls("pareto", (alpha, x_min))
 
 
 def absolute_moment(spec: NoiseSpec, r: float) -> float:
@@ -98,14 +89,14 @@ def absolute_moment(spec: NoiseSpec, r: float) -> float:
     if not (r > 0 and math.isfinite(r)):
         raise InvalidOrder(f"moment order must satisfy r > 0, got {r}")
     fam = spec.family
-    if fam == NoiseFamily.STANDARD_NORMAL:
+    if fam == "normal":
         return math.exp(0.5 * r * math.log(2.0) + math.lgamma((r + 1.0) / 2.0) - 0.5 * math.log(math.pi))
-    if fam == NoiseFamily.RADEMACHER:
+    if fam == "rademacher":
         return 1.0
-    if fam == NoiseFamily.UNIFORM:
+    if fam == "uniform":
         (c,) = spec.params
         return c ** r / (r + 1.0)
-    if fam == NoiseFamily.STUDENT_T:
+    if fam == "student_t":
         (nu,) = spec.params
         if r >= nu:
             return math.inf
@@ -205,7 +196,7 @@ def sample_block(
     rng = generator_for(stream_key)
     advance = rng.bit_generator.advance  # one 64-bit step per double or raw word
     fam = spec.family
-    if fam == NoiseFamily.STANDARD_NORMAL:
+    if fam == "normal":
         # value v is the cos (v even) or sin (v odd) half of pair v // 2,
         # whose uniforms sit at v // 2 and pairs + v // 2 of the stream
         pairs, first, stop = (total + 1) // 2, start // 2, (start + count + 1) // 2
@@ -224,7 +215,7 @@ def sample_block(
         np.multiply(radius, np.cos(angle), out=out[0::2])
         np.multiply(radius, np.sin(angle, out=angle), out=out[1::2])
         return out[start - 2 * first : start - 2 * first + count]
-    if fam == NoiseFamily.RADEMACHER:
+    if fam == "rademacher":
         # value v is bit v % 64 (least significant first) of raw word v // 64
         first = start // 64
         advance(first)
@@ -235,7 +226,7 @@ def sample_block(
         out += 1.0
         return out
     advance(start)
-    if fam == NoiseFamily.UNIFORM:
+    if fam == "uniform":
         (c,) = spec.params
         # c * (2 u - 1), in place
         out = rng.random(count)
@@ -244,7 +235,7 @@ def sample_block(
         out *= c
         return out
     # student_t and pareto: first uniforms at 0 .. total - 1 of the stream, second at total .. 2 total - 1
-    if fam == NoiseFamily.STUDENT_T:
+    if fam == "student_t":
         (nu,) = spec.params
         # T = exp(log(nu) / 2 - log(w) / nu) * sqrt(-expm1(2 log(w) / nu)) * cos(2 pi v),
         # in log space: w^(-2/nu) would overflow long before T does
@@ -275,8 +266,9 @@ def sample_block(
     alpha, x_min = spec.params
     out = rng.random(count)
     np.subtract(1.0, out, out=out)  # 1 - u in (0, 1]
-    np.power(out, -1.0 / alpha, out=out)
-    out *= x_min
+    with np.errstate(over="ignore"):  # beyond the largest double the draw is +inf, as intended
+        np.power(out, -1.0 / alpha, out=out)
+        out *= x_min
     advance(total - count)
     sign = rng.random(count)
     np.negative(out, out=out, where=sign >= 0.5)

@@ -18,8 +18,8 @@ class CompensatedSum:
 
     __slots__ = ("_sum", "_carry")
 
-    def __init__(self, value: float = 0.0):
-        self._sum = float(value)
+    def __init__(self):
+        self._sum = 0.0
         self._carry = 0.0
 
     def add(self, x: float) -> "CompensatedSum":

@@ -216,17 +216,21 @@ FAMILIES = [
 @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
 def test_row_sub_blocks_change_no_result(monkeypatch, spec):
     # 4096 + 101 replicates: a full block and an odd last one.  Grid 1..40
-    # reaches path width 64 through chunk lengths 1, 2, 4, ..., 32.
+    # reaches path width 64 through chunk lengths 1, 2, 4, ..., 32.  The
+    # dense grid 1..24 has path width 32, so 7 * 64 cells make 14-row
+    # sub-blocks, fewer rows than it has points.
     replications = estimate.BLOCK_REPLICATES + 101
-    grid = [1, 2, 3, 5, 8, 13, 21, 34, 40]
     params = SeriesParams(1, 2, 1)
-    whole = partial_series(STABLE, spec, params, grid, replications, 8)
-    moments = moment_growth_check(STABLE, spec, 2.0, grid, replications, 8)
-    # 1001 rows: 4096 = 4 * 1001 + 92; 7 rows: 4096 = 585 * 7 + 1 and 101 = 14 * 7 + 3
-    for rows in (1001, 7):
-        monkeypatch.setattr(estimate, "PATH_CELLS", rows * 64)
-        assert partial_series(STABLE, spec, params, grid, replications, 8) == whole
-        assert moment_growth_check(STABLE, spec, 2.0, grid, replications, 8) == moments
+    for grid in ([1, 2, 3, 5, 8, 13, 21, 34, 40], list(range(1, 25))):
+        monkeypatch.setattr(estimate, "PATH_CELLS", 2 ** 20)
+        whole = partial_series(STABLE, spec, params, grid, replications, 8)
+        moments = moment_growth_check(STABLE, spec, 2.0, grid, replications, 8)
+        # at width 64, 1001 rows: 4096 = 4 * 1001 + 92; 7 rows: 4096 = 585 * 7 + 1 and
+        # 101 = 14 * 7 + 3; at width 32 the same cells make 2002 and 14 rows
+        for rows in (1001, 7):
+            monkeypatch.setattr(estimate, "PATH_CELLS", rows * 64)
+            assert partial_series(STABLE, spec, params, grid, replications, 8) == whole
+            assert moment_growth_check(STABLE, spec, 2.0, grid, replications, 8) == moments
     # one row per sub-block (PATH_CELLS below one path), on a grid of width 4
     short = [1, 2, 3, 4]
     monkeypatch.setattr(estimate, "PATH_CELLS", 2 ** 20)
@@ -257,6 +261,22 @@ def test_path_memory_stays_within_the_budget():
     assert peak <= 4 * 8 * estimate.PATH_CELLS
 
 
+def test_sums_memory_stays_within_the_budget_on_a_dense_grid(monkeypatch):
+    # 128 KiB sub-blocks of 128 rows on grid 1..128: each sub-block's |S_n|
+    # are reduced as they are built, in a (128 points, 128 rows) buffer, so
+    # the peak is two path buffers, that buffer, the 4 moment rows of a block
+    # (4 x 4096 doubles) and the sampling temporaries, about 5.4 x 8 *
+    # PATH_CELLS.  Holding the whole block's 128 x 4096 |S_n| would be 35 x.
+    monkeypatch.setattr(estimate, "PATH_CELLS", 2 ** 14)
+    tracemalloc.start()
+    try:
+        partial_series(STABLE, NORMAL, SeriesParams(1, 2, 1), range(1, 129), 4096, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * estimate.PATH_CELLS
+
+
 def test_tail_validation():
     params = SeriesParams(p=1, r=2, epsilon=1.0)
     with pytest.raises(UnstableCoefficients):
@@ -265,12 +285,6 @@ def test_tail_validation():
         tail_probability(FREE, NORMAL, params, 0, 1000, 1)
     with pytest.raises(InvalidParameters):
         tail_probability(FREE, NORMAL, params, 4, 99, 1)
-    short = weight_sequence(FREE, 1)
-    with pytest.raises(InvalidParameters):
-        tail_probability(FREE, NORMAL, params, 4, 1000, 1, weights=short)
-    foreign = weight_sequence(ARCoefficients(0.9, 0.05), 100)
-    with pytest.raises(InvalidParameters):
-        tail_probability(STABLE, NORMAL, params, 64, 4096, 1, weights=foreign)
 
 
 def test_series_params_validation():
