@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidParameters, NonFiniteInput, ParseError, UnstableCoefficients, ValidationError
 from .estimate import SeriesParams, _as_replications
-from .noise import NoiseSpec
+from .noise import NoiseSpec, _as_seed
 from .recurrence import ARCoefficients, require_stable
 
 # Raw values of the optional keys, parsed like values read from a file.
@@ -53,12 +53,11 @@ class ExperimentConfig:
         try:
             require_stable(self.coeffs, "config")
             _as_replications(self.replications)
+            _as_seed(self.master_seed)
         except (UnstableCoefficients, InvalidParameters) as exc:
             raise ValidationError(str(exc)) from None
         if self.grid_max < 1:
             raise ValidationError(f"grid_max must be >= 1, got {self.grid_max}")
-        if not 0 <= self.master_seed <= 2 ** 64 - 1:
-            raise ValidationError(f"seed must fit in 64 unsigned bits, got {self.master_seed}")
         if not self.output_path:
             raise ValidationError("output must be a non-empty path prefix")
 

@@ -37,9 +37,9 @@ BLOCK_REPLICATES = 4096
 # from different layouts agree in distribution, not draw for draw.
 SAMPLING_LAYOUT = 4
 
-# Path cells (doubles) one row sub-block of a replication block holds,
-# 2^20 = 8 MiB.  Sub-blocks only split the work; no estimate depends on
-# this constant.
+# Cells (doubles) of the one path buffer that each row sub-block of a
+# replication block is drawn into, 2^20 = 8 MiB.  Sub-blocks only split
+# the work; no estimate depends on this constant.
 PATH_CELLS = 2 ** 20
 
 # A dyadic block is {n : 2^k <= n < 2^(k+1)}.  The verdict looks at the
@@ -191,13 +191,14 @@ def _read_paths(spec, grid, replications, master_seed, weights, thresholds, r, m
     how far it runs, and every grid point of a block reads its prefix of
     the same paths through the weighted representation.
 
-    A block's paths are built in row sub-blocks of at most PATH_CELLS
-    cells (one row when a path alone is longer).  Rows r0..r1 of a chunk
-    are one contiguous range of its draws, taken with sample_block's
-    start and total, so the sub-block size changes no draw and no
-    result.  Each sub-block is reduced once its paths are built: its
-    |S_n| fill a (len(grid), rows) buffer, no larger than the path
-    buffer since len(grid) <= width.
+    A block's paths are built in row sub-blocks, each drawn into the
+    same (rows, width) path buffer of at most PATH_CELLS cells (one row
+    when a path alone is longer), every chunk in place in the columns
+    of its times.  Rows r0..r1 of a chunk are one contiguous range of its
+    draws, taken with sample_block's start and total, so the sub-block
+    size changes no draw and no result.  Each sub-block is reduced once
+    its paths are built: its |S_n| fill a (len(grid), rows) buffer, no
+    larger than the path buffer since len(grid) <= width.
 
     Returns the count of |S_n| > thresholds[i] at each grid point and
     the mean of |S_n|^r at grid[i] for i in moment_at.  Those rows are
@@ -209,10 +210,7 @@ def _read_paths(spec, grid, replications, master_seed, weights, thresholds, r, m
     """
     width = 1 << (grid[-1] - 1).bit_length()  # the chunks end at 2^k >= grid[-1]
     rows = min(max(1, PATH_CELLS // width), BLOCK_REPLICATES, replications)
-    # Chunk k copies the paths so far and its draws into the buffer that
-    # chunk k - 1 did not use, as one compact (rows, 2^k) matrix: short
-    # prefixes stay dense in cache, and no path array is allocated per chunk.
-    buffers = np.empty((2, rows * width))
+    paths = np.empty((rows, width))
     sums = np.empty((len(grid), rows))
     limits = np.asarray(thresholds, dtype=float)
     counts = np.zeros(len(grid), dtype=np.int64)
@@ -223,24 +221,18 @@ def _read_paths(spec, grid, replications, master_seed, weights, thresholds, r, m
         nans = np.zeros(len(grid), dtype=np.int64)
         for r0 in range(0, take, rows):
             r1 = min(take, r0 + rows)
-            theta = np.empty((r1 - r0, 0))
-            for i, n in enumerate(grid):
-                while theta.shape[1] < n:
-                    drawn = theta.shape[1]
-                    end = max(1, 2 * drawn)
-                    chunk_key = StreamKey(master_seed, "tail", n=end, block=block)
-                    length = end - drawn
-                    grown = buffers[end.bit_length() % 2, : (r1 - r0) * end].reshape(r1 - r0, end)
-                    grown[:, :drawn] = theta
-                    # the draws are freed once copied, so the next chunk's
-                    # allocation can reuse their pages instead of faulting fresh ones
-                    grown[:, drawn:] = sample_block(
-                        spec, (r1 - r0) * length, chunk_key, r0 * length, take * length
-                    ).reshape(r1 - r0, length)
-                    theta = grown
-                rev_cum = weights.cum[n - 1 :: -1]  # U(n-1), ..., U(0)
-                np.abs(np.einsum("ij,j->i", theta[:, :n], rev_cum), out=sums[i, : r1 - r0])
+            theta = paths[: r1 - r0]
             part = sums[:, : r1 - r0]
+            for k in range(width.bit_length()):
+                end = 1 << k
+                length = end - end // 2
+                chunk_key = StreamKey(master_seed, "tail", n=end, block=block)
+                theta[:, end // 2 : end] = sample_block(
+                    spec, (r1 - r0) * length, chunk_key, r0 * length, take * length
+                ).reshape(r1 - r0, length)
+            for i, n in enumerate(grid):
+                rev_cum = weights.cum[n - 1 :: -1]  # U(n-1), ..., U(0)
+                np.abs(np.einsum("ij,j->i", theta[:, :n], rev_cum), out=part[i])
             counts += np.count_nonzero(part.T > limits, axis=0)
             nans += np.count_nonzero(np.isnan(part), axis=1)
             kept[:, r0:r1] = part[moment_at]

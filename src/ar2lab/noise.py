@@ -121,6 +121,13 @@ _FNV_PRIME64 = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
+def _as_seed(seed) -> int:
+    seed = int(seed)
+    if not 0 <= seed <= _U64:
+        raise InvalidParameters(f"seed must fit in 64 unsigned bits, got {seed}")
+    return seed
+
+
 def _fnv1a64(data: bytes) -> int:
     h = _FNV_OFFSET64
     for byte in data:
@@ -143,10 +150,7 @@ class StreamKey:
     block: int = 0
 
     def __post_init__(self):
-        seed = int(self.master_seed)
-        if not 0 <= seed <= _U64:
-            raise InvalidParameters(f"master_seed must be a 64-bit unsigned int, got {self.master_seed}")
-        object.__setattr__(self, "master_seed", seed)
+        object.__setattr__(self, "master_seed", _as_seed(self.master_seed))
         if int(self.n) < 0 or int(self.block) < 0:
             raise InvalidParameters("n and block must be >= 0")
         object.__setattr__(self, "n", int(self.n))

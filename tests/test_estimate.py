@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +214,30 @@ FAMILIES = [
 ]
 
 
+def engine_table() -> str:
+    """Exceedance counts and |S_n|^2 means of every family, as CSV text.
+
+    default_grid(1024) with 4096 + 101 replicates runs two replication
+    blocks, 4 + 1 row sub-blocks of 1024 rows at the default PATH_CELLS,
+    and the moment fit at n = 16, 32, ..., 1024.
+    """
+    replications = estimate.BLOCK_REPLICATES + 101
+    lines = ["family,n,count,moment"]
+    for spec in FAMILIES:
+        est = partial_series(STABLE, spec, SeriesParams(1.9, 2, 1), default_grid(1024), replications, 20221210)
+        moments = dict(zip(est.moments.n_grid, est.moments.estimates))
+        for tail in est.tails:
+            moment = format(moments[tail.n], ".17g") if tail.n in moments else ""
+            lines.append(f"{spec.family},{tail.n},{round(tail.p_hat * replications)},{moment}")
+    return "\n".join(lines) + "\n"
+
+
+def test_engine_matches_golden():
+    # pins every bit the path engine feeds into the counts and moments
+    golden = Path(__file__).parent / "data" / "golden.engine.csv"
+    assert engine_table() == golden.read_text()
+
+
 @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
 def test_row_sub_blocks_change_no_result(monkeypatch, spec):
     # 4096 + 101 replicates: a full block and an odd last one.  Grid 1..40
@@ -249,23 +274,23 @@ def test_row_sub_blocks_keep_the_nan_refusal(monkeypatch):
 
 def test_path_memory_stays_within_the_budget():
     # one unsplit block at n = 2^13 would hold 4096 x 8192 doubles (256 MiB) of
-    # paths, and growing it to its last chunk twice that.  Split, it holds two
-    # path buffers of PATH_CELLS doubles and one chunk of at most half a
-    # sub-block with its sampling temporaries.
+    # paths.  Split, it holds one path buffer of PATH_CELLS doubles and one
+    # chunk of at most half a sub-block with its sampling temporaries, about
+    # 2.3 x 8 * PATH_CELLS.
     tracemalloc.start()
     try:
         tail_probability(STABLE, NORMAL, SeriesParams(1, 2, 1), 2 ** 13, 4096, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 8 * estimate.PATH_CELLS
+    assert peak <= 3 * 8 * estimate.PATH_CELLS
 
 
 def test_sums_memory_stays_within_the_budget_on_a_dense_grid(monkeypatch):
     # 128 KiB sub-blocks of 128 rows on grid 1..128: each sub-block's |S_n|
     # are reduced as they are built, in a (128 points, 128 rows) buffer, so
-    # the peak is two path buffers, that buffer, the 4 moment rows of a block
-    # (4 x 4096 doubles) and the sampling temporaries, about 5.4 x 8 *
+    # the peak is one path buffer, that buffer, the 4 moment rows of a block
+    # (4 x 4096 doubles) and the sampling temporaries, about 4.4 x 8 *
     # PATH_CELLS.  Holding the whole block's 128 x 4096 |S_n| would be 35 x.
     monkeypatch.setattr(estimate, "PATH_CELLS", 2 ** 14)
     tracemalloc.start()
@@ -274,7 +299,7 @@ def test_sums_memory_stays_within_the_budget_on_a_dense_grid(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 8 * estimate.PATH_CELLS
+    assert peak <= 5 * 8 * estimate.PATH_CELLS
 
 
 def test_tail_validation():
