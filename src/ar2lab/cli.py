@@ -23,9 +23,8 @@ import numpy as np
 from . import estimate as est
 from .config import ExperimentConfig, parse_config
 from .errors import LabError
-from .noise import NoiseSpec, StreamKey, absolute_moment, sample_block
+from .noise import StreamKey, absolute_moment, sample_block
 from .recurrence import (
-    ARCoefficients,
     bound_report,
     companion_power_column,
     companion_spectrum,
@@ -49,52 +48,48 @@ def _f(x) -> str:
     return format(float(x), ".17g")
 
 
+def _table(header: str, row_format: str, rows) -> str:
+    """CSV text: the header, then row_format.format(*row) per row, LF-terminated.
+
+    Floats go through {:.17g}, the same text as _f.
+    """
+    return "\n".join([header, *(row_format.format(*row) for row in rows)]) + "\n"
+
+
 def emit_series_csv(series: est.SeriesEstimate, path) -> None:
     """Write one row per grid point; schema is fixed and documented."""
-    rows = ["n,p_hat,ci_low,ci_high,term,partial_sum,partial_sum_ci_high,at_floor"]
-    for i, tail in enumerate(series.tails):
-        rows.append(
-            ",".join(
-                [
-                    str(tail.n),
-                    _f(tail.p_hat),
-                    _f(tail.ci_low),
-                    _f(tail.ci_high),
-                    _f(series.terms[i]),
-                    _f(series.partial_sums[i]),
-                    _f(series.partial_sum_ci_high[i]),
-                    "true" if tail.at_floor else "false",
-                ]
-            )
-        )
-    _write_text(path, "\n".join(rows) + "\n")
+    rows = [
+        (t.n, t.p_hat, t.ci_low, t.ci_high, term, total, ci_total, "true" if t.at_floor else "false")
+        for t, term, total, ci_total in zip(series.tails, series.terms, series.partial_sums, series.partial_sum_ci_high)
+    ]
+    header = "n,p_hat,ci_low,ci_high,term,partial_sum,partial_sum_ci_high,at_floor"
+    _write_text(path, _table(header, "{}" + ",{:.17g}" * 6 + ",{}", rows))
+
+
+def _spectrum_fields(config: ExperimentConfig, spectrum, report) -> list:
+    """The spectrum report as (name, value) pairs, in its one order."""
+    return [
+        ("a", config.coeffs.a), ("b", config.coeffs.b), ("stability", config.coeffs.stability.value),
+        ("lambda1", spectrum.lambda1), ("lambda2", spectrum.lambda2), ("rho", spectrum.rho),
+        ("mu", spectrum.mu), ("discriminant", spectrum.discriminant), ("L_star", report.L_star),
+        ("cum_limit", report.cum_limit), ("koval_ratio_min", report.koval_ratio_min),
+        ("koval_ratio_max", report.koval_ratio_max), ("horizon_used", report.horizon_used),
+    ]
+
+
+def _cell(value) -> str:
+    """Floats at 17 digits; counts, names and complex roots as str."""
+    return _f(value) if isinstance(value, float) else str(value)
 
 
 def emit_spectrum_csv(config: ExperimentConfig, spectrum, report, path) -> None:
-    header = (
-        "a,b,stability,lambda1_re,lambda1_im,lambda2_re,lambda2_im,"
-        "rho,mu,discriminant,L_star,cum_limit,koval_ratio_min,koval_ratio_max,horizon_used"
-    )
-    row = ",".join(
-        [
-            _f(config.coeffs.a),
-            _f(config.coeffs.b),
-            config.coeffs.stability.value,
-            _f(spectrum.lambda1.real),
-            _f(spectrum.lambda1.imag),
-            _f(spectrum.lambda2.real),
-            _f(spectrum.lambda2.imag),
-            _f(spectrum.rho),
-            str(spectrum.mu),
-            _f(spectrum.discriminant),
-            _f(report.L_star),
-            _f(report.cum_limit),
-            _f(report.koval_ratio_min),
-            _f(report.koval_ratio_max),
-            str(report.horizon_used),
-        ]
-    )
-    _write_text(path, header + "\n" + row + "\n")
+    """One row of the spectrum fields; a complex root splits into <name>_re, <name>_im."""
+    fields = []
+    for name, value in _spectrum_fields(config, spectrum, report):
+        complex_root = isinstance(value, complex)
+        fields += [(name + "_re", value.real), (name + "_im", value.imag)] if complex_root else [(name, value)]
+    names, values = zip(*fields)
+    _write_text(path, _table(",".join(names), ",".join(["{}"] * len(values)), [map(_cell, values)]))
 
 
 def _write_text(path, text: str) -> None:
@@ -104,14 +99,19 @@ def _write_text(path, text: str) -> None:
 
 
 def _self_check(config: ExperimentConfig) -> float:
-    """Max dual-representation residual over probe paths."""
-    worst = 0.0
+    """Max dual-representation residual over probe paths, nan if any is nan.
+
+    A heavy-tailed probe may overflow to inf; its residual is then nan,
+    which fails the check instead of dropping out of the max.
+    """
     n = config.grid_max
     table = weight_sequence(config.coeffs, n - 1)
+    residuals = []
     for i in range(SELF_CHECK_PATHS):
         theta = sample_block(config.noise, n, StreamKey(config.master_seed, "probe", n=n, block=i))
-        worst = max(worst, representation_residual(config.coeffs, theta, table))
-    return worst
+        with np.errstate(over="ignore", invalid="ignore"):
+            residuals.append(representation_residual(config.coeffs, theta, table))
+    return float(np.max(residuals))
 
 
 def _bound_horizon(grid_max: int) -> int:
@@ -189,40 +189,27 @@ def _summary_text(config, spectrum, report, residual, series) -> str:
 def _cmd_spectrum(config: ExperimentConfig) -> int:
     spectrum = companion_spectrum(config.coeffs)
     report = bound_report(config.coeffs, _bound_horizon(config.grid_max))
-    print(f"a = {_f(config.coeffs.a)}")
-    print(f"b = {_f(config.coeffs.b)}")
-    print(f"stability = {config.coeffs.stability.value}")
-    print(f"lambda1 = {spectrum.lambda1}")
-    print(f"lambda2 = {spectrum.lambda2}")
-    print(f"rho = {_f(spectrum.rho)}")
-    print(f"mu = {spectrum.mu}")
-    print(f"discriminant = {_f(spectrum.discriminant)}")
-    print(f"L_star = {_f(report.L_star)}")
-    print(f"cum_limit = {_f(report.cum_limit)}")
-    print(f"koval_ratio_min = {_f(report.koval_ratio_min)}")
-    print(f"koval_ratio_max = {_f(report.koval_ratio_max)}")
-    print(f"horizon_used = {report.horizon_used}")
+    for name, value in _spectrum_fields(config, spectrum, report):
+        print(f"{name} = {_cell(value)}")
     return 0
 
 
 def _cmd_weights(config: ExperimentConfig) -> int:
     table = weight_sequence(config.coeffs, config.grid_max)
-    print("j,u,cum")
-    for j in range(table.horizon + 1):
-        print(f"{j},{_f(table.u[j])},{_f(table.cum[j])}")
+    rows = zip(range(table.horizon + 1), table.u.tolist(), table.cum.tolist())
+    print(_table("j,u,cum", "{},{:.17g},{:.17g}", rows), end="")
     return 0
 
 
 def _cmd_simulate(config: ExperimentConfig) -> int:
     n = config.grid_max
-    rows = ["path,k,theta,xi"]
+    rows = []
     for i in range(SELF_CHECK_PATHS):
         theta = sample_block(config.noise, n, StreamKey(config.master_seed, "path", n=n, block=i))
         path = simulate_path(config.coeffs, theta)
-        for k in range(n):
-            rows.append(f"{i},{k + 1},{_f(path.theta[k])},{_f(path.xi[k])}")
+        rows += zip([i] * n, range(1, n + 1), path.theta.tolist(), path.xi.tolist())
     out = config.output_path + ".paths.csv"
-    _write_text(out, "\n".join(rows) + "\n")
+    _write_text(out, _table("path,k,theta,xi", "{},{},{:.17g},{:.17g}", rows))
     print(f"wrote {SELF_CHECK_PATHS} paths of length {n} to {out}")
     return 0
 

@@ -7,14 +7,15 @@ ignored.  Recognized keys:
     p, r, epsilon   series exponents and threshold
     noise.family    normal | rademacher | uniform | student_t | pareto
     noise.param1    half_width (uniform), dof (student_t), alpha (pareto)
-    noise.param2    x_min (pareto)
+    noise.param2    x_min (pareto); needs noise.param1
     grid_max        largest n evaluated            [default 128]
     replications    Monte Carlo replications per n [default 100000]
     seed            64-bit unsigned master seed    [default 1]
     output          prefix for result files        [default "results"]
 
-Unknown or duplicate keys are parse errors; values that break a
-documented invariant are validation errors naming the condition.
+Unknown or duplicate keys and files that are not UTF-8 are parse errors;
+values that break a documented invariant are validation errors naming
+the condition.
 """
 
 from __future__ import annotations
@@ -31,7 +32,12 @@ _DEFAULTS = {"grid_max": "128", "replications": "100000", "seed": "1", "output":
 
 _REQUIRED = ("a", "b", "p", "r", "epsilon", "noise.family")
 
-_KEYS = _REQUIRED + ("noise.param1", "noise.param2", "grid_max", "replications", "seed", "output")
+# Every key with the type its value is read as, in parse order.
+_KEYS = {
+    "a": float, "b": float, "p": float, "r": float, "epsilon": float,
+    "grid_max": int, "replications": int, "seed": int, "noise.param1": float, "noise.param2": float,
+    "noise.family": str, "output": str,
+}
 
 
 @dataclass(frozen=True)
@@ -62,10 +68,10 @@ class ExperimentConfig:
             raise ValidationError("output must be a non-empty path prefix")
 
 
-def _parse_number(key: str, raw: str, line: int | None, kind: type):
-    """raw as a float or (base-10) int; ParseError names the key and line."""
+def _parse_value(key: str, raw: str, line: int | None, kind: type):
+    """raw read as kind (str, float or base-10 int); ParseError names the key and line."""
     try:
-        return float(raw) if kind is float else int(raw, 10)
+        return kind(raw)
     except ValueError:
         noun = "a number" if kind is float else "an integer"
         raise ParseError(f"key {key!r} needs {noun}, got {raw!r}", line) from None
@@ -98,24 +104,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ValidationError(f"missing required key {key!r}")
 
     raw = {**_DEFAULTS, **raw}
-    a = _parse_number("a", raw["a"], lines["a"], float)
-    b = _parse_number("b", raw["b"], lines["b"], float)
-    p = _parse_number("p", raw["p"], lines["p"], float)
-    r = _parse_number("r", raw["r"], lines["r"], float)
-    epsilon = _parse_number("epsilon", raw["epsilon"], lines["epsilon"], float)
-    grid_max = _parse_number("grid_max", raw["grid_max"], lines.get("grid_max"), int)
-    replications = _parse_number("replications", raw["replications"], lines.get("replications"), int)
-    seed = _parse_number("seed", raw["seed"], lines.get("seed"), int)
-    noise_params = tuple(
-        _parse_number(key, raw[key], lines[key], float)
-        for key in ("noise.param1", "noise.param2")
-        if key in raw
-    )
+    values = {key: _parse_value(key, raw[key], lines.get(key), kind) for key, kind in _KEYS.items() if key in raw}
+    if "noise.param2" in values and "noise.param1" not in values:
+        raise ValidationError("noise.param2 needs noise.param1")
 
+    noise_params = tuple(values[key] for key in ("noise.param1", "noise.param2") if key in values)
     try:
-        noise = NoiseSpec(raw["noise.family"], noise_params)
-        coeffs = ARCoefficients(a, b)
-        params = SeriesParams(p=p, r=r, epsilon=epsilon)
+        noise = NoiseSpec(values["noise.family"], noise_params)
+        coeffs = ARCoefficients(values["a"], values["b"])
+        params = SeriesParams(p=values["p"], r=values["r"], epsilon=values["epsilon"])
     except (InvalidParameters, NonFiniteInput) as exc:
         raise ValidationError(str(exc)) from None
 
@@ -123,17 +120,22 @@ def parse_config_text(text: str) -> ExperimentConfig:
         coeffs=coeffs,
         noise=noise,
         params=params,
-        grid_max=grid_max,
-        replications=replications,
-        master_seed=seed,
-        output_path=raw["output"],
+        grid_max=values["grid_max"],
+        replications=values["replications"],
+        master_seed=values["seed"],
+        output_path=values["output"],
     )
 
 
 def parse_config(path) -> ExperimentConfig:
     """Read a config file (UTF-8) and parse it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return parse_config_text(text)
 
 
 def render_config(config: ExperimentConfig) -> str:

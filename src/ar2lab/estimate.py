@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGrid, InfiniteMoment, InvalidParameters, NonFiniteInput
-from .noise import NoiseSpec, StreamKey, absolute_moment, sample_block
+from .noise import NoiseSpec, StreamKey, _as_whole, absolute_moment, sample_block
 from .recurrence import ARCoefficients, require_stable, weight_sequence
 from .summation import CompensatedSum, compensated_cumsum
 
@@ -162,8 +162,8 @@ def wilson_interval(successes: int, total: int) -> tuple:
 
 
 def _as_grid(grid, what: str) -> list:
-    """The grid as a list of ints, refused unless strictly increasing from >= 1."""
-    grid = [int(n) for n in grid]
+    """The grid as a list of ints, refused unless whole, strictly increasing and >= 1."""
+    grid = [_as_whole(n, f"{what} point") for n in grid]
     if not grid:
         raise EmptyGrid(f"{what} is empty")
     if grid[0] < 1 or any(m >= n for m, n in zip(grid, grid[1:])):
@@ -172,7 +172,7 @@ def _as_grid(grid, what: str) -> list:
 
 
 def _as_replications(replications) -> int:
-    replications = int(replications)
+    replications = _as_whole(replications, "replications")
     if replications < 100:
         raise InvalidParameters(f"replications must be >= 100, got {replications}")
     return replications
@@ -268,7 +268,7 @@ def tail_probability(
     upper bound stays positive.
     """
     require_stable(coeffs, "estimation")
-    n = int(n)
+    n = _as_whole(n, "n")
     if n < 1:
         raise InvalidParameters(f"n must be >= 1, got {n}")
     replications = _as_replications(replications)

@@ -10,6 +10,7 @@ rademacher), so the same key always yields the same block on any worker.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,8 +122,15 @@ _FNV_PRIME64 = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
+def _as_whole(value, what: str) -> int:
+    """value as an int, refused unless it is a whole number: 1e5 is, 2.5, nan, inf and "3" are not."""
+    if isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer()):
+        return int(value)
+    raise InvalidParameters(f"{what} must be a whole number, got {value!r}")
+
+
 def _as_seed(seed) -> int:
-    seed = int(seed)
+    seed = _as_whole(seed, "seed")
     if not 0 <= seed <= _U64:
         raise InvalidParameters(f"seed must fit in 64 unsigned bits, got {seed}")
     return seed

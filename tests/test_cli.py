@@ -193,6 +193,45 @@ def test_run_matches_golden_series(tmp_path):
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
 
+COMPLEX = GOLDEN.replace("a = 0.3", "a = 0.5").replace("b = 0.2", "b = -0.9")  # roots 0.25 ± 0.915i
+
+
+@pytest.mark.parametrize(
+    "text, command, code, golden",
+    [
+        (GOLDEN, "spectrum", 0, "golden.spectrum.txt"),
+        (GOLDEN, "weights", 0, "golden.weights.csv"),
+        (GOLDEN, "verify", 0, "golden.verify.txt"),
+        (GOLDEN, "simulate", 0, "golden.paths.csv"),  # its stdout names the output path
+        (COMPLEX, "spectrum", 0, "golden.complex.spectrum.txt"),
+        (COMPLEX, "series", 3, "golden.complex.spectrum.csv"),  # the _re/_im split
+    ],
+    ids=["spectrum", "weights", "verify", "paths", "complex-spectrum", "complex-spectrum-csv"],
+)
+def test_subcommands_match_golden(tmp_path, capsys, text, command, code, golden):
+    cfg_path, out = write_cfg(tmp_path, text)
+    assert main([command, "--config", str(cfg_path)]) == code
+    stdout = capsys.readouterr().out.encode("utf-8")
+    written = {"simulate": ".paths.csv", "series": ".spectrum.csv"}.get(command)
+    got = Path(str(out) + written).read_bytes() if written else stdout
+    assert got == (DATA / golden).read_bytes()
+
+
+def test_self_check_fails_on_a_nan_residual(tmp_path, capsys):
+    # alpha = 0.01 overflows probe 0 to +-inf, so its residual is nan
+    text = (BASE.replace("noise.family = normal", "noise.family = pareto\nnoise.param1 = 0.01\nnoise.param2 = 1")
+            .replace("grid_max = 12", "grid_max = 128").replace("replications = 400", "replications = 1000")
+            .replace("seed = 2026", "seed = 43"))
+    cfg_path, _ = write_cfg(tmp_path, text)
+    assert main(["verify", "--config", str(cfg_path)]) == 1
+    report = capsys.readouterr().out
+    assert "[FAIL] dual representation residual (max nan)\n" in report
+    assert report.endswith("1 check(s) failed\n")
+    assert main(["series", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: representation self-check failed: residual nan > 1e-09\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["exp.cfg"]  # a refused run writes no file
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is a test dependency only; importing it cost most of a run's start-up
     src = str(Path(ar2lab.cli.__file__).resolve().parents[1])
@@ -305,6 +344,14 @@ def test_main_error_paths(tmp_path, capsys):
     assert main(["series", "--config", str(one_block), "--out", str(out_dir / "run")]) == 1
     assert "error: grid must reach at least two dyadic blocks [2^k, 2^(k+1))" in capsys.readouterr().err
     assert list(out_dir.iterdir()) == []  # a refused run writes no file
+
+
+def test_main_refuses_a_config_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(BASE.replace("seed = 2026", "seed = 2026 # \u00e9t\u00e9").encode("latin-1"))
+    assert main(["series", "--config", str(cfg)]) == 1
+    offset = BASE.index("2026") + len("2026 # ")  # the latin-1 e-acute, not a UTF-8 lead byte
+    assert capsys.readouterr().err == f"error: {cfg} is not UTF-8: invalid continuation byte at byte {offset}\n"
 
 
 def test_main_requires_subcommand():

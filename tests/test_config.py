@@ -128,6 +128,14 @@ def test_param_count_mismatch(family, params, want):
         parse_config_text(text)
 
 
+@pytest.mark.parametrize("family", ["uniform", "pareto"])
+def test_param2_needs_param1(family):
+    # read as param1, uniform would get half_width 1.5 from a line that says param2
+    text = MINIMAL.replace("noise.family = normal", f"noise.family = {family}") + "noise.param2 = 1.5\n"
+    with pytest.raises(ValidationError, match=r"^noise.param2 needs noise.param1$"):
+        parse_config_text(text)
+
+
 def test_unstable_coefficients_report_the_triangle():
     text = MINIMAL.replace("a = 0.3", "a = 0.9").replace("b = 0.2", "b = 0.5")
     with pytest.raises(ValidationError, match=r"-1 < b < 1 - \|a\|, got a=0.9, b=0.5"):

@@ -441,6 +441,23 @@ def test_partial_series_validation():
             partial_series(STABLE, NORMAL, params, one_block, 1000, 1)
 
 
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, "3"])
+def test_counts_must_be_whole_numbers(bad):
+    # int() would truncate 2.5 to 2 and estimate a different n, R or seed
+    params = SeriesParams(1, 2, 1)
+    with pytest.raises(InvalidParameters, match=r"grid point must be a whole number"):
+        partial_series(STABLE, NORMAL, params, [1, bad, 4], 1000, 1)
+    with pytest.raises(InvalidParameters, match=r"replications must be a whole number"):
+        partial_series(STABLE, NORMAL, params, [1, 2, 4], bad, 1)
+    with pytest.raises(InvalidParameters, match=r"seed must be a whole number"):
+        partial_series(STABLE, NORMAL, params, [1, 2, 4], 1000, bad)
+    with pytest.raises(InvalidParameters, match=r"n must be a whole number"):
+        tail_probability(STABLE, NORMAL, params, bad, 1000, 1)
+    # whole floats and numpy integers name the same n, R and seed as ints
+    whole = partial_series(STABLE, NORMAL, params, np.array([1, 2, 4]), 1e3, 7.0)
+    assert whole == partial_series(STABLE, NORMAL, params, [1, 2, 4], 1000, 7)
+
+
 # --- moment growth ------------------------------------------------------------
 
 def test_moment_estimates_match_exact_variance():
