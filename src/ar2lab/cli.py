@@ -23,7 +23,7 @@ import numpy as np
 from . import estimate as est
 from .config import ExperimentConfig, parse_config
 from .errors import LabError
-from .noise import StreamKey, absolute_moment, sample_block
+from .noise import StreamKey, _as_whole, absolute_moment, sample_block
 from .recurrence import (
     bound_report,
     companion_power_column,
@@ -78,7 +78,10 @@ def _spectrum_fields(config: ExperimentConfig, spectrum, report) -> list:
 
 
 def _cell(value) -> str:
-    """Floats at 17 digits; counts, names and complex roots as str."""
+    """Floats at 17 digits, complex roots as (re+imj) at 17 digits each; counts and names as str."""
+    if isinstance(value, complex):
+        imag = _f(value.imag)
+        return f"({_f(value.real)}{'' if imag[0] == '-' else '+'}{imag}j)"
     return _f(value) if isinstance(value, float) else str(value)
 
 
@@ -115,7 +118,7 @@ def _self_check(config: ExperimentConfig) -> float:
 
 
 def _bound_horizon(grid_max: int) -> int:
-    return max(200, min(int(grid_max), 10000))
+    return max(200, min(_as_whole(grid_max, "grid_max"), 10000))
 
 
 def run(config: ExperimentConfig) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidParameters, NonFiniteInput, ParseError, UnstableCoefficients, ValidationError
 from .estimate import SeriesParams, _as_replications
-from .noise import NoiseSpec, _as_seed
+from .noise import NoiseSpec, _as_seed, _as_whole
 from .recurrence import ARCoefficients, require_stable
 
 # Raw values of the optional keys, parsed like values read from a file.
@@ -58,8 +58,9 @@ class ExperimentConfig:
     def __post_init__(self):
         try:
             require_stable(self.coeffs, "config")
-            _as_replications(self.replications)
-            _as_seed(self.master_seed)
+            object.__setattr__(self, "replications", _as_replications(self.replications))
+            object.__setattr__(self, "master_seed", _as_seed(self.master_seed))
+            object.__setattr__(self, "grid_max", _as_whole(self.grid_max, "grid_max"))
         except (UnstableCoefficients, InvalidParameters) as exc:
             raise ValidationError(str(exc)) from None
         if self.grid_max < 1:

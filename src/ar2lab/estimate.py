@@ -35,7 +35,12 @@ BLOCK_REPLICATES = 4096
 
 # Version of the sampling layout described in _read_paths.  Estimates
 # from different layouts agree in distribution, not draw for draw.
-SAMPLING_LAYOUT = 4
+SAMPLING_LAYOUT = 5
+
+# Every n up to this bound is on the default grid and is read off the
+# paths by the AR(2) recursion itself, one time step for all rows at
+# once; points above it are read through the weighted sum, n steps each.
+DENSE_MAX = 128
 
 # Cells (doubles) of the one path buffer that each row sub-block of a
 # replication block is drawn into, 2^20 = 8 MiB.  Sub-blocks only split
@@ -127,17 +132,18 @@ class SeriesEstimate:
 
 
 def default_grid(n_max: int) -> list:
-    """Evaluation grid policy: all of 1..n_max up to 128, dyadic beyond.
+    """Evaluation grid policy: all of 1..n_max up to DENSE_MAX, dyadic beyond.
 
-    Above 128 only powers of two are kept; each point's reduction reads
-    n steps of every path, so a full grid out there buys little and
-    costs much.
+    Up to DENSE_MAX the recursion reads every point in one step each.
+    Above it only powers of two are kept: there each point's reduction
+    reads n steps of every path, so a full grid buys little and costs
+    much.
     """
-    n_max = int(n_max)
+    n_max = _as_whole(n_max, "n_max")
     if n_max < 1:
         raise EmptyGrid(f"n_max must be >= 1, got {n_max}")
-    grid = list(range(1, min(n_max, 128) + 1))
-    power = 256
+    grid = list(range(1, min(n_max, DENSE_MAX) + 1))
+    power = 2 * DENSE_MAX
     while power <= n_max:
         grid.append(power)
         power *= 2
@@ -178,18 +184,56 @@ def _as_replications(replications) -> int:
     return replications
 
 
+def _dense_head(theta, weights, head, out) -> None:
+    """|S_n| of each row of theta into out[i] for n = head[i], by the recursion.
+
+    Steps xi_t = a xi_(t-1) + b xi_(t-2) + theta_t and S_t = S_(t-1) + xi_t
+    over the columns of theta, all rows at once, holding four row
+    vectors: xi_(t-1), xi_(t-2), S_t and a scratch.  A row's S_n thus
+    depends on its own first n draws alone.  Where it is not finite it
+    is read again by the weighted sum: the recursion turns one infinite
+    draw into NaN when a or b is 0 (0 * inf), or into +-inf by turns when
+    a < 0, where the weighted sum keeps it infinite.
+    """
+    a, b = weights.coeffs.a, weights.coeffs.b
+    prev, older, total, scratch = np.zeros((4, len(theta)))
+    i = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # inf draws make 0 * inf and inf - inf
+        for t in range(head[-1]):
+            older *= b
+            np.multiply(prev, a, out=scratch)
+            older += scratch
+            older += theta[:, t]
+            total += older
+            prev, older = older, prev
+            if t + 1 == head[i]:
+                np.abs(total, out=out[i])
+                i += 1
+    # a running sum stays non-finite once it is, so only the rows whose
+    # last sum is not finite can need another read
+    suspect = np.flatnonzero(~np.isfinite(total))
+    bad = ~np.isfinite(out[: len(head), suspect])
+    for i in np.flatnonzero(bad.any(axis=1)):
+        at = suspect[bad[i]]
+        out[i, at] = np.abs(_weighted(theta[at], weights, head[i]))
+
+
+def _weighted(theta, weights, n) -> np.ndarray:
+    """S_n of each row of theta by its weighted sum U(n-1) theta_1 + ... + U(0) theta_n."""
+    return np.einsum("ij,j->i", theta[:, :n], weights.cum[n - 1 :: -1])
+
+
 def _read_paths(spec, grid, replications, master_seed, weights, thresholds, r, moment_at) -> tuple:
     """Exceedance counts and moments, read off one pass over the paths.
 
-    Sampling layout 4 (layout 3's paths; 4 changed the student_t and
-    rademacher transforms in sample_block): each replicate is one noise
-    path.  Its chunk k holds the times 2^(k-1) < t <= 2^k (chunk 0 is
-    t = 1), and for replication block b that chunk is one block of
-    take * len draws under StreamKey(master_seed, "tail", n=2^k,
-    block=b), reshaped to (take, len).  Chunks are drawn whole and only
-    as far as grid[-1] needs, so a path's first n steps never depend on
-    how far it runs, and every grid point of a block reads its prefix of
-    the same paths through the weighted representation.
+    Sampling layout 5 (layout 4's draws; 5 changed how |S_n| is read off
+    them for n <= DENSE_MAX): each replicate is one noise path.  Its
+    chunk k holds the times 2^(k-1) < t <= 2^k (chunk 0 is t = 1), and
+    for replication block b that chunk is one block of take * len draws
+    under StreamKey(master_seed, "tail", n=2^k, block=b), reshaped to
+    (take, len).  Chunks are drawn whole and only as far as grid[-1]
+    needs, so a path's first n steps never depend on how far it runs,
+    and every grid point of a block reads its prefix of the same paths.
 
     A block's paths are built in row sub-blocks, each drawn into the
     same (rows, width) path buffer of at most PATH_CELLS cells (one row
@@ -199,6 +243,10 @@ def _read_paths(spec, grid, replications, master_seed, weights, thresholds, r, m
     size changes no draw and no result.  Each sub-block is reduced once
     its paths are built: its |S_n| fill a (len(grid), rows) buffer, no
     larger than the path buffer since len(grid) <= width.
+
+    The route to S_n depends on n alone: the points n <= DENSE_MAX are
+    read together by _dense_head, one step per time; a point above
+    DENSE_MAX reads its n steps through sum_k U(n-k) theta_k.
 
     Returns the count of |S_n| > thresholds[i] at each grid point and
     the mean of |S_n|^r at grid[i] for i in moment_at.  Those rows are
@@ -212,6 +260,7 @@ def _read_paths(spec, grid, replications, master_seed, weights, thresholds, r, m
     rows = min(max(1, PATH_CELLS // width), BLOCK_REPLICATES, replications)
     paths = np.empty((rows, width))
     sums = np.empty((len(grid), rows))
+    head = [n for n in grid if n <= DENSE_MAX]
     limits = np.asarray(thresholds, dtype=float)
     counts = np.zeros(len(grid), dtype=np.int64)
     accs = [CompensatedSum() for _ in moment_at]
@@ -230,9 +279,10 @@ def _read_paths(spec, grid, replications, master_seed, weights, thresholds, r, m
                 theta[:, end // 2 : end] = sample_block(
                     spec, (r1 - r0) * length, chunk_key, r0 * length, take * length
                 ).reshape(r1 - r0, length)
-            for i, n in enumerate(grid):
-                rev_cum = weights.cum[n - 1 :: -1]  # U(n-1), ..., U(0)
-                np.abs(np.einsum("ij,j->i", theta[:, :n], rev_cum), out=part[i])
+            if head:
+                _dense_head(theta, weights, head, part)
+            for i in range(len(head), len(grid)):
+                np.abs(_weighted(theta, weights, grid[i]), out=part[i])
             counts += np.count_nonzero(part.T > limits, axis=0)
             nans += np.count_nonzero(np.isnan(part), axis=1)
             kept[:, r0:r1] = part[moment_at]

@@ -159,10 +159,10 @@ class StreamKey:
 
     def __post_init__(self):
         object.__setattr__(self, "master_seed", _as_seed(self.master_seed))
-        if int(self.n) < 0 or int(self.block) < 0:
+        object.__setattr__(self, "n", _as_whole(self.n, "n"))
+        object.__setattr__(self, "block", _as_whole(self.block, "block"))
+        if self.n < 0 or self.block < 0:
             raise InvalidParameters("n and block must be >= 0")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "block", int(self.block))
 
 
 def generator_for(key: StreamKey) -> Generator:
@@ -200,9 +200,9 @@ def sample_block(
     bit for bit, reaching each uniform or word it needs with
     bit_generator.advance instead of drawing the ones before it.
     """
-    count = int(count)
-    start = int(start)
-    total = start + count if total is None else int(total)
+    count = _as_whole(count, "count")
+    start = _as_whole(start, "start")
+    total = start + count if total is None else _as_whole(total, "total")
     if count < 0 or start < 0 or start + count > total:
         raise InvalidParameters(f"need 0 <= start <= start + count <= total, got {start}, {count}, {total}")
     rng = generator_for(stream_key)

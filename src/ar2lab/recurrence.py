@@ -29,6 +29,7 @@ from .errors import (
     NonFiniteInput,
     UnstableCoefficients,
 )
+from .noise import _as_whole
 from .summation import compensated_cumsum
 
 # Strict slack on the stability inequalities; points this close to the
@@ -148,7 +149,7 @@ def weight_sequence(coeffs: ARCoefficients, horizon: int) -> WeightTable:
     soon as a weight leaves double range (possible only for unstable
     coefficients).
     """
-    horizon = int(horizon)
+    horizon = _as_whole(horizon, "horizon")
     if horizon < 0:
         raise InvalidParameters(f"horizon must be >= 0, got {horizon}")
     a, b = coeffs.a, coeffs.b
@@ -173,7 +174,7 @@ def weight_closed_form(spectrum: CompanionSpectrum, s: int) -> float:
     part must cancel to within IMAG_RESIDUE_TOL * (1 + |u_s|) and only
     the real part is returned.
     """
-    s = int(s)
+    s = _as_whole(s, "s")
     if s < 0:
         raise InvalidParameters(f"s must be >= 0, got {s}")
     if spectrum.mu == 2:
@@ -206,7 +207,7 @@ def companion_power_column(coeffs: ARCoefficients, s: int) -> tuple:
     Returns (u_s, u_{s-1}) without using the scalar recursion, which
     makes it an independent witness for the weight table.
     """
-    s = int(s)
+    s = _as_whole(s, "s")
     if s < 1:
         raise InvalidParameters(f"s must be >= 1, got {s}")
     a, b = coeffs.a, coeffs.b
@@ -251,7 +252,7 @@ def bound_report(coeffs: ARCoefficients, horizon: int) -> BoundReport:
     extrema are NaN.
     """
     require_stable(coeffs, "bound report")
-    horizon = int(horizon)
+    horizon = _as_whole(horizon, "horizon")
     if horizon < 50:
         raise InvalidParameters(f"horizon must be >= 50, got {horizon}")
     table = weight_sequence(coeffs, horizon)

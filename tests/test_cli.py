@@ -8,7 +8,7 @@ import pytest
 
 import ar2lab.cli
 import ar2lab.estimate
-from ar2lab import default_grid, parse_config_text, partial_series
+from ar2lab import InvalidParameters, default_grid, parse_config_text, partial_series
 from ar2lab.cli import main, run
 
 DATA = Path(__file__).parent / "data"
@@ -215,6 +215,27 @@ def test_subcommands_match_golden(tmp_path, capsys, text, command, code, golden)
     written = {"simulate": ".paths.csv", "series": ".spectrum.csv"}.get(command)
     got = Path(str(out) + written).read_bytes() if written else stdout
     assert got == (DATA / golden).read_bytes()
+
+
+def test_spectrum_report_roots_carry_the_csv_digits(tmp_path, capsys):
+    # one value, one text: the report's roots hold spectrum.csv's 17 digits
+    # in a form that complex() reads back
+    cfg_path, _ = write_cfg(tmp_path, COMPLEX)
+    assert main(["spectrum", "--config", str(cfg_path)]) == 0
+    report = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    header, values = (DATA / "golden.complex.spectrum.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), values.split(",")))
+    for name in ("lambda1", "lambda2"):
+        real, imag = row[name + "_re"], row[name + "_im"]
+        assert real in report[name] and imag.lstrip("-") in report[name]
+        assert complex(report[name]) == complex(float(real), float(imag))
+
+
+def test_bound_horizon_takes_whole_numbers_only():
+    # int() would scan a 300-step table for grid_max 300.5
+    assert ar2lab.cli._bound_horizon(300.0) == ar2lab.cli._bound_horizon(300) == 300
+    with pytest.raises(InvalidParameters, match=r"grid_max must be a whole number"):
+        ar2lab.cli._bound_horizon(300.5)
 
 
 def test_self_check_fails_on_a_nan_residual(tmp_path, capsys):

@@ -190,6 +190,18 @@ def test_range_checks():
             assert str(replaced.value) == str(parsed.value)
 
 
+def test_counts_must_be_whole_numbers():
+    # int() would accept grid_max = 12.5 and end the default grid at 12
+    base = parse_config_text(MINIMAL)
+    for field in ("grid_max", "replications", "master_seed"):
+        with pytest.raises(ValidationError, match=r"must be a whole number, got 12.5"):
+            dataclasses.replace(base, **{field: 12.5})
+    # whole floats are stored as the ints they name
+    whole = dataclasses.replace(base, grid_max=48.0, replications=1e3, master_seed=7.0)
+    assert whole == dataclasses.replace(base, grid_max=48, replications=1000, master_seed=7)
+    assert type(whole.grid_max) is type(whole.replications) is type(whole.master_seed) is int
+
+
 # --- round trip ----------------------------------------------------------------
 
 def test_render_parse_round_trip_examples():

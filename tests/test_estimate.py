@@ -21,7 +21,9 @@ from ar2lab import (
     default_grid,
     moment_growth_check,
     partial_series,
+    prefix_sums,
     sample_block,
+    simulate_path,
     tail_probability,
     weight_sequence,
     wilson_interval,
@@ -101,8 +103,12 @@ def test_default_grid_policy():
     assert default_grid(128) == list(range(1, 129))
     assert default_grid(200) == list(range(1, 129))
     assert default_grid(1024) == list(range(1, 129)) + [256, 512, 1024]
+    assert default_grid(12.0) == default_grid(np.int64(12)) == list(range(1, 13))
     with pytest.raises(EmptyGrid):
         default_grid(0)
+    # int() would end the grid at 12
+    with pytest.raises(InvalidParameters, match=r"n_max must be a whole number"):
+        default_grid(12.5)
 
 
 # --- exact checkpoints ------------------------------------------------------------
@@ -203,6 +209,42 @@ def test_tail_refuses_nan_sums_and_counts_infinite_ones():
     assert np.isinf(theta).any()
     est = tail_probability(FREE, heavy, SeriesParams(1, 2, 1e300), 1, 4096, 2)
     assert est.p_hat * 4096 == np.count_nonzero(np.abs(theta) > 1e300)
+
+
+@pytest.mark.parametrize("coeffs", [ARCoefficients(-0.5, 0.45), FREE], ids=["negative-a", "no-feedback"])
+def test_dense_head_keeps_the_weighted_routes_nonfinite_sums(coeffs):
+    # Step by step, one infinite draw becomes NaN when a or b is 0 (0 * inf)
+    # and +-inf by turns when a < 0.  Those sums are re-read by weight, so
+    # the refusal names the same n and count as the weighted route ...
+    heavy = NoiseSpec.symmetric_pareto(0.01, 1.0)
+    paths = layout_paths(heavy, 1, "tail", 64)
+    expected = nan_rows(paths, 64)
+    assert expected > 0
+    with pytest.raises(NonFiniteInput, match=rf"NaN for {expected} of 4096 replicates at n=64, block 0"):
+        tail_probability(coeffs, heavy, SeriesParams(1, 2, 1), 64, 4096, 1)
+    # ... and a path with infinite draws of one sign still exceeds: at n = 32
+    # no path holds both signs, but 105 hold an infinite draw
+    assert nan_rows(paths, 32) == 0
+    infinite = np.count_nonzero(np.isinf(paths[:, :32]).any(axis=1))
+    with np.errstate(invalid="ignore"):
+        weighted = np.abs(np.einsum("ij,j->i", paths[:, :32], weight_sequence(coeffs, 31).cum[::-1]))
+    assert np.isinf(weighted).sum() == infinite > 100
+    est = tail_probability(coeffs, heavy, SeriesParams(1, 2, 1e300), 32, 4096, 1)
+    assert est.p_hat * 4096 == np.count_nonzero(weighted > 32e300)
+
+
+@pytest.mark.parametrize("ab", [(0.3, 0.2), (1.0, -0.25), (0.5, -0.9), (-0.5, 0.45), (0.2, 0.79)],
+                         ids=["two-real", "repeated", "conjugate", "negative", "near-boundary"])
+def test_dense_head_matches_the_direct_route(ab):
+    # the streamed recursion against simulate_path's compensated prefix sums,
+    # relative to max(1, |S_n|) as representation_residual measures it
+    coeffs = ARCoefficients(*ab)
+    dense = range(1, estimate.DENSE_MAX + 1)
+    theta = sample_block(NORMAL, 64 * len(dense), StreamKey(3, "test")).reshape(64, -1)
+    head = np.empty((len(dense), 64))
+    estimate._dense_head(theta, weight_sequence(coeffs, dense[-1] - 1), dense, head)
+    direct = np.abs([prefix_sums(simulate_path(coeffs, row)) for row in theta]).T
+    assert np.all(np.abs(head - direct) <= 1e-12 * np.maximum(1.0, direct))
 
 
 FAMILIES = [
@@ -378,16 +420,25 @@ def test_partial_series_is_deterministic():
 
 def test_partial_series_grid_insensitive_per_point():
     # the estimate at n depends only on (seed, n), not on the rest of the grid,
-    # also when another grid draws the paths further (width 512 against 16)
-    full = partial_series(STABLE, NORMAL, SeriesParams(1, 2, 1), range(1, 17), 1000, 21)
-    sparse = partial_series(STABLE, NORMAL, SeriesParams(1, 2, 1), [4, 8, 16], 1000, 21)
-    long = partial_series(STABLE, NORMAL, SeriesParams(1, 2, 1), [1, 2, 4, 8, 16, 100, 300], 1000, 21)
-    by_n = {t.n: t for t in full.tails}
-    for tail in sparse.tails + long.tails[:5]:
-        assert tail == by_n[tail.n]
-    # tail_probability is the one-point case of the same engine
-    for n in (4, 8, 16):
-        assert tail_probability(STABLE, NORMAL, SeriesParams(1, 2, 1), n, 1000, 21) == by_n[n]
+    # also when another grid draws the paths further (width 1024 against 64),
+    # or stops the recursion early (at 40 on the short grid)
+    params = SeriesParams(1, 2, 1)
+    dense = partial_series(STABLE, NORMAL, params, default_grid(1024), 1000, 21)
+    by_n = {t.n: t for t in dense.tails}
+    grids = [range(1, 17), [4, 8, 16], [1, 2, 4, 8, 16, 100, 300], [3, 40], range(1, 65)]
+    for grid in grids:
+        for tail in partial_series(STABLE, NORMAL, params, grid, 1000, 21).tails:
+            if tail.n in by_n:
+                assert tail == by_n[tail.n]
+    # tail_probability is the one-point case of the same engine, on both routes
+    for n in (1, 3, 40, 128, 256, 1024):
+        assert tail_probability(STABLE, NORMAL, params, n, 1000, 21) == by_n[n]
+    # the moments see every bit of |S_n|: the same on a short grid
+    moments = dict(zip(dense.moments.n_grid, dense.moments.estimates))
+    short = moment_growth_check(STABLE, NORMAL, 2.0, [3, 16, 40, 64, 256], 1000, 21)
+    for n, moment in zip(short.n_grid, short.estimates):
+        if n in moments:
+            assert moment == moments[n]
 
 
 def test_wilson_coverage_against_exact_gaussian_tail():

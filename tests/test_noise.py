@@ -134,6 +134,12 @@ def test_stream_key_validation():
         StreamKey(1, "x", n=-1)
     key = StreamKey(2 ** 64 - 1, "x", n=3, block=9)
     assert key.master_seed == 2 ** 64 - 1
+    # int() would hold n = 2 and block = 0, the stream of another key
+    for field in ("n", "block"):
+        for bad in (2.5, 0.9, math.nan, "3"):
+            with pytest.raises(InvalidParameters, match=rf"{field} must be a whole number"):
+                StreamKey(1, "x", **{field: bad})
+    assert StreamKey(1, "x", n=2.0, block=np.int64(1)) == StreamKey(1, "x", n=2, block=1)
 
 
 # --- sampling ----------------------------------------------------------------
@@ -309,3 +315,9 @@ def test_range_draw_validation():
     for start, count, total in [(-1, 2, 4), (3, 2, 4), (0, 5, 4)]:
         with pytest.raises(InvalidParameters):
             sample_block(NoiseSpec.standard_normal(), count, key, start=start, total=total)
+    # int() would return 3 draws for a count of 3.7, or read another range
+    for name, start, count, total in [("count", 0, 3.7, 8), ("start", 0.5, 2, 8), ("total", 0, 2, 8.5)]:
+        with pytest.raises(InvalidParameters, match=rf"{name} must be a whole number"):
+            sample_block(NoiseSpec.standard_normal(), count, key, start=start, total=total)
+    whole = sample_block(NoiseSpec.standard_normal(), 3.0, key, start=np.int64(1), total=8.0)
+    assert np.array_equal(whole, sample_block(NoiseSpec.standard_normal(), 3, key, start=1, total=8))

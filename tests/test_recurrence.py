@@ -184,6 +184,10 @@ def test_horizon_zero_and_validation():
     assert list(table.u) == [1.0] and list(table.cum) == [1.0]
     with pytest.raises(InvalidParameters):
         weight_sequence(ARCoefficients(0.9, 0.05), -1)
+    # int() would end the table at 12
+    with pytest.raises(InvalidParameters, match=r"horizon must be a whole number"):
+        weight_sequence(ARCoefficients(0.9, 0.05), 12.7)
+    assert weight_sequence(ARCoefficients(0.9, 0.05), 12.0).horizon == 12
 
 
 def test_weight_overflow_raises():
@@ -232,6 +236,8 @@ def test_closed_form_validation():
     spectrum = companion_spectrum(ARCoefficients(0.3, 0.2))
     with pytest.raises(InvalidParameters):
         weight_closed_form(spectrum, -1)
+    with pytest.raises(InvalidParameters, match=r"s must be a whole number"):
+        weight_closed_form(spectrum, 2.5)
 
 
 def test_closed_form_degenerate_guard():
@@ -260,6 +266,8 @@ def test_power_column_small_s_formulas(named_coeffs):
 def test_power_column_validation_and_overflow():
     with pytest.raises(InvalidParameters):
         companion_power_column(ARCoefficients(0.3, 0.2), 0)
+    with pytest.raises(InvalidParameters, match=r"s must be a whole number"):
+        companion_power_column(ARCoefficients(0.3, 0.2), 2.5)
     with pytest.raises(HorizonOverflow):
         companion_power_column(ARCoefficients(2.0, 2.0), 3000)
 
@@ -295,6 +303,9 @@ def test_bound_report_requires_stability_and_horizon():
         bound_report(ARCoefficients(1.0, 0.5), 100)
     with pytest.raises(InvalidParameters):
         bound_report(ARCoefficients(0.3, 0.2), 49)
+    with pytest.raises(InvalidParameters, match=r"horizon must be a whole number"):
+        bound_report(ARCoefficients(0.3, 0.2), 60.5)
+    assert bound_report(ARCoefficients(0.3, 0.2), 60.0) == bound_report(ARCoefficients(0.3, 0.2), 60)
 
 
 def test_bound_report_nilpotent_pair():
