@@ -7,7 +7,8 @@
     ar2lab verify    --config cfg   internal consistency checks
 
 Exit codes for `series`: 0 the partial sums stabilized, 2 the Monte
-Carlo floor got in the way, 3 the sums kept growing, 1 any error.
+Carlo floor got in the way, 3 the sums kept growing, 1 any error, a
+usage error of any command included.
 All emitted files are deterministic for a fixed config and seed.
 """
 
@@ -282,8 +283,16 @@ def _cmd_verify(config: ExperimentConfig) -> int:
     return 0 if failures == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1, not 2, which is FloorLimited's."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ar2lab",
         description="Estimate weighted tail series for 2nd-order autoregressive partial sums.",
     )

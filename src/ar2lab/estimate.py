@@ -6,10 +6,10 @@ The object of interest is
 
 whose convergence for every eps > 0 is the complete-convergence property
 of the normalized partial sums.  Each replicate is one noise path, drawn
-once in dyadic chunks and read at every grid point through the
-weighted-sum representation; each tail probability carries a 95% Wilson
-interval, and the partial sums over a finite n-grid are reported
-together with a stabilization verdict.
+once in dyadic chunks and read at every grid point by one streamed
+AR(2) recursion; each tail probability carries a 95% Wilson interval,
+and the partial sums over a finite n-grid are reported together with a
+stabilization verdict.
 """
 
 from __future__ import annotations
@@ -35,17 +35,24 @@ BLOCK_REPLICATES = 4096
 
 # Version of the sampling layout described in _read_paths.  Estimates
 # from different layouts agree in distribution, not draw for draw.
-SAMPLING_LAYOUT = 5
+SAMPLING_LAYOUT = 6
 
-# Every n up to this bound is on the default grid and is read off the
-# paths by the AR(2) recursion itself, one time step for all rows at
-# once; points above it are read through the weighted sum, n steps each.
+# Every n up to this bound is on the default grid; above it only powers
+# of two are (see default_grid).
 DENSE_MAX = 128
 
-# Cells (doubles) of the one path buffer that each row sub-block of a
-# replication block is drawn into, 2^20 = 8 MiB.  Sub-blocks only split
-# the work; no estimate depends on this constant.
+# A replication block reads its draws in time strips of at most
+# PATH_CELLS // 2 doubles (4 MiB), which leaves the other half for the
+# sampling temporaries.  Strips only split the work; no estimate depends
+# on this constant.
 PATH_CELLS = 2 ** 20
+
+# Draws beyond this magnitude are kept out of the recursion and added
+# back through the weights (see _read_paths).  Below it, |xi_t| and |S_t|
+# stay under n * max|U| * 2^512, far from the largest double (~2^1024),
+# and only Pareto noise with alpha near 0 reaches it: P{|theta| > 2^512}
+# is 2^(-512 alpha) at x_min = 1.
+SET_ASIDE = 2.0 ** 512
 
 # A dyadic block is {n : 2^k <= n < 2^(k+1)}.  The verdict looks at the
 # grid points falling in the highest occupied block.
@@ -134,10 +141,12 @@ class SeriesEstimate:
 def default_grid(n_max: int) -> list:
     """Evaluation grid policy: all of 1..n_max up to DENSE_MAX, dyadic beyond.
 
-    Up to DENSE_MAX the recursion reads every point in one step each.
-    Above it only powers of two are kept: there each point's reduction
-    reads n steps of every path, so a full grid buys little and costs
-    much.
+    Every grid point costs the same one recursion step, so the grid is
+    not kept dyadic above DENSE_MAX for speed: the verdict depends on
+    it.  Which points share the last dyadic block, and the share of
+    terms on the Monte Carlo floor, change with the grid, and
+    bench/workloads.default_grid mirrors this policy in the benchmark's
+    oracle.
     """
     n_max = _as_whole(n_max, "n_max")
     if n_max < 1:
@@ -184,116 +193,86 @@ def _as_replications(replications) -> int:
     return replications
 
 
-def _dense_head(theta, weights, head, out) -> None:
-    """|S_n| of each row of theta into out[i] for n = head[i], by the recursion.
-
-    Steps xi_t = a xi_(t-1) + b xi_(t-2) + theta_t and S_t = S_(t-1) + xi_t
-    over the columns of theta, all rows at once, holding four row
-    vectors: xi_(t-1), xi_(t-2), S_t and a scratch.  A row's S_n thus
-    depends on its own first n draws alone.  Where it is not finite it
-    is read again by the weighted sum: the recursion turns one infinite
-    draw into NaN when a or b is 0 (0 * inf), or into +-inf by turns when
-    a < 0, where the weighted sum keeps it infinite.
-    """
-    a, b = weights.coeffs.a, weights.coeffs.b
-    prev, older, total, scratch = np.zeros((4, len(theta)))
-    i = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # inf draws make 0 * inf and inf - inf
-        for t in range(head[-1]):
-            older *= b
-            np.multiply(prev, a, out=scratch)
-            older += scratch
-            older += theta[:, t]
-            total += older
-            prev, older = older, prev
-            if t + 1 == head[i]:
-                np.abs(total, out=out[i])
-                i += 1
-    # a running sum stays non-finite once it is, so only the rows whose
-    # last sum is not finite can need another read
-    suspect = np.flatnonzero(~np.isfinite(total))
-    bad = ~np.isfinite(out[: len(head), suspect])
-    for i in np.flatnonzero(bad.any(axis=1)):
-        at = suspect[bad[i]]
-        out[i, at] = np.abs(_weighted(theta[at], weights, head[i]))
-
-
-def _weighted(theta, weights, n) -> np.ndarray:
-    """S_n of each row of theta by its weighted sum U(n-1) theta_1 + ... + U(0) theta_n."""
-    return np.einsum("ij,j->i", theta[:, :n], weights.cum[n - 1 :: -1])
-
-
 def _read_paths(spec, grid, replications, master_seed, weights, thresholds, r, moment_at) -> tuple:
     """Exceedance counts and moments, read off one pass over the paths.
 
-    Sampling layout 5 (layout 4's draws; 5 changed how |S_n| is read off
-    them for n <= DENSE_MAX): each replicate is one noise path.  Its
-    chunk k holds the times 2^(k-1) < t <= 2^k (chunk 0 is t = 1), and
-    for replication block b that chunk is one block of take * len draws
-    under StreamKey(master_seed, "tail", n=2^k, block=b), reshaped to
-    (take, len).  Chunks are drawn whole and only as far as grid[-1]
-    needs, so a path's first n steps never depend on how far it runs,
-    and every grid point of a block reads its prefix of the same paths.
+    Sampling layout 6: each replicate is one noise path.  Its chunk k
+    holds the times 2^(k-1) < t <= 2^k (chunk 0 is t = 1), and for
+    replication block b that chunk is one block of take * len draws under
+    StreamKey(master_seed, "tail", n=2^k, block=b), read time-major: draw
+    j * take + i is row i at time 2^(k-1) + 1 + j.  A block reads its
+    draws in time strips of at most PATH_CELLS // 2 draws (one time step
+    at least), each a contiguous range of its chunk taken with
+    sample_block's start and total, and only up to grid[-1].  So neither
+    the strip size nor how far the paths run changes a draw, and every
+    grid point of a block reads its prefix of the same paths.
 
-    A block's paths are built in row sub-blocks, each drawn into the
-    same (rows, width) path buffer of at most PATH_CELLS cells (one row
-    when a path alone is longer), every chunk in place in the columns
-    of its times.  Rows r0..r1 of a chunk are one contiguous range of its
-    draws, taken with sample_block's start and total, so the sub-block
-    size changes no draw and no result.  Each sub-block is reduced once
-    its paths are built: its |S_n| fill a (len(grid), rows) buffer, no
-    larger than the path buffer since len(grid) <= width.
-
-    The route to S_n depends on n alone: the points n <= DENSE_MAX are
-    read together by _dense_head, one step per time; a point above
-    DENSE_MAX reads its n steps through sum_k U(n-k) theta_k.
+    Over each strip the recursion xi_t = a xi_(t-1) + b xi_(t-2) + theta_t,
+    S_t = S_(t-1) + xi_t steps all rows of the block at once, in
+    simulate_path's operation order, holding four row vectors: xi_(t-1),
+    xi_(t-2), S_t and a scratch.  |S_n| is read as t reaches each grid
+    point.  A draw with |theta| > SET_ASIDE (+-inf included) is zeroed
+    before the recursion sees it and kept aside as (row, t, theta); at
+    each grid point n its term U(n-t) theta is added back to its row's
+    S_n, in time order.  So S_n is +-inf or NaN exactly when the
+    weighted sum sum_k U(n-k) theta_k is, and the recursion itself
+    cannot overflow.
 
     Returns the count of |S_n| > thresholds[i] at each grid point and
-    the mean of |S_n|^r at grid[i] for i in moment_at.  Those rows are
-    kept whole per block, and each mean adds one np.sum of |S_n|^r per
-    block into a CompensatedSum, in block order, so it depends only on
-    the seed, n and R.  An infinite |S_n| is kept (it exceeds any finite
-    threshold); a NaN one, e.g. from +inf and -inf draws in one path,
-    has no magnitude and is refused rather than silently miscounted.
+    the mean of |S_n|^r at grid[i] for i in moment_at.  Each mean adds
+    one np.sum of |S_n|^r per block into a CompensatedSum, in block
+    order, so it depends only on the seed, n and R.  An infinite |S_n|
+    is kept (it exceeds any finite threshold); a NaN one, e.g. from
+    +inf and -inf draws in one path, has no magnitude and is refused
+    rather than silently miscounted.
     """
-    width = 1 << (grid[-1] - 1).bit_length()  # the chunks end at 2^k >= grid[-1]
-    rows = min(max(1, PATH_CELLS // width), BLOCK_REPLICATES, replications)
-    paths = np.empty((rows, width))
-    sums = np.empty((len(grid), rows))
-    head = [n for n in grid if n <= DENSE_MAX]
-    limits = np.asarray(thresholds, dtype=float)
-    counts = np.zeros(len(grid), dtype=np.int64)
-    accs = [CompensatedSum() for _ in moment_at]
+    a, b = weights.coeffs.a, weights.coeffs.b
+    counts = [0] * len(grid)
+    accs = {i: CompensatedSum() for i in moment_at}
     for block, done in enumerate(range(0, replications, BLOCK_REPLICATES)):
         take = min(BLOCK_REPLICATES, replications - done)
-        kept = np.empty((len(moment_at), take))
-        nans = np.zeros(len(grid), dtype=np.int64)
-        for r0 in range(0, take, rows):
-            r1 = min(take, r0 + rows)
-            theta = paths[: r1 - r0]
-            part = sums[:, : r1 - r0]
-            for k in range(width.bit_length()):
-                end = 1 << k
-                length = end - end // 2
-                chunk_key = StreamKey(master_seed, "tail", n=end, block=block)
-                theta[:, end // 2 : end] = sample_block(
-                    spec, (r1 - r0) * length, chunk_key, r0 * length, take * length
-                ).reshape(r1 - r0, length)
-            if head:
-                _dense_head(theta, weights, head, part)
-            for i in range(len(head), len(grid)):
-                np.abs(_weighted(theta, weights, grid[i]), out=part[i])
-            counts += np.count_nonzero(part.T > limits, axis=0)
-            nans += np.count_nonzero(np.isnan(part), axis=1)
-            kept[:, r0:r1] = part[moment_at]
-        for n, nan_count in zip(grid, nans.tolist()):
-            if nan_count:
-                raise NonFiniteInput(
-                    f"|S_n| is NaN for {nan_count} of {take} replicates at n={n}, block {block}"
-                )
-        for acc, row in zip(accs, kept):
-            acc.add(float(np.sum(row ** r)))
-    return counts.tolist(), [acc.total / replications for acc in accs]
+        steps = max(1, PATH_CELLS // 2 // take)
+        prev, older, total, scratch = np.zeros((4, take))
+        rows = times = np.empty(0, dtype=np.int64)
+        aside = np.empty(0)
+        i = 0
+        for k in range((grid[-1] - 1).bit_length() + 1):
+            end = 1 << k
+            first = end // 2  # the chunk holds the times first + 1 .. end
+            key = StreamKey(master_seed, "tail", n=end, block=block)
+            for t0 in range(first, min(end, grid[-1]), steps):
+                t1 = min(t0 + steps, end, grid[-1])
+                theta = sample_block(spec, (t1 - t0) * take, key, (t0 - first) * take, (end - first) * take)
+                if theta.max() > SET_ASIDE or theta.min() < -SET_ASIDE:
+                    big = np.flatnonzero(np.abs(theta) > SET_ASIDE)
+                    rows = np.append(rows, big % take)
+                    times = np.append(times, t0 + 1 + big // take)
+                    aside = np.append(aside, theta[big])
+                    theta[big] = 0.0
+                for t, draws in enumerate(theta.reshape(t1 - t0, take), start=t0 + 1):
+                    older *= b
+                    np.multiply(prev, a, out=scratch)
+                    older += scratch
+                    older += draws
+                    total += older
+                    prev, older = older, prev
+                    if t < grid[i]:
+                        continue
+                    np.copyto(scratch, total)
+                    if aside.size:
+                        with np.errstate(over="ignore", invalid="ignore"):  # inf draws make 0 * inf and inf - inf
+                            np.add.at(scratch, rows, weights.cum[t - times] * aside)
+                    np.abs(scratch, out=scratch)
+                    nan_count = np.count_nonzero(np.isnan(scratch))
+                    if nan_count:
+                        raise NonFiniteInput(
+                            f"|S_n| is NaN for {nan_count} of {take} replicates at n={t}, block {block}"
+                        )
+                    counts[i] += np.count_nonzero(scratch > thresholds[i])
+                    if i in accs:
+                        accs[i].add(float(np.sum(scratch ** r)))
+                    i += 1
+    return counts, [accs[i].total / replications for i in moment_at]
 
 
 def _tail_estimate(n: int, count: int, replications: int) -> TailEstimate:
@@ -311,7 +290,6 @@ def tail_probability(
 ) -> TailEstimate:
     """Estimate P{ |S_n| > eps * n^(1/p) } by simple Monte Carlo.
 
-    Uses the weighted-sum route with a weight table built for this n.
     It reads the same paths as partial_series, so the result equals
     partial_series's row at n for the same seed, bit for bit.  at_floor
     flags a zero count: the point estimate is then 0 but the Wilson

@@ -159,7 +159,7 @@ def test_run_summary_says_why_the_moment_fit_is_skipped(tmp_path, grid_max, fami
 
 @pytest.mark.parametrize("grid_max", [100, 128])
 def test_series_run_draws_each_path_once(tmp_path, monkeypatch, grid_max):
-    # one pass: R paths to 2^ceil(log2 grid_max) = 128 steps feed the tail
+    # one pass: R paths to grid_max steps, drawn no further, feed the tail
     # counts and the moments alike, plus 10 probe paths of grid_max steps
     draws = []
     for module in (ar2lab.cli, ar2lab.estimate):
@@ -173,7 +173,7 @@ def test_series_run_draws_each_path_once(tmp_path, monkeypatch, grid_max):
     )
     config, _ = configure(tmp_path, text)
     run(config)
-    assert sum(draws) == 200 * 128 + 10 * grid_max
+    assert sum(draws) == 200 * grid_max + 10 * grid_max
 
 
 def test_run_is_byte_deterministic(tmp_path):
@@ -204,7 +204,7 @@ COMPLEX = GOLDEN.replace("a = 0.3", "a = 0.5").replace("b = 0.2", "b = -0.9")  #
         (GOLDEN, "verify", 0, "golden.verify.txt"),
         (GOLDEN, "simulate", 0, "golden.paths.csv"),  # its stdout names the output path
         (COMPLEX, "spectrum", 0, "golden.complex.spectrum.txt"),
-        (COMPLEX, "series", 3, "golden.complex.spectrum.csv"),  # the _re/_im split
+        (COMPLEX, "series", 2, "golden.complex.spectrum.csv"),  # the _re/_im split; 6 of 12 terms at the floor
     ],
     ids=["spectrum", "weights", "verify", "paths", "complex-spectrum", "complex-spectrum-csv"],
 )
@@ -376,5 +376,21 @@ def test_main_refuses_a_config_that_is_not_utf8(tmp_path, capsys):
 
 
 def test_main_requires_subcommand():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exit_:
         main([])
+    assert exit_.value.code == 1
+
+
+def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
+    # argparse would exit 2, the code of a FloorLimited series
+    cfg_path, _ = write_cfg(tmp_path)
+    for argv in (["series", "--config", str(cfg_path), "--seed", "abc"], ["series"], ["bogus"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 1
+        assert "error:" in capsys.readouterr().err
+    for argv in (["--help"], ["series", "--help"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ar2lab")

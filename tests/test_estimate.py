@@ -171,16 +171,17 @@ def test_tail_weighted_route_feeds_feedback():
     assert abs(est.p_hat - exact) <= 4.5 * se
 
 
-def layout_paths(spec, seed, purpose, width):
-    """Block 0's 4096 paths to `width` steps, assembled from the documented chunks:
-    chunk k holds the times 2^(k-1) < t <= 2^k under StreamKey(seed, purpose, n=2^k, block=0)."""
+def layout_paths(spec, seed, purpose, width, take=4096):
+    """Block 0's `take` paths to `width` steps, assembled from the documented chunks:
+    chunk k holds the times 2^(k-1) < t <= 2^k under StreamKey(seed, purpose, n=2^k, block=0),
+    time-major: draw j * take + i is path i at time 2^(k-1) + 1 + j."""
     chunks, drawn = [], 0
     while drawn < width:
         end = max(1, 2 * drawn)
         key = StreamKey(seed, purpose, n=end, block=0)
-        chunks.append(sample_block(spec, 4096 * (end - drawn), key).reshape(4096, end - drawn))
+        chunks.append(sample_block(spec, take * (end - drawn), key).reshape(end - drawn, take).T)
         drawn = end
-    return np.hstack(chunks)
+    return np.hstack(chunks)[:, :width]
 
 
 def nan_rows(theta, n):
@@ -189,21 +190,39 @@ def nan_rows(theta, n):
     return int(np.count_nonzero((head == np.inf).any(axis=1) & (head == -np.inf).any(axis=1)))
 
 
+def weighted(theta, coeffs, n):
+    """|S_n| of each path by its weighted sum U(n-1) theta_1 + ... + U(0) theta_n."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf draws make 0 * inf and inf - inf
+        return np.abs(np.einsum("ij,j->i", theta[:, :n], weight_sequence(coeffs, n - 1).cum[::-1]))
+
+
+def plain_recursion(theta, coeffs, n):
+    """|S_n| of each path by the recursion alone, every draw fed in as it is."""
+    xi = np.zeros((2, len(theta)))
+    total = np.zeros(len(theta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(n):
+            xi = np.array([coeffs.a * xi[0] + coeffs.b * xi[1] + theta[:, t], xi[0]])
+            total += xi[0]
+    return np.abs(total)
+
+
 def test_tail_refuses_nan_sums_and_counts_infinite_ones():
     # alpha = 0.01 overflows ~0.08% of draws to +-inf; a path holding both
     # has a NaN sum, which must be refused, not counted as no exceedance
     heavy = NoiseSpec.symmetric_pareto(0.01, 1.0)
-    paths = layout_paths(heavy, 1, "tail", 64)
+    paths = layout_paths(heavy, 2, "tail", 64)
     expected = nan_rows(paths, 64)
     assert expected > 0
     with pytest.raises(NonFiniteInput, match=rf"NaN for {expected} of 4096 replicates at n=64, block 0"):
-        tail_probability(STABLE, heavy, SeriesParams(1, 2, 1), 64, 4096, 1)
+        tail_probability(STABLE, heavy, SeriesParams(1, 2, 1), 64, 4096, 2)
     # the moment check reads the same paths and stops at the first grid
     # point whose paths hold a NaN sum
     first = next(n for n in (8, 16, 32, 64) if nan_rows(paths, n))
+    assert first < 64
     expected = nan_rows(paths, first)
     with pytest.raises(NonFiniteInput, match=rf"NaN for {expected} of 4096 replicates at n={first}, block 0"):
-        moment_growth_check(STABLE, heavy, 0.005, (8, 16, 32, 64), 4096, 1)
+        moment_growth_check(STABLE, heavy, 0.005, (8, 16, 32, 64), 4096, 2)
     # a lone infinite draw is an exceedance of any threshold
     theta = sample_block(heavy, 4096, StreamKey(2, "tail", n=1, block=0))
     assert np.isinf(theta).any()
@@ -211,40 +230,51 @@ def test_tail_refuses_nan_sums_and_counts_infinite_ones():
     assert est.p_hat * 4096 == np.count_nonzero(np.abs(theta) > 1e300)
 
 
-@pytest.mark.parametrize("coeffs", [ARCoefficients(-0.5, 0.45), FREE], ids=["negative-a", "no-feedback"])
+@pytest.mark.parametrize("coeffs", [ARCoefficients(-0.5, 0.45), FREE, ARCoefficients(-1.5, -0.9)],
+                         ids=["negative-a", "no-feedback", "oscillating"])
 def test_dense_head_keeps_the_weighted_routes_nonfinite_sums(coeffs):
-    # Step by step, one infinite draw becomes NaN when a or b is 0 (0 * inf)
-    # and +-inf by turns when a < 0.  Those sums are re-read by weight, so
-    # the refusal names the same n and count as the weighted route ...
+    # Fed to the recursion, one infinite draw becomes NaN when a or b is 0
+    # (0 * inf), and inf - inf when a < 0 flips its sign at every step.
+    # Draws beyond 2^512 are set aside and added back by weight instead, so
+    # the refusal names the NaN count of the weighted sum, and an infinite
+    # sum is counted as an exceedance
     heavy = NoiseSpec.symmetric_pareto(0.01, 1.0)
-    paths = layout_paths(heavy, 1, "tail", 64)
-    expected = nan_rows(paths, 64)
-    assert expected > 0
-    with pytest.raises(NonFiniteInput, match=rf"NaN for {expected} of 4096 replicates at n=64, block 0"):
-        tail_probability(coeffs, heavy, SeriesParams(1, 2, 1), 64, 4096, 1)
-    # ... and a path with infinite draws of one sign still exceeds: at n = 32
-    # no path holds both signs, but 105 hold an infinite draw
-    assert nan_rows(paths, 32) == 0
-    infinite = np.count_nonzero(np.isinf(paths[:, :32]).any(axis=1))
-    with np.errstate(invalid="ignore"):
-        weighted = np.abs(np.einsum("ij,j->i", paths[:, :32], weight_sequence(coeffs, 31).cum[::-1]))
-    assert np.isinf(weighted).sum() == infinite > 100
-    est = tail_probability(coeffs, heavy, SeriesParams(1, 2, 1e300), 32, 4096, 1)
-    assert est.p_hat * 4096 == np.count_nonzero(weighted > 32e300)
+    paths = layout_paths(heavy, 1, "tail", 256)
+    for n in (32, 64, 256):
+        exact = weighted(paths, coeffs, n)
+        nans = np.count_nonzero(np.isnan(exact))
+        assert np.count_nonzero(np.isnan(plain_recursion(paths, coeffs, n))) > nans
+        if n < 256:
+            # no path holds both signs yet, and every path with an infinite draw sums to one
+            assert nans == 0 and np.isinf(exact).sum() == np.isinf(paths[:, :n]).any(axis=1).sum() > 100
+            est = tail_probability(coeffs, heavy, SeriesParams(1, 2, 1e300), n, 4096, 1)
+            assert est.p_hat * 4096 == np.count_nonzero(exact > n * 1e300)
+        else:
+            assert nans > 0
+            with pytest.raises(NonFiniteInput, match=rf"NaN for {nans} of 4096 replicates at n={n}, block 0"):
+                tail_probability(coeffs, heavy, SeriesParams(1, 2, 1), n, 4096, 1)
 
 
 @pytest.mark.parametrize("ab", [(0.3, 0.2), (1.0, -0.25), (0.5, -0.9), (-0.5, 0.45), (0.2, 0.79)],
                          ids=["two-real", "repeated", "conjugate", "negative", "near-boundary"])
 def test_dense_head_matches_the_direct_route(ab):
-    # the streamed recursion against simulate_path's compensated prefix sums,
-    # relative to max(1, |S_n|) as representation_residual measures it
+    # the engine's |S_n| against simulate_path's compensated prefix sums of the
+    # same path at every n in 1..1024, relative to max(1, |S_n|) as
+    # representation_residual measures it.  A block of one replicate (below the
+    # public minimum of 100) makes the mean of |S_n| the path's own |S_n|; the
+    # block of 100 pins the time-major reading of its chunks.  The engine's
+    # running sum is plain, not compensated, so its error grows with n: at most
+    # 1.0e-12 here to n = 1024 (near-boundary), 2.1e-12 on 64 such paths
     coeffs = ARCoefficients(*ab)
-    dense = range(1, estimate.DENSE_MAX + 1)
-    theta = sample_block(NORMAL, 64 * len(dense), StreamKey(3, "test")).reshape(64, -1)
-    head = np.empty((len(dense), 64))
-    estimate._dense_head(theta, weight_sequence(coeffs, dense[-1] - 1), dense, head)
-    direct = np.abs([prefix_sums(simulate_path(coeffs, row)) for row in theta]).T
-    assert np.all(np.abs(head - direct) <= 1e-12 * np.maximum(1.0, direct))
+    grid = list(range(1, 1025))
+    weights = weight_sequence(coeffs, grid[-1] - 1)
+    for seed, take in [*((seed, 1) for seed in range(16)), (16, 100)]:
+        _, engine = estimate._read_paths(NORMAL, grid, take, seed, weights, [math.inf] * len(grid), 1.0, range(len(grid)))
+        paths = layout_paths(NORMAL, seed, "tail", grid[-1], take)
+        direct = np.abs([prefix_sums(simulate_path(coeffs, row)) for row in paths])
+        error = np.abs(np.asarray(engine) - direct.mean(axis=0)) / np.maximum(1.0, direct).mean(axis=0)
+        assert error[: estimate.DENSE_MAX].max() <= 1e-12
+        assert error.max() <= 5e-12
 
 
 FAMILIES = [
@@ -260,8 +290,8 @@ def engine_table() -> str:
     """Exceedance counts and |S_n|^2 means of every family, as CSV text.
 
     default_grid(1024) with 4096 + 101 replicates runs two replication
-    blocks, 4 + 1 row sub-blocks of 1024 rows at the default PATH_CELLS,
-    and the moment fit at n = 16, 32, ..., 1024.
+    blocks, read in strips of 128 and 5190 time steps at the default
+    PATH_CELLS, and the moment fit at n = 16, 32, ..., 1024.
     """
     replications = estimate.BLOCK_REPLICATES + 101
     lines = ["family,n,count,moment"]
@@ -282,23 +312,23 @@ def test_engine_matches_golden():
 
 @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
 def test_row_sub_blocks_change_no_result(monkeypatch, spec):
-    # 4096 + 101 replicates: a full block and an odd last one.  Grid 1..40
-    # reaches path width 64 through chunk lengths 1, 2, 4, ..., 32.  The
-    # dense grid 1..24 has path width 32, so 7 * 64 cells make 14-row
-    # sub-blocks, fewer rows than it has points.
+    # A block reads its chunks in time strips of PATH_CELLS // 2 draws, one
+    # time step at least.  4096 + 101 replicates: a full block and an odd last
+    # one.  Grid 1..40 reads chunks 1, 2, ..., 32 whole and 8 of chunk 64's 32
+    # steps; the dense grid 1..24 stops inside chunk 32.
     replications = estimate.BLOCK_REPLICATES + 101
     params = SeriesParams(1, 2, 1)
     for grid in ([1, 2, 3, 5, 8, 13, 21, 34, 40], list(range(1, 25))):
         monkeypatch.setattr(estimate, "PATH_CELLS", 2 ** 20)
         whole = partial_series(STABLE, spec, params, grid, replications, 8)
         moments = moment_growth_check(STABLE, spec, 2.0, grid, replications, 8)
-        # at width 64, 1001 rows: 4096 = 4 * 1001 + 92; 7 rows: 4096 = 585 * 7 + 1 and
-        # 101 = 14 * 7 + 3; at width 32 the same cells make 2002 and 14 rows
+        # 1001 * 64 cells: strips of 7 steps of the full block (7 * 4096 <= 32032)
+        # and of 317 steps of the last one; 7 * 64 cells: of 1 and 2 steps
         for rows in (1001, 7):
             monkeypatch.setattr(estimate, "PATH_CELLS", rows * 64)
             assert partial_series(STABLE, spec, params, grid, replications, 8) == whole
             assert moment_growth_check(STABLE, spec, 2.0, grid, replications, 8) == moments
-    # one row per sub-block (PATH_CELLS below one path), on a grid of width 4
+    # one time step per strip (PATH_CELLS below one step), on a grid of width 4
     short = [1, 2, 3, 4]
     monkeypatch.setattr(estimate, "PATH_CELLS", 2 ** 20)
     whole = partial_series(STABLE, spec, params, short, replications, 9)
@@ -309,16 +339,16 @@ def test_row_sub_blocks_change_no_result(monkeypatch, spec):
 
 
 def test_row_sub_blocks_keep_the_nan_refusal(monkeypatch):
-    # 7-row sub-blocks at width 64: the refusal still names the whole block's n and count
+    # strips of one time step: the refusal still names the whole block's n and count
     monkeypatch.setattr(estimate, "PATH_CELLS", 7 * 64)
     test_tail_refuses_nan_sums_and_counts_infinite_ones()
 
 
 def test_path_memory_stays_within_the_budget():
     # one unsplit block at n = 2^13 would hold 4096 x 8192 doubles (256 MiB) of
-    # paths.  Split, it holds one path buffer of PATH_CELLS doubles and one
-    # chunk of at most half a sub-block with its sampling temporaries, about
-    # 2.3 x 8 * PATH_CELLS.
+    # paths.  Read in time strips, it holds one strip of PATH_CELLS // 2 draws
+    # with its sampling temporaries and four rows of state, about 1.8 x 8 *
+    # PATH_CELLS.
     tracemalloc.start()
     try:
         tail_probability(STABLE, NORMAL, SeriesParams(1, 2, 1), 2 ** 13, 4096, 6)
@@ -329,11 +359,11 @@ def test_path_memory_stays_within_the_budget():
 
 
 def test_sums_memory_stays_within_the_budget_on_a_dense_grid(monkeypatch):
-    # 128 KiB sub-blocks of 128 rows on grid 1..128: each sub-block's |S_n|
-    # are reduced as they are built, in a (128 points, 128 rows) buffer, so
-    # the peak is one path buffer, that buffer, the 4 moment rows of a block
-    # (4 x 4096 doubles) and the sampling temporaries, about 4.4 x 8 *
-    # PATH_CELLS.  Holding the whole block's 128 x 4096 |S_n| would be 35 x.
+    # 64 KiB strips of 2 time steps on grid 1..128: each |S_n| is reduced as
+    # the recursion reaches n, in the block's one row of scratch, so the peak
+    # is one strip with its sampling temporaries and the four rows of state
+    # (4 x 4096 doubles), about 2.9 x 8 * PATH_CELLS.  Holding the whole
+    # block's 128 x 4096 |S_n| would be 35 x.
     monkeypatch.setattr(estimate, "PATH_CELLS", 2 ** 14)
     tracemalloc.start()
     try:
@@ -420,18 +450,19 @@ def test_partial_series_is_deterministic():
 
 def test_partial_series_grid_insensitive_per_point():
     # the estimate at n depends only on (seed, n), not on the rest of the grid,
-    # also when another grid draws the paths further (width 1024 against 64),
-    # or stops the recursion early (at 40 on the short grid)
+    # also when another grid draws the paths further (to 1024 against 64), or
+    # stops inside a chunk: at 40, and at 300, 44 steps into chunk 512, whose
+    # draws must still be read as part of the whole chunk
     params = SeriesParams(1, 2, 1)
-    dense = partial_series(STABLE, NORMAL, params, default_grid(1024), 1000, 21)
+    dense = partial_series(STABLE, NORMAL, params, sorted(default_grid(1024) + [129, 300]), 1000, 21)
     by_n = {t.n: t for t in dense.tails}
-    grids = [range(1, 17), [4, 8, 16], [1, 2, 4, 8, 16, 100, 300], [3, 40], range(1, 65)]
+    grids = [range(1, 17), [4, 8, 16], [1, 2, 4, 8, 16, 100, 300], [3, 40], range(1, 65), [3, 100, 129, 300]]
     for grid in grids:
         for tail in partial_series(STABLE, NORMAL, params, grid, 1000, 21).tails:
             if tail.n in by_n:
                 assert tail == by_n[tail.n]
-    # tail_probability is the one-point case of the same engine, on both routes
-    for n in (1, 3, 40, 128, 256, 1024):
+    # tail_probability is the one-point case of the same engine
+    for n in (1, 3, 40, 128, 129, 256, 300, 1024):
         assert tail_probability(STABLE, NORMAL, params, n, 1000, 21) == by_n[n]
     # the moments see every bit of |S_n|: the same on a short grid
     moments = dict(zip(dense.moments.n_grid, dense.moments.estimates))
