@@ -213,8 +213,8 @@ def _read_paths(spec, grid, replications, master_seed, weights, thresholds, r, m
     xi_(t-2), S_t and a scratch.  |S_n| is read as t reaches each grid
     point.  A draw with |theta| > SET_ASIDE (+-inf included) is zeroed
     before the recursion sees it and kept aside as (row, t, theta); at
-    each grid point n its term U(n-t) theta is added back to its row's
-    S_n, in time order.  So S_n is +-inf or NaN exactly when the
+    each grid point n >= t its term U(n-t) theta is added back to its
+    row's S_n, in time order.  So S_n is +-inf or NaN exactly when the
     weighted sum sum_k U(n-k) theta_k is, and the recursion itself
     cannot overflow.
 
@@ -260,8 +260,9 @@ def _read_paths(spec, grid, replications, master_seed, weights, thresholds, r, m
                         continue
                     np.copyto(scratch, total)
                     if aside.size:
+                        now = times <= t  # the strip's later draws join only from their own time on
                         with np.errstate(over="ignore", invalid="ignore"):  # inf draws make 0 * inf and inf - inf
-                            np.add.at(scratch, rows, weights.cum[t - times] * aside)
+                            np.add.at(scratch, rows[now], weights.cum[t - times[now]] * aside[now])
                     np.abs(scratch, out=scratch)
                     nan_count = np.count_nonzero(np.isnan(scratch))
                     if nan_count:

@@ -255,6 +255,36 @@ def test_dense_head_keeps_the_weighted_routes_nonfinite_sums(coeffs):
                 tail_probability(coeffs, heavy, SeriesParams(1, 2, 1), n, 4096, 1)
 
 
+def test_set_aside_draws_join_each_sum_from_their_own_time_on(monkeypatch):
+    # A strip is scanned for draws beyond 2^512 before the recursion steps
+    # through it, so a draw at time t must join |S_n| only from n = t on.  On
+    # the dense grid 1..64 a whole-chunk strip holds times after most grid
+    # points; adding its later draws early made false infinite sums (seed 1,
+    # from n = 3) and a false NaN refusal at n = 9 (seed 2).  Every grid
+    # point is checked against the weighted sum, at both strip sizes.
+    coeffs = ARCoefficients(-0.5, 0.45)
+    heavy = NoiseSpec.symmetric_pareto(0.01, 1.0)
+    params = SeriesParams(1, 2, 1e300)
+    grid = list(range(1, 65))
+    # seed 1: no path holds both signs by n = 64, so every point has a count
+    paths = layout_paths(heavy, 1, "tail", 64)
+    expected = [np.count_nonzero(weighted(paths, coeffs, n) > n * 1e300) for n in grid]
+    assert expected[-1] > 100
+    # seed 2: the refusal names the first n whose weighted sum is NaN, and its count
+    paths = layout_paths(heavy, 2, "tail", 64)
+    first = next(n for n in grid if np.isnan(weighted(paths, coeffs, n)).any())
+    nans = np.count_nonzero(np.isnan(weighted(paths, coeffs, first)))
+    # whole-chunk strips, and strips of one time step
+    for cells in (2 ** 20, 7 * 64):
+        monkeypatch.setattr(estimate, "PATH_CELLS", cells)
+        est = partial_series(coeffs, heavy, params, grid, 4096, 1)
+        assert [round(tail.p_hat * 4096) for tail in est.tails] == expected
+        for n in (40, 50):
+            assert tail_probability(coeffs, heavy, params, n, 4096, 1) == est.tails[n - 1]
+        with pytest.raises(NonFiniteInput, match=rf"NaN for {nans} of 4096 replicates at n={first}, block 0"):
+            partial_series(coeffs, heavy, params, grid, 4096, 2)
+
+
 @pytest.mark.parametrize("ab", [(0.3, 0.2), (1.0, -0.25), (0.5, -0.9), (-0.5, 0.45), (0.2, 0.79)],
                          ids=["two-real", "repeated", "conjugate", "negative", "near-boundary"])
 def test_dense_head_matches_the_direct_route(ab):
