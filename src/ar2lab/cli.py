@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -49,22 +50,33 @@ def _f(x) -> str:
     return format(float(x), ".17g")
 
 
-def _table(header: str, row_format: str, rows) -> str:
-    """CSV text: the header, then row_format.format(*row) per row, LF-terminated.
+def _table(head: str, row_format: str, columns) -> str:
+    """CSV text: head (the header line, or "" to go on with a table), then
+    one LF-terminated row_format line per row.
 
-    Floats go through {:.17g}, the same text as _f.
+    The columns are equal-length sequences, row i taking item i of each;
+    their cells are interleaved into one list and rendered by one %
+    operation.  %.17g gives the text of _f (CPython's dtoa at 17 digits
+    either way), %d that of str on an int.
     """
-    return "\n".join([header, *(row_format.format(*row) for row in rows)]) + "\n"
+    width, rows = len(columns), len(columns[0])
+    cells = [None] * (width * rows)
+    for j, column in enumerate(columns):
+        cells[j::width] = column
+    return head + (row_format + "\n") * rows % tuple(cells)
 
 
 def emit_series_csv(series: est.SeriesEstimate, path) -> None:
     """Write one row per grid point; schema is fixed and documented."""
-    rows = [
-        (t.n, t.p_hat, t.ci_low, t.ci_high, term, total, ci_total, "true" if t.at_floor else "false")
-        for t, term, total, ci_total in zip(series.tails, series.terms, series.partial_sums, series.partial_sum_ci_high)
+    tails = series.tails
+    columns = [
+        [t.n for t in tails], [t.p_hat for t in tails], [t.ci_low for t in tails], [t.ci_high for t in tails],
+        series.terms, series.partial_sums, series.partial_sum_ci_high,
+        ["true" if t.at_floor else "false" for t in tails],
     ]
-    header = "n,p_hat,ci_low,ci_high,term,partial_sum,partial_sum_ci_high,at_floor"
-    _write_text(path, _table(header, "{}" + ",{:.17g}" * 6 + ",{}", rows))
+    head = "n,p_hat,ci_low,ci_high,term,partial_sum,partial_sum_ci_high,at_floor\n"
+    with _text_file(path) as fh:
+        _write_text(fh, _table(head, "%d" + ",%.17g" * 6 + ",%s", columns))
 
 
 def _spectrum_fields(config: ExperimentConfig, spectrum, report) -> list:
@@ -93,13 +105,19 @@ def emit_spectrum_csv(config: ExperimentConfig, spectrum, report, path) -> None:
         complex_root = isinstance(value, complex)
         fields += [(name + "_re", value.real), (name + "_im", value.imag)] if complex_root else [(name, value)]
     names, values = zip(*fields)
-    _write_text(path, _table(",".join(names), ",".join(["{}"] * len(values)), [map(_cell, values)]))
+    with _text_file(path) as fh:
+        _write_text(fh, _table(",".join(names) + "\n", ",".join(["%s"] * len(values)), [[_cell(v)] for v in values]))
 
 
-def _write_text(path, text: str) -> None:
-    # LF endings and UTF-8 regardless of platform.
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _text_file(path):
+    """A new file for emitted text: UTF-8 with LF endings regardless of platform."""
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def _write_text(fh, text: str) -> None:
+    # every emitted file's text passes here, in one or more pieces, and
+    # bench/spans.py counts the bytes written at this one name
+    fh.write(text)
 
 
 def _self_check(config: ExperimentConfig) -> float:
@@ -151,7 +169,8 @@ def run(config: ExperimentConfig) -> int:
 
     emit_spectrum_csv(config, spectrum, report, config.output_path + ".spectrum.csv")
     emit_series_csv(series, config.output_path + ".series.csv")
-    _write_text(config.output_path + ".summary.txt", _summary_text(config, spectrum, report, residual, series))
+    with _text_file(config.output_path + ".summary.txt") as fh:
+        _write_text(fh, _summary_text(config, spectrum, report, residual, series))
     return _EXIT_CODE[series.verdict]
 
 
@@ -200,20 +219,28 @@ def _cmd_spectrum(config: ExperimentConfig) -> int:
 
 def _cmd_weights(config: ExperimentConfig) -> int:
     table = weight_sequence(config.coeffs, config.grid_max)
-    rows = zip(range(table.horizon + 1), table.u.tolist(), table.cum.tolist())
-    print(_table("j,u,cum", "{},{:.17g},{:.17g}", rows), end="")
+    columns = [range(table.horizon + 1), table.u.tolist(), table.cum.tolist()]
+    print(_table("j,u,cum\n", "%d,%.17g,%.17g", columns), end="")
     return 0
 
 
 def _cmd_simulate(config: ExperimentConfig) -> int:
+    """Write the paths one at a time, so only one path's text is held.
+
+    A path refused for an infinite draw removes the file it was written to.
+    """
     n = config.grid_max
-    rows = []
-    for i in range(SELF_CHECK_PATHS):
-        theta = sample_block(config.noise, n, StreamKey(config.master_seed, "path", n=n, block=i))
-        path = simulate_path(config.coeffs, theta)
-        rows += zip([i] * n, range(1, n + 1), path.theta.tolist(), path.xi.tolist())
     out = config.output_path + ".paths.csv"
-    _write_text(out, _table("path,k,theta,xi", "{},{},{:.17g},{:.17g}", rows))
+    try:
+        with _text_file(out) as fh:
+            for i in range(SELF_CHECK_PATHS):
+                theta = sample_block(config.noise, n, StreamKey(config.master_seed, "path", n=n, block=i))
+                path = simulate_path(config.coeffs, theta)
+                columns = [[i] * n, range(1, n + 1), path.theta.tolist(), path.xi.tolist()]
+                _write_text(fh, _table("" if i else "path,k,theta,xi\n", "%d,%d,%.17g,%.17g", columns))
+    except LabError:
+        os.remove(out)
+        raise
     print(f"wrote {SELF_CHECK_PATHS} paths of length {n} to {out}")
     return 0
 

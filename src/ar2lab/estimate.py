@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGrid, InfiniteMoment, InvalidParameters, NonFiniteInput
-from .noise import NoiseSpec, StreamKey, _as_whole, absolute_moment, sample_block
+from .noise import NoiseSpec, StreamKey, _as_whole, _log2_abs_bound, absolute_moment, sample_block
 from .recurrence import ARCoefficients, require_stable, weight_sequence
 from .summation import CompensatedSum, compensated_cumsum
 
@@ -49,9 +49,11 @@ PATH_CELLS = 2 ** 20
 
 # Draws beyond this magnitude are kept out of the recursion and added
 # back through the weights (see _read_paths).  Below it, |xi_t| and |S_t|
-# stay under n * max|U| * 2^512, far from the largest double (~2^1024),
-# and only Pareto noise with alpha near 0 reaches it: P{|theta| > 2^512}
-# is 2^(-512 alpha) at x_min = 1.
+# stay under n * max|U| * 2^512, far from the largest double (~2^1024).
+# Only noise whose |theta| bound (noise._log2_abs_bound) is above 2^511,
+# a factor 2 for rounding, is scanned for such draws: Pareto with alpha
+# near 0 (P{|theta| > 2^512} is 2^(-512 alpha) at x_min = 1), Student-t
+# with nu below ~0.1, uniform with c beyond 2^511.
 SET_ASIDE = 2.0 ** 512
 
 # A dyadic block is {n : 2^k <= n < 2^(k+1)}.  The verdict looks at the
@@ -211,7 +213,8 @@ def _read_paths(spec, grid, replications, master_seed, weights, thresholds, r, m
     S_t = S_(t-1) + xi_t steps all rows of the block at once, in
     simulate_path's operation order, holding four row vectors: xi_(t-1),
     xi_(t-2), S_t and a scratch.  |S_n| is read as t reaches each grid
-    point.  A draw with |theta| > SET_ASIDE (+-inf included) is zeroed
+    point.  A draw with |theta| > SET_ASIDE (+-inf included; strips are
+    scanned for one only where the noise can reach it) is zeroed
     before the recursion sees it and kept aside as (row, t, theta); at
     each grid point n >= t its term U(n-t) theta is added back to its
     row's S_n, in time order.  So S_n is +-inf or NaN exactly when the
@@ -227,6 +230,7 @@ def _read_paths(spec, grid, replications, master_seed, weights, thresholds, r, m
     rather than silently miscounted.
     """
     a, b = weights.coeffs.a, weights.coeffs.b
+    scan = _log2_abs_bound(spec) > math.log2(SET_ASIDE) - 1
     counts = [0] * len(grid)
     accs = {i: CompensatedSum() for i in moment_at}
     for block, done in enumerate(range(0, replications, BLOCK_REPLICATES)):
@@ -243,7 +247,7 @@ def _read_paths(spec, grid, replications, master_seed, weights, thresholds, r, m
             for t0 in range(first, min(end, grid[-1]), steps):
                 t1 = min(t0 + steps, end, grid[-1])
                 theta = sample_block(spec, (t1 - t0) * take, key, (t0 - first) * take, (end - first) * take)
-                if theta.max() > SET_ASIDE or theta.min() < -SET_ASIDE:
+                if scan and (theta.max() > SET_ASIDE or theta.min() < -SET_ASIDE):
                     big = np.flatnonzero(np.abs(theta) > SET_ASIDE)
                     rows = np.append(rows, big % take)
                     times = np.append(times, t0 + 1 + big // take)

@@ -115,6 +115,31 @@ def absolute_moment(spec: NoiseSpec, r: float) -> float:
     return alpha * x_min ** r / (alpha - r)
 
 
+def _log2_abs_bound(spec: NoiseSpec) -> float:
+    """log2 of a bound on |theta| over every draw sample_block can make.
+
+    Its uniforms are k 2^-53, so 1 - u >= 2^-53, which bounds each transform:
+    normal:     sqrt(-2 ln 2^-53) = sqrt(106 ln 2) ~ 8.572
+    rademacher: 1
+    uniform:    c
+    student_t:  sqrt(nu) 2^(53/nu)
+    pareto:     x_min 2^(53/alpha)
+    In log2, so that a tiny alpha or nu cannot overflow.
+    """
+    fam = spec.family
+    if fam == "normal":
+        return 0.5 * math.log2(106.0 * math.log(2.0))
+    if fam == "rademacher":
+        return 0.0
+    if fam == "uniform":
+        return math.log2(spec.params[0])
+    if fam == "student_t":
+        (nu,) = spec.params
+        return 0.5 * math.log2(nu) + 53.0 / nu
+    alpha, x_min = spec.params
+    return math.log2(x_min) + 53.0 / alpha
+
+
 # --- deterministic streams -------------------------------------------------
 
 _FNV_OFFSET64 = 0xCBF29CE484222325

@@ -1,14 +1,25 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ar2lab.cli
 import ar2lab.estimate
-from ar2lab import InvalidParameters, default_grid, parse_config_text, partial_series
+from ar2lab import (
+    InvalidParameters,
+    StreamKey,
+    default_grid,
+    parse_config_text,
+    partial_series,
+    sample_block,
+    simulate_path,
+)
 from ar2lab.cli import main, run
 
 DATA = Path(__file__).parent / "data"
@@ -313,6 +324,67 @@ def test_main_simulate_writes_paths(tmp_path, capsys):
     assert lines[0] == "path,k,theta,xi"
     assert len(lines) == 1 + 10 * 12
     assert "wrote 10 paths" in capsys.readouterr().out
+
+
+def format_route(header, row_format, rows):
+    """The text of the per-row str.format route that cli._table replaced."""
+    return "\n".join([header, *(row_format.format(*row) for row in rows)]) + "\n"
+
+
+def test_table_text_equals_the_format_route():
+    # the edge values of the 17-digit text and random float64 bit patterns,
+    # as Python floats and as numpy scalars
+    edges = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e17, 1e308, math.inf, -math.inf, math.nan]
+    randoms = np.random.default_rng(13).integers(0, 2 ** 64, 4000, dtype=np.uint64).view(np.float64)
+    x = edges + [-v for v in edges] + randoms.tolist()
+    k = range(len(x))
+    scalars = list(randoms[::-1]) + list(np.array(edges * 2))
+    names = [repr(v) for v in x]
+    got = ar2lab.cli._table("k,x,scalar,name\n", "%d,%.17g,%.17g,%s", [k, x, scalars, names])
+    assert got == format_route("k,x,scalar,name", "{},{:.17g},{:.17g},{}", zip(k, x, scalars, names))
+
+
+@pytest.mark.parametrize("noise", ["student_t\nnoise.param1 = 1", "pareto\nnoise.param1 = 0.1\nnoise.param2 = 1"],
+                         ids=["student_t-1", "pareto-0.1"])
+def test_simulate_text_equals_the_format_route_on_heavy_tails(tmp_path, capsys, noise):
+    # values far beyond golden.paths.csv's: pareto 0.1 reaches e+XX exponents
+    cfg_path, out = write_cfg(tmp_path, BASE.replace("normal", noise).replace("grid_max = 12", "grid_max = 2048"))
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    config = parse_config_text(cfg_path.read_text(encoding="utf-8"))
+    n, rows = config.grid_max, []
+    for i in range(10):
+        key = StreamKey(config.master_seed, "path", n=n, block=i)
+        path = simulate_path(config.coeffs, sample_block(config.noise, n, key))
+        rows += zip([i] * n, range(1, n + 1), path.theta.tolist(), path.xi.tolist())
+    text = Path(str(out) + ".paths.csv").read_text(encoding="utf-8")
+    assert text == format_route("path,k,theta,xi", "{},{},{:.17g},{:.17g}", rows)
+    assert "pareto" not in noise or "e+" in text
+
+
+def test_simulate_memory_scales_with_one_path(tmp_path, capsys, monkeypatch):
+    # paths are rendered and written one at a time: the peak is about 5.4 x
+    # one path's text (its floats, cells and template), where the whole
+    # file's rows and text at once were ~6.6 x the file
+    monkeypatch.setattr(ar2lab.cli, "SELF_CHECK_PATHS", 3)
+    cfg_path, out = write_cfg(tmp_path, BASE.replace("grid_max = 12", f"grid_max = {2 ** 16}"))
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * os.path.getsize(str(out) + ".paths.csv") / 3
+
+
+def test_simulate_refused_path_leaves_no_file(tmp_path, capsys):
+    # pareto 0.01 overflows ~0.08% of draws to +-inf; at seed 1 the paths
+    # 0..2 of length 512 are finite and path 3 is not
+    noise = "pareto\nnoise.param1 = 0.01\nnoise.param2 = 1"
+    text = BASE.replace("normal", noise).replace("grid_max = 12", "grid_max = 512").replace("seed = 2026", "seed = 1")
+    cfg_path, out = write_cfg(tmp_path, text)
+    assert main(["simulate", "--config", str(cfg_path)]) == 1
+    assert "error: theta contains NaN or infinity" in capsys.readouterr().err
+    assert not Path(str(out) + ".paths.csv").exists()
 
 
 def test_main_verify_all_pass(tmp_path, capsys):

@@ -16,6 +16,8 @@ from ar2lab import (
     generator_for,
     sample_block,
 )
+from ar2lab.estimate import SET_ASIDE
+from ar2lab.noise import _log2_abs_bound
 
 
 # --- quadrature oracle -------------------------------------------------------
@@ -321,3 +323,45 @@ def test_range_draw_validation():
             sample_block(NoiseSpec.standard_normal(), count, key, start=start, total=total)
     whole = sample_block(NoiseSpec.standard_normal(), 3.0, key, start=np.int64(1), total=8.0)
     assert np.array_equal(whole, sample_block(NoiseSpec.standard_normal(), 3, key, start=1, total=8))
+
+
+# 1 - u at the largest uniform k 2^-53 that the generator returns
+W_MIN = 2.0 ** -53
+
+
+def extreme_draw(spec):
+    """|theta| of each family's transform at its extreme uniform, in plain floats."""
+    if spec.family == "normal":
+        return math.sqrt(-2.0 * math.log(W_MIN))
+    if spec.family == "rademacher":
+        return 1.0
+    if spec.family == "uniform":
+        return spec.params[0]  # |c (2 u - 1)| at u = 0
+    if spec.family == "student_t":
+        (nu,) = spec.params
+        return math.sqrt(nu) * W_MIN ** (-1.0 / nu) * math.sqrt(1.0 - W_MIN ** (2.0 / nu))
+    alpha, x_min = spec.params
+    return x_min * W_MIN ** (-1.0 / alpha)
+
+
+BOUNDED = [
+    NoiseSpec.standard_normal(), NoiseSpec.rademacher(), NoiseSpec.uniform(2.5), NoiseSpec.student_t(1.0),
+    NoiseSpec.student_t(3.0), NoiseSpec.symmetric_pareto(0.5, 2.0), NoiseSpec.symmetric_pareto(3.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("spec", BOUNDED, ids=lambda s: f"{s.family}{s.params}")
+def test_abs_bound_holds_for_every_draw(spec):
+    # 1e-12 in log2 for rounding, far inside the scan rule's factor 2
+    bound = _log2_abs_bound(spec)
+    assert math.log2(extreme_draw(spec)) <= bound + 1e-12
+    draws = sample_block(spec, 10 ** 6, StreamKey(17, "bound"))
+    assert math.log2(np.max(np.abs(draws))) <= bound
+    assert bound < math.log2(SET_ASIDE) - 1  # so estimate never scans this noise
+
+
+def test_abs_bound_scans_the_noise_that_can_reach_the_set_aside():
+    # pareto 0.01, which the set-aside tests of test_estimate draw from, and
+    # student_t 0.05 reach 2^512; in log2 their bounds stay finite
+    for spec in [NoiseSpec.symmetric_pareto(0.01, 1.0), NoiseSpec.student_t(0.05), NoiseSpec.uniform(2.0 ** 600)]:
+        assert math.log2(SET_ASIDE) - 1 < _log2_abs_bound(spec) < math.inf
