@@ -15,6 +15,7 @@ All emitted files are deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -34,6 +35,7 @@ from .recurrence import (
     weight_sequence,
 )
 from .simulate import representation_residual, simulate_path
+from .text import table as _table
 
 SELF_CHECK_PATHS = 10
 RESIDUAL_TOL = 1e-9
@@ -48,22 +50,6 @@ _EXIT_CODE = {
 def _f(x) -> str:
     """Render a float with 17 significant digits (round-trip safe)."""
     return format(float(x), ".17g")
-
-
-def _table(head: str, row_format: str, columns) -> str:
-    """CSV text: head (the header line, or "" to go on with a table), then
-    one LF-terminated row_format line per row.
-
-    The columns are equal-length sequences, row i taking item i of each;
-    their cells are interleaved into one list and rendered by one %
-    operation.  %.17g gives the text of _f (CPython's dtoa at 17 digits
-    either way), %d that of str on an int.
-    """
-    width, rows = len(columns), len(columns[0])
-    cells = [None] * (width * rows)
-    for j, column in enumerate(columns):
-        cells[j::width] = column
-    return head + (row_format + "\n") * rows % tuple(cells)
 
 
 def emit_series_csv(series: est.SeriesEstimate, path) -> None:
@@ -219,7 +205,7 @@ def _cmd_spectrum(config: ExperimentConfig) -> int:
 
 def _cmd_weights(config: ExperimentConfig) -> int:
     table = weight_sequence(config.coeffs, config.grid_max)
-    columns = [range(table.horizon + 1), table.u.tolist(), table.cum.tolist()]
+    columns = [np.arange(table.horizon + 1), table.u, table.cum]
     print(_table("j,u,cum\n", "%d,%.17g,%.17g", columns), end="")
     return 0
 
@@ -236,7 +222,7 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
             for i in range(SELF_CHECK_PATHS):
                 theta = sample_block(config.noise, n, StreamKey(config.master_seed, "path", n=n, block=i))
                 path = simulate_path(config.coeffs, theta)
-                columns = [[i] * n, range(1, n + 1), path.theta.tolist(), path.xi.tolist()]
+                columns = [np.full(n, i), np.arange(1, n + 1), path.theta, path.xi]
                 _write_text(fh, _table("" if i else "path,k,theta,xi\n", "%d,%d,%.17g,%.17g", columns))
     except LabError:
         os.remove(out)
@@ -318,6 +304,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ar2lab",

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +13,7 @@ import pytest
 import ar2lab.cli
 import ar2lab.estimate
 from ar2lab import (
+    ARCoefficients,
     InvalidParameters,
     StreamKey,
     default_grid,
@@ -19,6 +21,7 @@ from ar2lab import (
     partial_series,
     sample_block,
     simulate_path,
+    weight_sequence,
 )
 from ar2lab.cli import main, run
 
@@ -332,16 +335,58 @@ def format_route(header, row_format, rows):
 
 
 def test_table_text_equals_the_format_route():
-    # the edge values of the 17-digit text and random float64 bit patterns,
-    # as Python floats and as numpy scalars
-    edges = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e17, 1e308, math.inf, -math.inf, math.nan]
-    randoms = np.random.default_rng(13).integers(0, 2 ** 64, 4000, dtype=np.uint64).view(np.float64)
-    x = edges + [-v for v in edges] + randoms.tolist()
-    k = range(len(x))
-    scalars = list(randoms[::-1]) + list(np.array(edges * 2))
+    # the kernel's hard cases as Python floats, numpy scalars and float64
+    # arrays beside %d and %s columns, then 10^6 random float64 bit patterns
+    powers = [float(f"1e{k}") for k in range(-323, 309)] + [1e-5, 1e-4, 1e16, 1e17]
+    near = [v for p in powers for v in (np.nextafter(p, -math.inf), p, np.nextafter(p, math.inf))]
+    # k 2^-m is an exact tie at the 18th digit when k 5^m has 18 digits (3 2^-24 = 1.78813934326171875e-07)
+    ties = [k * 2.0 ** -m for k in [*range(1, 100, 2), 2 ** 50 + 1, 2 ** 52 + 3, 2 ** 53 - 1] for m in range(1, 80)
+            if len(str(k * 5 ** m)) == 18]
+    rng = np.random.default_rng(13)
+    subnormals = rng.integers(1, 2 ** 52, 2000, dtype=np.uint64).view(np.float64).tolist()
+    edges = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 99999999999999999.0, math.inf, math.nan]
+    x = [float(v) for v in edges + near + ties + subnormals]
+    x += [-v for v in x]
+    assert len(ties) > 50 and 3 * 2.0 ** -24 in ties
+    ints = [0, -1, 7, -10, 2 ** 63 - 1, -2 ** 63, 10 ** 18, -10 ** 18 + 1]
+    ints += rng.integers(-2 ** 63, 2 ** 63, len(x) - len(ints), dtype=np.int64).tolist()  # mostly 19 digits
+    scalars = list(np.array(x[::-1]))
     names = [repr(v) for v in x]
-    got = ar2lab.cli._table("k,x,scalar,name\n", "%d,%.17g,%.17g,%s", [k, x, scalars, names])
-    assert got == format_route("k,x,scalar,name", "{},{:.17g},{:.17g},{}", zip(k, x, scalars, names))
+    got = ar2lab.cli._table("k,x,scalar,name\n", "%d,%.17g,%.17g,%s", [ints, x, scalars, names])
+    assert got == format_route("k,x,scalar,name", "{},{:.17g},{:.17g},{}", zip(ints, x, scalars, names))
+
+    randoms = rng.integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64).view(np.float64)
+    got = ar2lab.cli._table("", "%.17g", [randoms])
+    assert got == "".join([format(v, ".17g") + "\n" for v in randoms.tolist()])
+
+
+@pytest.mark.parametrize(
+    "row_format, columns, message",
+    [
+        ("%s", [["a\0"]], "a %s cell holds a NUL byte"),  # the kernel deletes its NUL padding
+        ("%d,%x", [[1]], "does not fit 1 columns"),
+        ("%d", [[1], [2]], "does not fit 2 columns"),
+        ("%d,%d", [[1], [2, 3]], "columns differ in length"),
+    ],
+    ids=["nul", "unknown-field", "too-many-columns", "ragged"],
+)
+def test_table_refuses_what_it_cannot_render(row_format, columns, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ar2lab.cli._table("", row_format, columns)
+
+
+@pytest.mark.parametrize("a, b, zeros, subnormals", [(0.3, 0.2, 6626, 77), (1.0, -0.25, 0, 7160)])
+def test_weights_text_equals_the_format_route_where_weights_underflow(tmp_path, capsys, a, b, zeros, subnormals):
+    # golden.weights.csv stops at grid_max 12; at 8192 u decays through
+    # the subnormals (to 5e-324 at (1, -0.25)) and to exact zeros
+    text = BASE.replace("a = 0.3", f"a = {a}").replace("b = 0.2", f"b = {b}").replace("grid_max = 12", "grid_max = 8192")
+    cfg_path, _ = write_cfg(tmp_path, text)
+    assert main(["weights", "--config", str(cfg_path)]) == 0
+    table = weight_sequence(ARCoefficients(a, b), 8192)
+    tiny = (table.u != 0) & (np.abs(table.u) < 2.2250738585072014e-308)
+    assert (np.count_nonzero(table.u == 0), np.count_nonzero(tiny)) == (zeros, subnormals)
+    rows = zip(range(8193), table.u.tolist(), table.cum.tolist())
+    assert capsys.readouterr().out == format_route("j,u,cum", "{},{:.17g},{:.17g}", rows)
 
 
 @pytest.mark.parametrize("noise", ["student_t\nnoise.param1 = 1", "pareto\nnoise.param1 = 0.1\nnoise.param2 = 1"],
