@@ -30,7 +30,7 @@ a 32-byte source row per cell, and one template per (exponent class,
 trailing zeros) picks that cell's text out of it in the form %g chooses:
 fixed for -4 <= E < 17, else d.ddde+XX, with the trailing zeros of the
 fraction (and a point left without digits) read as NUL.  The kernel's
-tables take ~4 ms to build, once per process.
+tables take ~3 ms to build, once per process.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def _template(cls: int) -> tuple:
 
 @functools.cache
 def _constants() -> dict:
-    """The kernel's tables, built once per process from exact integers.
+    """The kernel's tables, built once per process.
 
     Per binary exponent b: the index of the largest E with 10^E <= 2^(b-1).
     Per decimal exponent E: the least double >= 10^(E+1); the prescale
@@ -81,8 +81,8 @@ def _constants() -> dict:
     powers = [1]
     for _ in range(340):
         powers.append(powers[-1] * 10)
-    least, scale, hi, lo = [], [], [], []
-    for e in range(_E_MIN, _E_MAX + 1):
+    least = []  # the least double >= 10^(E+1)
+    for e in range(_E_MIN + 1, _E_MAX + 1):
         if e >= 0:
             ten = float(powers[e])  # int -> float and int / int are correctly rounded
             above = ten >= powers[e]  # an exact comparison
@@ -91,24 +91,39 @@ def _constants() -> dict:
             p, q = ten.as_integer_ratio()
             above = p * powers[-e] >= q
         least.append(ten if above else math.nextafter(ten, math.inf))
-        k = 16 - e
-        s = 600 if k > 250 else -600 if k < -250 else 0  # keeps |x| 2^s, 10^k 2^-s and their splits normal
-        num, den = (powers[k] << max(-s, 0), 1 << max(s, 0)) if k >= 0 else (1 << max(-s, 0), powers[-k] << max(s, 0))
+    least.append(math.inf)
+
+    # 10^k 2^-s, k = 16 - E, as hi + lo good to ~2^-104: 10^(16 m) 2^-s
+    # from exact ints times the exact double 10^j, 0 <= j < 16; s = 600
+    # for k >= 256 and -600 for k <= -257 keeps |x| 2^s, 10^k 2^-s and
+    # their splits normal
+    e = np.arange(_E_MIN, _E_MAX + 1)
+    m, j = np.divmod(16 - e, 16)
+    s = np.where(m >= 16, 600, np.where(m <= -17, -600, 0))
+    seeds = []
+    for mm in range(m.min(), m.max() + 1):
+        ss = 600 if mm >= 16 else -600 if mm <= -17 else 0
+        num = powers[16 * max(mm, 0)] << max(-ss, 0)
+        den = powers[-16 * min(mm, 0)] << max(ss, 0)
         head = num / den
         p, q = head.as_integer_ratio()
-        scale.append(2.0 ** s)
-        hi.append(head)
-        lo.append((num * q - p * den) / (den * q))
-    hi = np.array(hi)
-    t = hi * 134217729.0  # Veltkamp split
-    hh = t - (t - hi)
+        seeds.append((head, (num * q - p * den) / (den * q)))
+    seed_hi, seed_lo = np.array(seeds)[m - m.min()].T
+    ten = 10.0 ** j
+    hi0 = seed_hi * ten
+    a_h, a_l = _split(seed_hi)
+    b_h, b_l = _split(ten)
+    lo0 = ((a_h * b_h - hi0) + a_h * b_l + a_l * b_h) + a_l * b_l + seed_lo * ten
+    hi = hi0 + lo0
+    lo = lo0 - (hi - hi0)
+    hh = _split(hi)[0]
 
-    e = np.arange(_E_MIN, _E_MAX + 1)
-    cls = np.select([e < -99, e < -4, e < 17, e < 100], [21, 22, e + 4, 23], 24)
+    cls = np.where(e < -99, 21, np.where(e < -4, 22, np.where(e < 17, e + 4, np.where(e < 100, 23, 24))))
     digits = np.meshgrid(*[np.arange(10, dtype=np.uint8)] * 4, indexing="ij")
     digits = np.stack(digits, axis=-1).reshape(10000, 4)  # row g: the 4 digits of g
     ascii4 = (digits + ord("0")).view(np.uint32).ravel()
-    tz4 = np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1)  # 0 has 4
+    zero = digits == 0
+    tz4 = zero[:, 3] * (1 + zero[:, 2] * (1 + zero[:, 1] * (1 + zero[:, 0].astype(np.int64))))  # 0 has 4
     # template 17 c + z: class c's, with the z trailing zero digits of the
     # fraction, and a point with no digit after it, read as NUL
     base = np.full((25, 1, 24), _NUL, dtype=np.intp)
@@ -120,9 +135,9 @@ def _constants() -> dict:
     drop = (digit >= kept) & (digit > whole) & (digit <= 16) | (base == _POINT) & (kept <= whole + 1)
     templates = np.where(drop, _NUL, base).reshape(25 * 17, 24)
     tables = {
-        "below": np.searchsorted(least, np.ldexp(1.0, np.arange(-1074, 1024)), side="right") - 1,
-        "least_next": np.array(least[1:] + [math.inf]),
-        "scale": np.array(scale), "hi": hi, "hh": hh, "hl": hi - hh, "lo": np.array(lo),
+        "below": np.searchsorted([5e-324] + least, np.ldexp(1.0, np.arange(-1074, 1024)), side="right") - 1,
+        "least_next": np.array(least),
+        "scale": 2.0 ** s, "hi": hi, "hh": hh, "hl": hi - hh, "lo": lo,
         "key": cls * 17, "exponent": ascii4[np.abs(e)], "ascii4": ascii4, "tz4": tz4, "templates": templates,
         "offsets": np.repeat(np.arange(0, SLAB * 32, 32), 24).reshape(SLAB, 24),  # row r reads bytes 32 r ...
         "sign": np.frombuffer(b"\0+\0\0-+\0\0", dtype=np.uint32),  # source bytes 0..3: sign, '+', NUL, NUL
@@ -132,6 +147,13 @@ def _constants() -> dict:
     for table in tables.values():
         table.setflags(write=False)  # shared by every call in the process
     return tables
+
+
+def _split(v: np.ndarray) -> tuple:
+    """Veltkamp's split of v into 26-bit halves head + tail."""
+    t = v * 134217729.0
+    head = t - (t - v)
+    return head, v - head
 
 
 def _groups(v: np.ndarray, count: int) -> list:
@@ -158,9 +180,7 @@ def _floats(x: np.ndarray) -> tuple:
     # |x| 10^(16-E) = ph + r, good to ~1e-14: Dekker's two-product of the
     # prescaled |x| with the head hi = hh + hl, plus its product with lo
     xs = ax * c["scale"][i]
-    t = xs * 134217729.0  # Veltkamp split of xs into 26-bit halves
-    xh = t - (t - xs)
-    xl = xs - xh
+    xh, xl = _split(xs)
     hh, hl = c["hh"][i], c["hl"][i]
     ph = xs * c["hi"][i]  # >= 10^16 > 2^53: a whole number
     r = ((xh * hh - ph) + xh * hl + xl * hh) + xl * hl + xs * c["lo"][i]

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 import ar2lab.cli
 import ar2lab.estimate
+import ar2lab.text
 from ar2lab import (
     ARCoefficients,
     InvalidParameters,
@@ -358,6 +360,18 @@ def test_table_text_equals_the_format_route():
     randoms = rng.integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64).view(np.float64)
     got = ar2lab.cli._table("", "%.17g", [randoms])
     assert got == "".join([format(v, ".17g") + "\n" for v in randoms.tolist()])
+
+
+def test_table_kernel_tables_hold_the_exact_powers_of_ten():
+    # hi + lo of 10^(16-E) 2^-s come from a few exact seeds by double-double
+    # products; the kernel's digits need them to ~2^-80, and least_next[E]
+    # must be exactly the least double >= 10^(E+1)
+    tables = ar2lab.text._constants()
+    for i, e in enumerate(range(-324, 309)):
+        exact = Fraction(10) ** (16 - e) / Fraction(tables["scale"][i])
+        assert abs(Fraction(tables["hi"][i]) + Fraction(tables["lo"][i]) - exact) <= exact / 2 ** 100, e
+        least = tables["least_next"][i]
+        assert least >= Fraction(10) ** (e + 1) > Fraction(np.nextafter(least, -math.inf)), e
 
 
 @pytest.mark.parametrize(
