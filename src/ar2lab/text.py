@@ -99,16 +99,15 @@ def _constants() -> dict:
     # their splits normal
     e = np.arange(_E_MIN, _E_MAX + 1)
     m, j = np.divmod(16 - e, 16)
-    s = np.where(m >= 16, 600, np.where(m <= -17, -600, 0))
     seeds = []
     for mm in range(m.min(), m.max() + 1):
-        ss = 600 if mm >= 16 else -600 if mm <= -17 else 0
-        num = powers[16 * max(mm, 0)] << max(-ss, 0)
-        den = powers[-16 * min(mm, 0)] << max(ss, 0)
+        s = 600 if mm >= 16 else -600 if mm <= -17 else 0
+        num = powers[16 * max(mm, 0)] << max(-s, 0)
+        den = powers[-16 * min(mm, 0)] << max(s, 0)
         head = num / den
         p, q = head.as_integer_ratio()
-        seeds.append((head, (num * q - p * den) / (den * q)))
-    seed_hi, seed_lo = np.array(seeds)[m - m.min()].T
+        seeds.append((head, (num * q - p * den) / (den * q), 2.0 ** s))
+    seed_hi, seed_lo, scale = np.array(seeds)[m - m.min()].T
     ten = 10.0 ** j
     hi0 = seed_hi * ten
     a_h, a_l = _split(seed_hi)
@@ -137,7 +136,7 @@ def _constants() -> dict:
     tables = {
         "below": np.searchsorted([5e-324] + least, np.ldexp(1.0, np.arange(-1074, 1024)), side="right") - 1,
         "least_next": np.array(least),
-        "scale": 2.0 ** s, "hi": hi, "hh": hh, "hl": hi - hh, "lo": lo,
+        "scale": scale, "hi": hi, "hh": hh, "hl": hi - hh, "lo": lo,
         "key": cls * 17, "exponent": ascii4[np.abs(e)], "ascii4": ascii4, "tz4": tz4, "templates": templates,
         "offsets": np.repeat(np.arange(0, SLAB * 32, 32), 24).reshape(SLAB, 24),  # row r reads bytes 32 r ...
         "sign": np.frombuffer(b"\0+\0\0-+\0\0", dtype=np.uint32),  # source bytes 0..3: sign, '+', NUL, NUL
