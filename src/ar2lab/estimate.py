@@ -35,7 +35,9 @@ BLOCK_REPLICATES = 4096
 
 # Version of the sampling layout described in _read_paths.  Estimates
 # from different layouts agree in distribution, not draw for draw.
-SAMPLING_LAYOUT = 6
+# Layout 7 takes normal draws' cos and sin from noise._polar_pairs
+# instead of libm; every other family draws as in layout 6.
+SAMPLING_LAYOUT = 7
 
 # Every n up to this bound is on the default grid; above it only powers
 # of two are (see default_grid).

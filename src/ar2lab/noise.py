@@ -206,6 +206,101 @@ def generator_for(key: StreamKey) -> Generator:
 _EXP_FINITE = 709.0
 
 
+# --- the normal pair map ---------------------------------------------------
+
+# pi * 2^128, truncated: the hexadecimal digits of pi, 3.243F6A88...
+_PI_2_128 = 0x3243F6A8885A308D313198A2E03707344
+
+# The angle 2 pi u is split at the nearest of these steps around the circle.
+_STEPS = 1024
+
+# Angles mapped per pass: the pass's four temporaries (256 KiB) stay in cache.
+_ANGLE_CHUNK = 8192
+
+
+def _angle_table(steps: int) -> tuple:
+    """cos and sin of theta_k = 2.0 * math.pi * k / steps, k = 0 .. steps, correctly rounded.
+
+    theta_k is the double that the uniform k / steps maps to.  Everything is
+    128-bit fixed point, with no libm: exp(2 pi i k / steps) steps through
+    the first octant from the Taylor series of exp(2 pi i / steps) and fills
+    the circle by its symmetries, then each point turns by the tiny
+    d = theta_k - 2 pi k / steps (|d| < 2^-50) to first order in d: the
+    second-order term is below 2^-101.
+    steps must be a multiple of 8.
+    """
+    one = 1 << 128
+    step = 2 * _PI_2_128 // steps
+    c1 = s1 = 0
+    term, n = one, 0
+    while term:  # step^n / n!, added to cos (n even) or sin (n odd) with the sign of i^n
+        if n % 2:
+            s1 += term if n % 4 == 1 else -term
+        else:
+            c1 += term if n % 4 == 0 else -term
+        n += 1
+        term = term * step // (one * n)
+    cos, sin = [one], [0]
+    for _ in range(steps // 8):
+        c, s = cos[-1], sin[-1]
+        cos.append((c * c1 - s * s1) >> 128)
+        sin.append((s * c1 + c * s1) >> 128)
+    quarter = cos + sin[-2::-1]  # cos(pi / 2 - t) = sin(t)
+    half = quarter + [-c for c in quarter[-2::-1]]  # cos(pi - t) = -cos(t)
+    cos = np.array(half + half[-2::-1], dtype=object)  # cos(2 pi - t) = cos(t)
+    sin = np.concatenate([cos[3 * steps // 4 : -1], cos[: 3 * steps // 4 + 1]])  # sin(t) = cos(t - pi / 2)
+    k = np.arange(steps + 1)
+    theta = [int(t) for t in (2.0 * math.pi * k / steps * 2.0 ** 128).tolist()]  # exact: 2^128 scales
+    d = np.array(theta, dtype=object) - k.astype(object) * step
+    cos, sin = cos - (sin * d >> 128), sin + (cos * d >> 128)
+    # float(int) rounds correctly, and 2^-128 scales exactly
+    return cos.astype(float) * 2.0 ** -128, sin.astype(float) * 2.0 ** -128
+
+
+_COS_K, _SIN_K = _angle_table(_STEPS)
+
+
+def _polar_pairs(radius: np.ndarray, angle: np.ndarray, out: np.ndarray) -> None:
+    """out[2 j], out[2 j + 1] = radius[j] * (cos, sin)(2 pi angle[j]), angle in [0, 1).
+
+    With u = angle[j], k = rint(1024 u) and x = (1024 u - k) 2 pi / 1024
+    (1024 u and 1024 u - k are exact, |x| <= pi / 1024):
+    cos(2 pi u) = C_k c(x) - S_k s(x) and sin(2 pi u) = S_k c(x) + C_k s(x),
+    where C_k, S_k = cos, sin(2 pi k / 1024) are the table's entries and
+    c(x) = 1 - x^2/2 + x^4/24, s(x) = x - x^3/6 + x^5/120 are Taylor
+    polynomials (truncation below 2e-18).  Only +, -, *, rint and a table
+    lookup, so a draw depends on neither libm's cos and sin nor numpy's SIMD
+    dispatch.  Works _ANGLE_CHUNK angles at a time; angle is overwritten.
+    """
+    for lo in range(0, len(angle), _ANGLE_CHUNK):
+        hi = lo + _ANGLE_CHUNK
+        x = angle[lo:hi]
+        x *= float(_STEPS)
+        k = np.rint(x)
+        x -= k
+        x *= 2.0 * math.pi / _STEPS
+        index = k.astype(np.intp)
+        x2 = np.multiply(x, x, out=k)
+        c = x2 * (1.0 / 24.0)
+        c -= 0.5
+        c *= x2
+        c += 1.0
+        s = x2 * (1.0 / 120.0)
+        s -= 1.0 / 6.0
+        s *= x2
+        s *= x
+        s += x
+        cos_k = _COS_K.take(index, out=x, mode="clip")  # index is in 0 .. 1024 already
+        sin_k = _SIN_K.take(index, out=x2, mode="clip")
+        even, odd = out[2 * lo : 2 * hi : 2], out[2 * lo + 1 : 2 * hi : 2]
+        np.multiply(cos_k, c, out=even)
+        np.multiply(sin_k, c, out=odd)
+        even -= np.multiply(sin_k, s, out=c)
+        odd += np.multiply(cos_k, s, out=c)
+        even *= radius[lo:hi]
+        odd *= radius[lo:hi]
+
+
 def sample_block(
     spec: NoiseSpec, count: int, stream_key: StreamKey, start: int = 0, total: int | None = None
 ) -> np.ndarray:
@@ -214,6 +309,8 @@ def sample_block(
     Every family is a fixed numpy transform of the PCG64 stream:
     inversion of uniforms for uniform and pareto, the trigonometric pair
     map sqrt(-2 log u1) * (cos, sin)(2 pi u2) for the standard normal,
+    with cos and sin from a 1024-step table and Taylor polynomials
+    (_polar_pairs, no libm cos or sin),
     Bailey's polar map without rejection for Student-t,
     T = sqrt(nu) * w^(-1/nu) * sqrt(1 - w^(2/nu)) * cos(2 pi v) with
     w = 1 - u1 (exact, not a quantile approximation), and one raw bit
@@ -241,16 +338,14 @@ def sample_block(
         radius = rng.random(stop - first)
         advance(pairs + first - stop)
         angle = rng.random(stop - first)
-        # sqrt(-2 log1p(-u1)) and (2 pi) u2, computed in place: the same bits
-        # with fewer temporaries, which a long run pays for in page faults
+        # sqrt(-2 log1p(-u1)), computed in place: the same bits with fewer
+        # temporaries, which a long run pays for in page faults
         np.negative(radius, out=radius)
         np.log1p(radius, out=radius)  # 1 - u in (0, 1], no log(0)
         radius *= -2.0
         np.sqrt(radius, out=radius)
-        angle *= 2.0 * math.pi
         out = np.empty(2 * (stop - first))
-        np.multiply(radius, np.cos(angle), out=out[0::2])
-        np.multiply(radius, np.sin(angle, out=angle), out=out[1::2])
+        _polar_pairs(radius, angle, out)
         return out[start - 2 * first : start - 2 * first + count]
     if fam == "rademacher":
         # value v is bit v % 64 (least significant first) of raw word v // 64

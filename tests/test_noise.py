@@ -1,6 +1,7 @@
 import math
-
 import sys
+import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from ar2lab import (
     sample_block,
 )
 from ar2lab.estimate import SET_ASIDE
-from ar2lab.noise import _log2_abs_bound
+from ar2lab.noise import _COS_K, _SIN_K, _STEPS, _log2_abs_bound, _polar_pairs
 
 
 # --- quadrature oracle -------------------------------------------------------
@@ -273,6 +274,67 @@ def test_student_t_matches_the_exact_cdf(nu):
     x = sample_block(NoiseSpec.student_t(nu), 1_000_000, StreamKey(31337, "ks", n=int(10 * nu)))
     # a correct sampler falls below the floor once in 10^4 keys
     assert stats.kstest(x, stats.t(nu).cdf).pvalue > 1e-4
+
+
+def test_normal_matches_the_exact_cdf():
+    x = sample_block(NoiseSpec.standard_normal(), 1_000_000, StreamKey(31337, "ks"))
+    assert stats.kstest(x, stats.norm.cdf).pvalue > 1e-4
+
+
+def decimal_cos_sin(theta):
+    """cos and sin of the double theta, by their Taylor series in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x, term, n = Decimal(theta), Decimal(1), 0
+        sums = [Decimal(0), Decimal(0)]  # cos, sin
+        while abs(term) > Decimal("1e-70"):
+            sums[n % 2] += term if n % 4 < 2 else -term
+            n += 1
+            term = term * x / n
+        return float(sums[0]), float(sums[1])  # rounds correctly
+
+
+def test_angle_table_is_correctly_rounded():
+    # C_k, S_k are cos and sin of the double 2 pi k / 1024 that u = k / 1024 mapped to in layout 6
+    assert len(_COS_K) == len(_SIN_K) == _STEPS + 1
+    for k in range(_STEPS + 1):
+        assert (_COS_K[k], _SIN_K[k]) == decimal_cos_sin(2.0 * math.pi * k / _STEPS), k
+
+
+def unit_circle(u):
+    out = np.empty(2 * len(u))
+    _polar_pairs(np.ones(len(u)), u.copy(), out)
+    return out[0::2], out[1::2]
+
+
+def test_angle_map_matches_libm():
+    grid = np.arange(_STEPS + 1) / _STEPS
+    u = np.concatenate([
+        np.random.default_rng(1958).random(10 ** 6),
+        [0.0, np.nextafter(1.0, 0.0)],
+        grid, np.nextafter(grid, -1.0), np.nextafter(grid, 2.0),  # the table's angles and their neighbours
+        grid[:-1] + 0.5 / _STEPS,  # the ties of rint(1024 u)
+    ])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    cos, sin = unit_circle(u)
+    angle = (2.0 * math.pi * u).tolist()
+    assert np.max(np.abs(cos - np.fromiter(map(math.cos, angle), float, len(u)))) <= 1e-15
+    assert np.max(np.abs(sin - np.fromiter(map(math.sin, angle), float, len(u)))) <= 1e-15
+    # at u = k / 1024 the map is the table: x = 0, so c(x) = 1 and s(x) = 0
+    cos, sin = unit_circle(grid[:-1])
+    assert np.array_equal(cos, _COS_K[:-1]) and np.array_equal(sin, _SIN_K[:-1])
+
+
+def test_normal_kernel_memory_stays_within_two_and_a_half_outputs():
+    # both halves' uniforms, the output and the angle map's chunk temporaries;
+    # cos and sin of the whole block at once would be 3.16 x
+    tracemalloc.start()
+    try:
+        x = sample_block(NoiseSpec.standard_normal(), 2 ** 19, StreamKey(3, "memory"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * x.nbytes
 
 
 def _t_overflow_probability(nu):
