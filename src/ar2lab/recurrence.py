@@ -245,11 +245,11 @@ def bound_report(coeffs: ARCoefficients, horizon: int) -> BoundReport:
     """Scan the weight table for envelope constants.
 
     Requires stable coefficients and horizon >= 50.  The Frobenius norm
-    is evaluated with hypot to survive squared underflow; once either
-    the norm or rho^s * s^(mu-1) underflows to zero the scan stops,
-    since ratios past that point carry no information.  For the
-    nilpotent pair a = b = 0 (rho = 0) no ratio is defined and the
-    extrema are NaN.
+    is evaluated with hypot to survive squared underflow; once
+    rho^s * s^(mu-1) underflows to zero the scan stops, since ratios
+    past that point carry no information, and an s whose norm is zero
+    gives no ratio.  For the nilpotent pair a = b = 0 (rho = 0) no ratio
+    is defined and the extrema are NaN.
     """
     require_stable(coeffs, "bound report")
     horizon = _as_whole(horizon, "horizon")
@@ -260,25 +260,26 @@ def bound_report(coeffs: ARCoefficients, horizon: int) -> BoundReport:
     L_star = float(np.max(np.abs(table.cum)))
     cum_limit = 1.0 / (1.0 - coeffs.a - coeffs.b)
 
-    ratio_min = math.inf
-    ratio_max = -math.inf
-    seen = False
-    rho_pow = 1.0
+    # R(s) for s = 1 .. stop: once rho^s underflows to 0 it stays 0
+    rho_pow = np.cumprod(np.full(horizon, spectrum.rho))  # the sequential products rho^s
+    denom = rho_pow * np.arange(1, horizon + 1) if spectrum.mu == 2 else rho_pow
+    stop = np.count_nonzero(denom)
     u = table.u
-    for s in range(1, horizon + 1):
-        rho_pow *= spectrum.rho
-        denom = rho_pow * (float(s) if spectrum.mu == 2 else 1.0)
-        norm = math.hypot(u[s], u[s - 1])
-        if denom == 0.0 or norm == 0.0:
-            if denom == 0.0:
-                break  # rho^s underflowed; nothing measurable further out
-            continue  # nilpotent zeros contribute no ratio
-        ratio = norm / denom
-        seen = True
-        ratio_min = min(ratio_min, ratio)
-        ratio_max = max(ratio_max, ratio)
-    if not seen:
-        ratio_min = ratio_max = math.nan
+    norm = np.hypot(u[1 : stop + 1], u[:stop])
+    with np.errstate(over="ignore"):  # as a float division, an overflowing ratio is inf
+        ratio = norm / denom[:stop]
+    # np.hypot may differ from math.hypot in the last bit, so the extrema are
+    # taken with math.hypot over the candidates: every ratio within 1e-12 of
+    # either numpy extremum, and every ratio whose norm is near or below the
+    # subnormals, where a last bit is no longer a relative 2^-52.  Pairs
+    # (u_s, u_(s-1)) = (0, 0) contribute no ratio.
+    trusted = (norm >= 2.0 ** -1000) & np.isfinite(ratio)
+    candidates = (norm > 0.0) & ~trusted
+    if trusted.any():
+        lo, hi = ratio[trusted].min(), ratio[trusted].max()
+        candidates |= trusted & ((ratio <= lo * (1.0 + 1e-12)) | (ratio >= hi * (1.0 - 1e-12)))
+    ratios = [math.hypot(u[i + 1], u[i]) / float(denom[i]) for i in np.flatnonzero(candidates).tolist()]
+    ratio_min, ratio_max = (min(ratios), max(ratios)) if ratios else (math.nan, math.nan)
     return BoundReport(
         L_star=L_star,
         cum_limit=cum_limit,

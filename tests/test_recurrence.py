@@ -315,6 +315,44 @@ def test_bound_report_nilpotent_pair():
     assert math.isnan(report.koval_ratio_min) and math.isnan(report.koval_ratio_max)
 
 
+def scanned_extrema(coeffs, horizon):
+    """The envelope extrema by the plain scan: s = 1, 2, ... while rho^s * s^(mu-1) > 0."""
+    u = weight_sequence(coeffs, horizon).u
+    spectrum = companion_spectrum(coeffs)
+    ratios, rho_pow = [], 1.0
+    for s in range(1, horizon + 1):
+        rho_pow *= spectrum.rho
+        denom = rho_pow * (float(s) if spectrum.mu == 2 else 1.0)
+        if denom == 0.0:
+            break
+        norm = math.hypot(u[s], u[s - 1])
+        if norm != 0.0:
+            ratios.append(norm / denom)
+    return (min(ratios), max(ratios)) if ratios else (math.nan, math.nan)
+
+
+# the five spectral classes, pairs whose rho^s underflows inside the horizon,
+# and one that keeps a ratio for s = 1 only
+EDGE_PAIRS = [(0.3, 0.2), (1.0, -0.25), (0.5, -0.9), (-0.5, 0.45), (0.2, 0.79), (0.5, 0.0), (0.001, 0.0),
+              (-1.6, -0.64), (0.0, 0.5), (0.0, -1e-300), (1e-200, 0.0), (1e-155, 0.0)]
+
+
+@pytest.mark.parametrize("horizon", [200, 8192])
+def test_bound_report_is_the_plain_scan_bit_for_bit(horizon):
+    rng = np.random.default_rng(horizon)
+    pairs = list(EDGE_PAIRS)
+    while len(pairs) < 100:
+        a, b = rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)
+        if ARCoefficients(a, b).stability is Stability.STABLE:
+            pairs.append((a, b))
+    for a, b in pairs:
+        report = bound_report(ARCoefficients(a, b), horizon)
+        got = (report.koval_ratio_min, report.koval_ratio_max)
+        want = scanned_extrema(ARCoefficients(a, b), horizon)
+        assert [type(x) for x in got] == [float, float]
+        assert np.array_equal(got, want, equal_nan=True), (a, b)
+
+
 @given(stable_pairs(margin=0.05))
 @settings(max_examples=50, derandomize=True, deadline=None)
 def test_bound_report_envelope_is_positive_and_finite(ab):
