@@ -314,7 +314,8 @@ def sample_block(
     Bailey's polar map without rejection for Student-t,
     T = sqrt(nu) * w^(-1/nu) * sqrt(1 - w^(2/nu)) * cos(2 pi v) with
     w = 1 - u1 (exact, not a quantile approximation), and one raw bit
-    per sign for rademacher (bit v % 64 of 64-bit word v // 64).
+    per sign for rademacher: 1 - 2 * (bit v % 64 of 64-bit word v // 64),
+    mapped as int8 and cast to float64 in one pass.
     Calling twice with the same key is bit-identical.
 
     The block of `total` draws (default `start + count`) under this key
@@ -353,10 +354,11 @@ def sample_block(
         advance(first)
         words = rng.bit_generator.random_raw((start + count + 63) // 64 - first)
         bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
-        out = np.empty(count)
-        np.multiply(bits[start - 64 * first : start - 64 * first + count], -2.0, out=out)
-        out += 1.0
-        return out
+        # 1 - 2 bit in place as int8 (exact, never -0.0), then one cast writes each double once
+        signs = bits[start - 64 * first : start - 64 * first + count].view(np.int8)
+        signs *= -2
+        signs += 1
+        return signs.astype(np.float64)
     advance(start)
     if fam == "uniform":
         (c,) = spec.params

@@ -269,6 +269,18 @@ def test_range_draw_is_a_slice_of_the_whole_block(spec, total, start, stop):
     assert part.tobytes() == whole[start:stop].tobytes()
 
 
+@pytest.mark.parametrize("total, start, stop", RANGES)
+def test_rademacher_draws_are_the_raw_bits(total, start, stop):
+    # oracle in Python ints: draw v is 1 - 2 * (bit v % 64 of raw word v // 64)
+    key = StreamKey(2024, "range", n=total, block=1)
+    part = sample_block(NoiseSpec.rademacher(), stop - start, key, start=start, total=total)
+    words = generator_for(key).bit_generator.random_raw((stop + 63) // 64).tolist()
+    want = [1 - 2 * ((words[v // 64] >> (v % 64)) & 1) for v in range(start, stop)]
+    assert part.dtype == np.float64
+    assert part.tolist() == want
+    assert not (np.signbit(part) & (part == 0.0)).any()  # no -0.0
+
+
 @pytest.mark.parametrize("nu", [0.3, 1.0, 3.0, 30.0])
 def test_student_t_matches_the_exact_cdf(nu):
     x = sample_block(NoiseSpec.student_t(nu), 1_000_000, StreamKey(31337, "ks", n=int(10 * nu)))
@@ -335,6 +347,18 @@ def test_normal_kernel_memory_stays_within_two_and_a_half_outputs():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * x.nbytes
+
+
+def test_rademacher_kernel_memory_stays_within_one_and_a_quarter_outputs():
+    # the output, one byte per draw for the int8 signs and the raw words;
+    # a float64 temporary of the whole block would be 2 x
+    tracemalloc.start()
+    try:
+        x = sample_block(NoiseSpec.rademacher(), 2 ** 19, StreamKey(3, "memory"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * x.nbytes
 
 
 def _t_overflow_probability(nu):
