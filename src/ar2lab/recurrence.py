@@ -47,6 +47,9 @@ ROOT_SEPARATION_TOL = 1e-10
 # complex-conjugate root pair.
 IMAG_RESIDUE_TOL = 1e-9
 
+# weight_sequence checks for overflow once per this many steps.
+_WEIGHT_BLOCK = 256
+
 
 class Stability(enum.Enum):
     STABLE = "Stable"
@@ -154,14 +157,20 @@ def weight_sequence(coeffs: ARCoefficients, horizon: int) -> WeightTable:
         raise InvalidParameters(f"horizon must be >= 0, got {horizon}")
     a, b = coeffs.a, coeffs.b
     u = [1.0]
+    append = u.append
     prev2, prev1 = 0.0, 1.0  # u_{-1}, u_0
-    for n in range(1, horizon + 1):
-        here = a * prev1 + b * prev2
-        if not math.isfinite(here):
+    for lo in range(1, horizon + 1, _WEIGHT_BLOCK):
+        for _ in range(lo, min(lo + _WEIGHT_BLOCK, horizon + 1)):
+            prev2, prev1 = prev1, a * prev1 + b * prev2
+            append(prev1)
+        # a and b are finite, so a non-finite weight makes every later one
+        # non-finite (inf, or NaN from 0 * inf or inf - inf): the block's last
+        # weight is finite exactly when all of the block's are
+        if not math.isfinite(prev1):
+            n = next(n for n in range(lo, len(u)) if not math.isfinite(u[n]))
             raise HorizonOverflow(f"weight u_{n} overflowed for a={a}, b={b}")
-        u.append(here)
-        prev2, prev1 = prev1, here
-    return WeightTable(coeffs=coeffs, horizon=horizon, u=_readonly(u), cum=_readonly(compensated_cumsum(u)))
+    u = _readonly(u)
+    return WeightTable(coeffs=coeffs, horizon=horizon, u=u, cum=_readonly(compensated_cumsum(u)))
 
 
 def weight_closed_form(spectrum: CompanionSpectrum, s: int) -> float:
