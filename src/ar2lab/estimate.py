@@ -200,7 +200,8 @@ def _as_replications(replications) -> int:
 def _read_paths(spec, grid, replications, master_seed, weights, thresholds, r, moment_at) -> tuple:
     """Exceedance counts and moments, read off one pass over the paths.
 
-    Sampling layout 6: each replicate is one noise path.  Its chunk k
+    Sampling layout 7 reads the paths as layout 6 did; it changed only
+    the normal draws.  Each replicate is one noise path.  Its chunk k
     holds the times 2^(k-1) < t <= 2^k (chunk 0 is t = 1), and for
     replication block b that chunk is one block of take * len draws under
     StreamKey(master_seed, "tail", n=2^k, block=b), read time-major: draw

@@ -392,7 +392,7 @@ def test_sums_memory_stays_within_the_budget_on_a_dense_grid(monkeypatch):
     # 64 KiB strips of 2 time steps on grid 1..128: each |S_n| is reduced as
     # the recursion reaches n, in the block's one row of scratch, so the peak
     # is one strip with its sampling temporaries and the four rows of state
-    # (4 x 4096 doubles), about 2.9 x 8 * PATH_CELLS.  Holding the whole
+    # (4 x 4096 doubles), about 3.6 x 8 * PATH_CELLS.  Holding the whole
     # block's 128 x 4096 |S_n| would be 35 x.
     monkeypatch.setattr(estimate, "PATH_CELLS", 2 ** 14)
     tracemalloc.start()
