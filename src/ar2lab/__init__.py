@@ -9,7 +9,7 @@ and estimates weighted tail series of Baum-Katz type
 by deterministic, seed-keyed Monte Carlo.
 """
 
-from .config import ExperimentConfig, parse_config, parse_config_text, render_config
+from .config import ExperimentConfig, parse_config, parse_config_text
 from .errors import (
     DegenerateSpectrum,
     EmptyGrid,
@@ -34,7 +34,6 @@ from .estimate import (
     moment_growth_check,
     partial_series,
     tail_probability,
-    wilson_interval,
 )
 from .noise import NoiseSpec, StreamKey, absolute_moment, generator_for, sample_block
 from .recurrence import (
@@ -49,14 +48,7 @@ from .recurrence import (
     weight_closed_form,
     weight_sequence,
 )
-from .simulate import (
-    Path,
-    prefix_sums,
-    representation_residual,
-    simulate_path,
-    weighted_prefix_sums,
-    weighted_sum,
-)
+from .simulate import Path, representation_residual, simulate_path, weighted_sum
 
 __all__ = [
     "ARCoefficients",
@@ -95,17 +87,13 @@ __all__ = [
     "parse_config",
     "parse_config_text",
     "partial_series",
-    "prefix_sums",
-    "render_config",
     "representation_residual",
     "sample_block",
     "simulate_path",
     "tail_probability",
     "weight_closed_form",
     "weight_sequence",
-    "weighted_prefix_sums",
     "weighted_sum",
-    "wilson_interval",
 ]
 
 __version__ = "0.1.0"

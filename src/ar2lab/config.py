@@ -137,23 +137,3 @@ def parse_config(path) -> ExperimentConfig:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
     return parse_config_text(text)
-
-
-def render_config(config: ExperimentConfig) -> str:
-    """Write a config back out; parse_config_text inverts this exactly."""
-    fmt = lambda x: format(x, ".17g")
-    out = [
-        f"a = {fmt(config.coeffs.a)}",
-        f"b = {fmt(config.coeffs.b)}",
-        f"p = {fmt(config.params.p)}",
-        f"r = {fmt(config.params.r)}",
-        f"epsilon = {fmt(config.params.epsilon)}",
-        f"noise.family = {config.noise.family}",
-    ]
-    for i, value in enumerate(config.noise.params, start=1):
-        out.append(f"noise.param{i} = {fmt(value)}")
-    out.append(f"grid_max = {config.grid_max}")
-    out.append(f"replications = {config.replications}")
-    out.append(f"seed = {config.master_seed}")
-    out.append(f"output = {config.output_path}")
-    return "\n".join(out) + "\n"

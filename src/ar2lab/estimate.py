@@ -197,7 +197,7 @@ def _as_replications(replications) -> int:
     return replications
 
 
-def _read_paths(spec, grid, replications, master_seed, weights, thresholds, r, moment_at) -> tuple:
+def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, moment_at) -> tuple:
     """Exceedance counts and moments, read off one pass over the paths.
 
     Sampling layout 7 reads the paths as layout 6 did; it changed only
@@ -217,11 +217,11 @@ def _read_paths(spec, grid, replications, master_seed, weights, thresholds, r, m
     simulate_path's operation order, holding four row vectors: xi_(t-1),
     xi_(t-2), S_t and a scratch.  |S_n| is read as t reaches each grid
     point.  A draw with |theta| > SET_ASIDE (+-inf included; strips are
-    scanned for one only where the noise can reach it) is zeroed
-    before the recursion sees it and kept aside as (row, t, theta); at
-    each grid point n >= t its term U(n-t) theta is added back to its
-    row's S_n, in time order.  So S_n is +-inf or NaN exactly when the
-    weighted sum sum_k U(n-k) theta_k is, and the recursion itself
+    scanned for one, and U tabulated, only where the noise can reach it)
+    is zeroed before the recursion sees it and kept aside as (row, t,
+    theta); at each grid point n >= t its term U(n-t) theta is added back
+    to its row's S_n, in time order.  So S_n is +-inf or NaN exactly when
+    the weighted sum sum_k U(n-k) theta_k is, and the recursion itself
     cannot overflow.
 
     Returns the count of |S_n| > thresholds[i] at each grid point and
@@ -232,8 +232,9 @@ def _read_paths(spec, grid, replications, master_seed, weights, thresholds, r, m
     +inf and -inf draws in one path, has no magnitude and is refused
     rather than silently miscounted.
     """
-    a, b = weights.coeffs.a, weights.coeffs.b
+    a, b = coeffs.a, coeffs.b
     scan = _log2_abs_bound(spec) > math.log2(SET_ASIDE) - 1
+    cum = weight_sequence(coeffs, grid[-1] - 1).cum if scan else None
     counts = [0] * len(grid)
     accs = {i: CompensatedSum() for i in moment_at}
     for block, done in enumerate(range(0, replications, BLOCK_REPLICATES)):
@@ -269,7 +270,7 @@ def _read_paths(spec, grid, replications, master_seed, weights, thresholds, r, m
                     if aside.size:
                         now = times <= t  # the strip's later draws join only from their own time on
                         with np.errstate(over="ignore", invalid="ignore"):  # inf draws make 0 * inf and inf - inf
-                            np.add.at(scratch, rows[now], weights.cum[t - times[now]] * aside[now])
+                            np.add.at(scratch, rows[now], cum[t - times[now]] * aside[now])
                     np.abs(scratch, out=scratch)
                     nan_count = np.count_nonzero(np.isnan(scratch))
                     if nan_count:
@@ -308,9 +309,8 @@ def tail_probability(
     if n < 1:
         raise InvalidParameters(f"n must be >= 1, got {n}")
     replications = _as_replications(replications)
-    weights = weight_sequence(coeffs, n - 1)
     threshold = params.epsilon * float(n) ** (1.0 / params.p)
-    (count,), _ = _read_paths(spec, [n], replications, master_seed, weights, [threshold], params.r, [])
+    (count,), _ = _read_paths(coeffs, spec, [n], replications, master_seed, [threshold], params.r, [])
     return _tail_estimate(n, count, replications)
 
 
@@ -357,11 +357,11 @@ def partial_series(
 
     The grid must be strictly increasing positive integers and reach at
     least two dyadic blocks, since the verdict weighs the last block
-    against the whole sum.  One weight table and one path per replicate
-    serve every n.  A path's prefix does not depend on the grid, so
-    inserting or removing grid points never perturbs the others; the
-    shared paths do make the terms correlated across n, and the CI-upper
-    sum is a sum of per-point bounds, not a simultaneous bound.
+    against the whole sum.  One path per replicate serves every n.  A
+    path's prefix does not depend on the grid, so inserting or removing
+    grid points never perturbs the others; the shared paths do make the
+    terms correlated across n, and the CI-upper sum is a sum of per-point
+    bounds, not a simultaneous bound.
 
     The same pass estimates E|S_n|^r at the grid's powers of two from 16
     on and fits its log-log slope (moments), equal bit for bit to
@@ -379,9 +379,8 @@ def partial_series(
     moment_at = [i for i, n in enumerate(grid) if n >= 16 and n & (n - 1) == 0]
     if len(moment_at) < 4 or not math.isfinite(absolute_moment(spec, params.r)):
         moment_at = []
-    weights = weight_sequence(coeffs, grid[-1] - 1)
     limits = [params.epsilon * float(n) ** (1.0 / params.p) for n in grid]
-    counts, means = _read_paths(spec, grid, replications, master_seed, weights, limits, params.r, moment_at)
+    counts, means = _read_paths(coeffs, spec, grid, replications, master_seed, limits, params.r, moment_at)
     tails = [_tail_estimate(n, count, replications) for n, count in zip(grid, counts)]
     scales = [float(n) ** params.exponent for n in grid]
     terms = [scale * est.p_hat for scale, est in zip(scales, tails)]
@@ -430,9 +429,8 @@ def moment_growth_check(
     if len(n_grid) < 4:
         raise InvalidParameters("n_grid needs >= 4 points for a slope fit")
     replications = _as_replications(replications)
-    weights = weight_sequence(coeffs, n_grid[-1] - 1)
     # an infinite threshold counts nothing; only the moments are read
     _, estimates = _read_paths(
-        spec, n_grid, replications, master_seed, weights, [math.inf] * len(n_grid), r, range(len(n_grid))
+        coeffs, spec, n_grid, replications, master_seed, [math.inf] * len(n_grid), r, range(len(n_grid))
     )
     return _moment_report(r, n_grid, estimates, replications)

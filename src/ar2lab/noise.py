@@ -56,26 +56,6 @@ class NoiseSpec:
         if not all(p > 0 and math.isfinite(p) for p in params):
             raise InvalidParameters(f"{self.family} needs " + " and ".join(f"{name} > 0" for name in names))
 
-    @classmethod
-    def standard_normal(cls) -> "NoiseSpec":
-        return cls("normal")
-
-    @classmethod
-    def rademacher(cls) -> "NoiseSpec":
-        return cls("rademacher")
-
-    @classmethod
-    def uniform(cls, half_width: float) -> "NoiseSpec":
-        return cls("uniform", (half_width,))
-
-    @classmethod
-    def student_t(cls, dof: float) -> "NoiseSpec":
-        return cls("student_t", (dof,))
-
-    @classmethod
-    def symmetric_pareto(cls, alpha: float, x_min: float) -> "NoiseSpec":
-        return cls("pareto", (alpha, x_min))
-
 
 def absolute_moment(spec: NoiseSpec, r: float) -> float:
     """Closed-form E|theta|^r for r > 0; math.inf when it diverges.

@@ -211,25 +211,31 @@ def weight_closed_form(spectrum: CompanionSpectrum, s: int) -> float:
 
 
 def companion_power_column(coeffs: ARCoefficients, s: int) -> tuple:
-    """First column of C^s M by repeated 2x2 multiplication.
+    """First column of C^s M, that is (u_s, u_{s-1}), by binary powering.
 
-    Returns (u_s, u_{s-1}) without using the scalar recursion, which
-    makes it an independent witness for the weight table.
+    C^s is built from the squares C, C^2, C^4, ... (repeated squaring),
+    so its products associate differently from the scalar recursion's
+    a*u_{n-1} + b*u_{n-2}: an independent witness for the weight table,
+    equal to it up to rounding rather than bit for bit.
     """
     s = _as_whole(s, "s")
     if s < 1:
         raise InvalidParameters(f"s must be >= 1, got {s}")
     a, b = coeffs.a, coeffs.b
-    # P = M, then P <- C @ P, s times.
-    p00, p01, p10, p11 = 1.0, 0.0, 0.0, 0.0
-    for _ in range(s):
-        q00 = a * p00 + b * p10
-        q01 = a * p01 + b * p11
-        q10, q11 = p00, p01
-        p00, p01, p10, p11 = q00, q01, q10, q11
-    if not (math.isfinite(p00) and math.isfinite(p10)):
+
+    def times(p, q):  # 2x2 product of row-major (m00, m01, m10, m11)
+        return (p[0] * q[0] + p[1] * q[2], p[0] * q[1] + p[1] * q[3],
+                p[2] * q[0] + p[3] * q[2], p[2] * q[1] + p[3] * q[3])
+
+    power, square, rest = (1.0, 0.0, 0.0, 1.0), (a, b, 1.0, 0.0), s  # I and C
+    while rest:
+        if rest & 1:
+            power = times(power, square)
+        square = times(square, square)
+        rest >>= 1
+    if not (math.isfinite(power[0]) and math.isfinite(power[2])):
         raise HorizonOverflow(f"matrix power overflowed at s={s} for a={a}, b={b}")
-    return p00, p10
+    return power[0], power[2]
 
 
 @dataclass(frozen=True)

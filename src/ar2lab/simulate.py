@@ -96,25 +96,3 @@ def representation_residual(coeffs: ARCoefficients, theta, weights: WeightTable 
     direct = simulate_path(coeffs, theta).s_n
     other = weighted_sum(coeffs, theta, weights)
     return abs(direct - other) / max(1.0, abs(direct))
-
-
-def prefix_sums(path: Path) -> np.ndarray:
-    """S_1..S_n along the path, each with compensated accumulation."""
-    out = compensated_cumsum(path.xi)
-    out.setflags(write=False)
-    return out
-
-
-def weighted_prefix_sums(coeffs: ARCoefficients, theta, weights: WeightTable | None = None) -> np.ndarray:
-    """All of S_1..S_n at once through the weighted route.
-
-    S_m = sum_{k<=m} U(m-k) theta_k is the m-th coefficient of the
-    product of the theta and U series, so one discrete convolution
-    yields every prefix; this is the vectorized twin of weighted_sum
-    for whole-path residual sweeps.
-    """
-    arr = _as_theta(theta)
-    n = arr.size
-    out = np.convolve(arr, weights_for(coeffs, n, weights).cum[:n])[:n]
-    out.setflags(write=False)
-    return out

@@ -26,16 +26,15 @@ from ar2lab import (
     moment_growth_check,
     parse_config_text,
     partial_series,
-    prefix_sums,
     sample_block,
     simulate_path,
     tail_probability,
     weight_closed_form,
     weight_sequence,
-    weighted_prefix_sums,
 )
 from ar2lab.cli import run
 from ar2lab.recurrence import Stability
+from ar2lab.summation import compensated_cumsum
 
 COEFF_SET = [
     ARCoefficients(0.3, 0.2),
@@ -43,8 +42,8 @@ COEFF_SET = [
     ARCoefficients(0.0, -0.5),
     ARCoefficients(-0.6, 0.3),
 ]
-NORMAL = NoiseSpec.standard_normal()
-RADEMACHER = NoiseSpec.rademacher()
+NORMAL = NoiseSpec("normal")
+RADEMACHER = NoiseSpec("rademacher")
 FREE = ARCoefficients(0.0, 0.0)
 
 
@@ -78,8 +77,8 @@ def test_criterion_01_dual_representation():
         for block in range(100):
             theta = sample_block(NORMAL, 1000, StreamKey(1234, "acc1", n=1000, block=block))
             path = simulate_path(coeffs, theta)
-            direct = prefix_sums(path)
-            weighted = weighted_prefix_sums(coeffs, theta, table)
+            direct = compensated_cumsum(path.xi)
+            weighted = np.convolve(theta, table.cum)[:1000]  # S_m = sum_{k<=m} U(m-k) theta_k
             scale = np.maximum(1.0, np.abs(direct))
             worst = max(worst, float(np.max(np.abs(direct - weighted) / scale)))
     elapsed = time.perf_counter() - start
@@ -94,11 +93,13 @@ def test_criterion_01_dual_representation():
 def test_criterion_02_matrix_power_identity():
     start = time.perf_counter()
     worst = 0.0
+    differ = 0  # columns not equal in bits to the table: the squarings associate differently
     for coeffs in COEFF_SET:
         a, b = coeffs.a, coeffs.b
         table = weight_sequence(coeffs, 100)
         for s in range(1, 101):
             top, bottom = companion_power_column(coeffs, s)
+            differ += (top, bottom) != (table.u[s], table.u[s - 1])
             worst = max(
                 worst,
                 abs(top - table.u[s]) / max(1.0, abs(table.u[s])),
@@ -116,8 +117,8 @@ def test_criterion_02_matrix_power_identity():
     _report(
         2,
         "companion-power column equals weight pairs for s <= 100",
-        worst <= 1e-12 and elapsed < 1.0,
-        f"max relative error {worst:.3e}, {elapsed:.2f}s",
+        worst <= 1e-12 and differ > 0 and elapsed < 1.0,
+        f"max relative error {worst:.3e}, {differ} of 400 columns differ in bits, {elapsed:.2f}s",
     )
 
 

@@ -10,13 +10,12 @@ from ar2lab import (
     InsufficientHorizon,
     InvalidParameters,
     NonFiniteInput,
-    prefix_sums,
     representation_residual,
     simulate_path,
     weight_sequence,
-    weighted_prefix_sums,
     weighted_sum,
 )
+from ar2lab.summation import compensated_cumsum
 
 from conftest import NAMED_PAIRS
 
@@ -103,11 +102,12 @@ def test_prefix_sums_consistency(named_coeffs):
     rng = np.random.default_rng(7)
     theta = rng.standard_normal(400)
     path = simulate_path(named_coeffs, theta)
-    direct = prefix_sums(path)
+    direct = compensated_cumsum(path.xi)
     assert direct[-1] == path.s_n
     assert np.allclose(direct, np.cumsum(path.xi), rtol=1e-12, atol=1e-12)
-    weighted = weighted_prefix_sums(named_coeffs, theta)
-    # every prefix, both routes
+    # every prefix, both routes: S_m = sum_{k<=m} U(m-k) theta_k is the m-th
+    # coefficient of the product of the theta and U series
+    weighted = np.convolve(theta, weight_sequence(named_coeffs, 399).cum)[:400]
     scale = np.maximum(1.0, np.abs(direct))
     assert np.max(np.abs(direct - weighted) / scale) <= 1e-9
     for n in (1, 2, 3, 57, 400):
@@ -122,14 +122,14 @@ def test_weight_table_reuse_and_horizon_checks():
     short = weight_sequence(coeffs, 3)
     with pytest.raises(InsufficientHorizon):
         weighted_sum(coeffs, theta, short)
-    with pytest.raises(InsufficientHorizon):
-        weighted_prefix_sums(coeffs, theta, short)
+    with pytest.raises(InsufficientHorizon):  # n = 5 needs U(0)..U(4), one past the table
+        weighted_sum(coeffs, theta[:5], short)
     other = weight_sequence(ARCoefficients(0.1, 0.1), 20)
     with pytest.raises(InvalidParameters):
         weighted_sum(coeffs, theta, other)
     foreign = weight_sequence(ARCoefficients(0.9, 0.05), 100)
     with pytest.raises(InvalidParameters):
-        weighted_prefix_sums(coeffs, theta, foreign)
+        weighted_sum(coeffs, theta, foreign)
     # representation_residual passes its table on to weighted_sum
     assert representation_residual(coeffs, theta, table) == representation_residual(coeffs, theta)
     with pytest.raises(InsufficientHorizon):
