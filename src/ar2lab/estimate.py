@@ -210,7 +210,9 @@ def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, mo
     at least), each a contiguous range of its chunk taken with
     sample_block's start and total, and only up to grid[-1].  So neither
     the strip size nor how far the paths run changes a draw, and every
-    grid point of a block reads its prefix of the same paths.
+    grid point of a block reads its prefix of the same paths.  One strip
+    buffer, allocated per call, receives every strip of every block
+    through sample_block's out, so sampling pages in no fresh memory.
 
     Over each strip the recursion xi_t = a xi_(t-1) + b xi_(t-2) + theta_t,
     S_t = S_(t-1) + xi_t steps all rows of the block at once, in
@@ -222,7 +224,10 @@ def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, mo
     theta); at each grid point n >= t its term U(n-t) theta is added back
     to its row's S_n, in time order.  So S_n is +-inf or NaN exactly when
     the weighted sum sum_k U(n-k) theta_k is, and the recursion itself
-    cannot overflow.
+    cannot overflow.  A grid read allocates nothing: |S_n| goes into the
+    scratch row, its sum detects a NaN (a sum of magnitudes is NaN
+    exactly when one of them is), and the exceedances are flagged in one
+    reused bool row and counted.
 
     Returns the count of |S_n| > thresholds[i] at each grid point and
     the mean of |S_n|^r at grid[i] for i in moment_at.  Each mean adds
@@ -237,9 +242,14 @@ def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, mo
     cum = weight_sequence(coeffs, grid[-1] - 1).cum if scan else None
     counts = [0] * len(grid)
     accs = {i: CompensatedSum() for i in moment_at}
+    # one strip and one row of flags serve every block: no block is wider than the first
+    widest = min(BLOCK_REPLICATES, replications)
+    strip = np.empty(min(max(PATH_CELLS // 2, widest), grid[-1] * widest))
+    flags = np.empty(widest, dtype=bool)
     for block, done in enumerate(range(0, replications, BLOCK_REPLICATES)):
         take = min(BLOCK_REPLICATES, replications - done)
         steps = max(1, PATH_CELLS // 2 // take)
+        row = flags[:take]
         prev, older, total, scratch = np.zeros((4, take))
         rows = times = np.empty(0, dtype=np.int64)
         aside = np.empty(0)
@@ -250,7 +260,9 @@ def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, mo
             key = StreamKey(master_seed, "tail", n=end, block=block)
             for t0 in range(first, min(end, grid[-1]), steps):
                 t1 = min(t0 + steps, end, grid[-1])
-                theta = sample_block(spec, (t1 - t0) * take, key, (t0 - first) * take, (end - first) * take)
+                cells = (t1 - t0) * take
+                theta = strip[:cells]
+                sample_block(spec, cells, key, (t0 - first) * take, (end - first) * take, out=theta)
                 if scan and (theta.max() > SET_ASIDE or theta.min() < -SET_ASIDE):
                     big = np.flatnonzero(np.abs(theta) > SET_ASIDE)
                     rows = np.append(rows, big % take)
@@ -266,18 +278,20 @@ def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, mo
                     prev, older = older, prev
                     if t < grid[i]:
                         continue
-                    np.copyto(scratch, total)
+                    sums = total
                     if aside.size:
+                        sums = scratch
+                        np.copyto(sums, total)
                         now = times <= t  # the strip's later draws join only from their own time on
                         with np.errstate(over="ignore", invalid="ignore"):  # inf draws make 0 * inf and inf - inf
-                            np.add.at(scratch, rows[now], cum[t - times[now]] * aside[now])
-                    np.abs(scratch, out=scratch)
-                    nan_count = np.count_nonzero(np.isnan(scratch))
-                    if nan_count:
+                            np.add.at(sums, rows[now], cum[t - times[now]] * aside[now])
+                    np.abs(sums, out=scratch)
+                    if math.isnan(np.sum(scratch)):  # a sum of |S_n| is NaN exactly when some |S_n| is
+                        nan_count = np.count_nonzero(np.isnan(scratch))
                         raise NonFiniteInput(
                             f"|S_n| is NaN for {nan_count} of {take} replicates at n={t}, block {block}"
                         )
-                    counts[i] += np.count_nonzero(scratch > thresholds[i])
+                    counts[i] += np.count_nonzero(np.greater(scratch, thresholds[i], out=row))
                     if i in accs:
                         accs[i].add(float(np.sum(scratch ** r)))
                     i += 1

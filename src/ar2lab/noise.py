@@ -194,7 +194,8 @@ _PI_2_128 = 0x3243F6A8885A308D313198A2E03707344
 # The angle 2 pi u is split at the nearest of these steps around the circle.
 _STEPS = 1024
 
-# Angles mapped per pass: the pass's four temporaries (256 KiB) stay in cache.
+# Angles mapped per pass: the pass's radius and angle copies and the map's four
+# temporaries (6 x 64 KiB) stay in cache.
 _ANGLE_CHUNK = 8192
 
 
@@ -250,39 +251,70 @@ def _polar_pairs(radius: np.ndarray, angle: np.ndarray, out: np.ndarray) -> None
     c(x) = 1 - x^2/2 + x^4/24, s(x) = x - x^3/6 + x^5/120 are Taylor
     polynomials (truncation below 2e-18).  Only +, -, *, rint and a table
     lookup, so a draw depends on neither libm's cos and sin nor numpy's SIMD
-    dispatch.  Works _ANGLE_CHUNK angles at a time; angle is overwritten.
+    dispatch.  angle is overwritten, and the map holds four temporaries of
+    its length, so sample_block passes it _ANGLE_CHUNK angles at a time.
     """
-    for lo in range(0, len(angle), _ANGLE_CHUNK):
-        hi = lo + _ANGLE_CHUNK
-        x = angle[lo:hi]
-        x *= float(_STEPS)
-        k = np.rint(x)
-        x -= k
-        x *= 2.0 * math.pi / _STEPS
-        index = k.astype(np.intp)
-        x2 = np.multiply(x, x, out=k)
-        c = x2 * (1.0 / 24.0)
-        c -= 0.5
-        c *= x2
-        c += 1.0
-        s = x2 * (1.0 / 120.0)
-        s -= 1.0 / 6.0
-        s *= x2
-        s *= x
-        s += x
-        cos_k = _COS_K.take(index, out=x, mode="clip")  # index is in 0 .. 1024 already
-        sin_k = _SIN_K.take(index, out=x2, mode="clip")
-        even, odd = out[2 * lo : 2 * hi : 2], out[2 * lo + 1 : 2 * hi : 2]
-        np.multiply(cos_k, c, out=even)
-        np.multiply(sin_k, c, out=odd)
-        even -= np.multiply(sin_k, s, out=c)
-        odd += np.multiply(cos_k, s, out=c)
-        even *= radius[lo:hi]
-        odd *= radius[lo:hi]
+    x = angle
+    x *= float(_STEPS)
+    k = np.rint(x)
+    x -= k
+    x *= 2.0 * math.pi / _STEPS
+    index = k.astype(np.intp)
+    x2 = np.multiply(x, x, out=k)
+    c = x2 * (1.0 / 24.0)
+    c -= 0.5
+    c *= x2
+    c += 1.0
+    s = x2 * (1.0 / 120.0)
+    s -= 1.0 / 6.0
+    s *= x2
+    s *= x
+    s += x
+    cos_k = _COS_K.take(index, out=x, mode="clip")  # index is in 0 .. 1024 already
+    sin_k = _SIN_K.take(index, out=x2, mode="clip")
+    even, odd = out[0::2], out[1::2]
+    np.multiply(cos_k, c, out=even)
+    np.multiply(sin_k, c, out=odd)
+    even -= np.multiply(sin_k, s, out=c)
+    odd += np.multiply(cos_k, s, out=c)
+    even *= radius
+    odd *= radius
+
+
+def _normal_pairs(rng: Generator, pairs: int, first: int, out: np.ndarray) -> None:
+    """Fill out with the whole pairs first, first + 1, ... of a normal block of `pairs` pairs.
+
+    Pair j's uniforms sit at j and pairs + j of the stream.  The radii
+    sqrt(-2 log1p(-u1)) are drawn and transformed in place in the upper
+    half of out; the angle map then runs over ascending chunks, each
+    copying its radii aside and drawing its angles in stream order.  Pair
+    j writes out[2 j] and out[2 j + 1], below every radius not yet read,
+    so no temporary the size of the block is needed.
+    """
+    m = len(out) // 2
+    advance = rng.bit_generator.advance  # one 64-bit step per double
+    advance(first)
+    radius = rng.random(out=out[m:])
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)  # 1 - u in (0, 1], no log(0)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    advance(pairs - m)
+    chunk_radius, chunk_angle = np.empty((2, min(m, _ANGLE_CHUNK)))
+    for lo in range(0, m, _ANGLE_CHUNK):
+        hi = min(lo + _ANGLE_CHUNK, m)
+        here, angle = chunk_radius[: hi - lo], chunk_angle[: hi - lo]
+        here[...] = radius[lo:hi]
+        _polar_pairs(here, rng.random(out=angle), out[2 * lo : 2 * hi])
 
 
 def sample_block(
-    spec: NoiseSpec, count: int, stream_key: StreamKey, start: int = 0, total: int | None = None
+    spec: NoiseSpec,
+    count: int,
+    stream_key: StreamKey,
+    start: int = 0,
+    total: int | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw `count` innovations for the given key.
 
@@ -302,32 +334,41 @@ def sample_block(
     is fixed; the call returns its values start .. start + count - 1,
     bit for bit, reaching each uniform or word it needs with
     bit_generator.advance instead of drawing the ones before it.
+
+    out, if given, is a writable C-contiguous float64 array of shape
+    (count,); the draws are written into it, with the same bits, and it
+    is returned.  A caller that reuses one out for many calls pages in no
+    fresh memory for them.  The normal kernel then holds only chunk
+    temporaries (about 0.1 x a 2^19-draw output); a window with an odd
+    start or count still goes through a buffer of its whole pairs.
     """
     count = _as_whole(count, "count")
     start = _as_whole(start, "start")
     total = start + count if total is None else _as_whole(total, "total")
     if count < 0 or start < 0 or start + count > total:
         raise InvalidParameters(f"need 0 <= start <= start + count <= total, got {start}, {count}, {total}")
+    if out is None:
+        out = np.empty(count)
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.float64
+        and out.shape == (count,)
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise InvalidParameters(f"out must be a writable C-contiguous float64 array of shape ({count},)")
     rng = generator_for(stream_key)
     advance = rng.bit_generator.advance  # one 64-bit step per double or raw word
     fam = spec.family
     if fam == "normal":
-        # value v is the cos (v even) or sin (v odd) half of pair v // 2,
-        # whose uniforms sit at v // 2 and pairs + v // 2 of the stream
+        # value v is the cos (v even) or sin (v odd) half of pair v // 2
         pairs, first, stop = (total + 1) // 2, start // 2, (start + count + 1) // 2
-        advance(first)
-        radius = rng.random(stop - first)
-        advance(pairs + first - stop)
-        angle = rng.random(stop - first)
-        # sqrt(-2 log1p(-u1)), computed in place: the same bits with fewer
-        # temporaries, which a long run pays for in page faults
-        np.negative(radius, out=radius)
-        np.log1p(radius, out=radius)  # 1 - u in (0, 1], no log(0)
-        radius *= -2.0
-        np.sqrt(radius, out=radius)
-        out = np.empty(2 * (stop - first))
-        _polar_pairs(radius, angle, out)
-        return out[start - 2 * first : start - 2 * first + count]
+        lead = start - 2 * first
+        whole = out if lead == 0 and count % 2 == 0 else np.empty(2 * (stop - first))
+        _normal_pairs(rng, pairs, first, whole)
+        if whole is not out:
+            out[...] = whole[lead : lead + count]
+        return out
     if fam == "rademacher":
         # value v is bit v % 64 (least significant first) of raw word v // 64
         first = start // 64
@@ -338,12 +379,13 @@ def sample_block(
         signs = bits[start - 64 * first : start - 64 * first + count].view(np.int8)
         signs *= -2
         signs += 1
-        return signs.astype(np.float64)
+        out[...] = signs
+        return out
     advance(start)
+    rng.random(out=out)
     if fam == "uniform":
         (c,) = spec.params
         # c * (2 u - 1), in place
-        out = rng.random(count)
         out *= 2.0
         out -= 1.0
         out *= c
@@ -353,7 +395,6 @@ def sample_block(
         (nu,) = spec.params
         # T = exp(log(nu) / 2 - log(w) / nu) * sqrt(-expm1(2 log(w) / nu)) * cos(2 pi v),
         # in log space: w^(-2/nu) would overflow long before T does
-        out = rng.random(count)
         np.negative(out, out=out)
         np.log1p(out, out=out)  # log w, w = 1 - u in (0, 1]
         factor = np.multiply(out, 2.0 / nu)
@@ -378,7 +419,6 @@ def sample_block(
         return out
     # pareto: x_min * (1 - u1)^(-1/alpha), negated when u2 >= 1/2, in place
     alpha, x_min = spec.params
-    out = rng.random(count)
     np.subtract(1.0, out, out=out)  # 1 - u in (0, 1]
     with np.errstate(over="ignore"):  # beyond the largest double the draw is +inf, as intended
         np.power(out, -1.0 / alpha, out=out)

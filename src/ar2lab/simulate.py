@@ -71,7 +71,7 @@ def simulate_path(coeffs: ARCoefficients, theta) -> Path:
         here = a * prev1 + b * prev2 + t
         states.append(here)
         prev2, prev1 = prev1, here
-    xi = np.array(states)
+    xi = np.fromiter(states, float, arr.size)
     arr.setflags(write=False)
     xi.setflags(write=False)
     return Path(coeffs=coeffs, n=arr.size, theta=arr, xi=xi, s_n=float(compensated_cumsum(xi)[-1]))

@@ -388,11 +388,26 @@ def test_path_memory_stays_within_the_budget():
     assert peak <= 3 * 8 * estimate.PATH_CELLS
 
 
+def test_path_memory_is_one_reused_strip():
+    # n = 2^13, R = 4096: every block and strip is sampled into one strip of
+    # PATH_CELLS // 2 draws (0.5 x 8 * PATH_CELLS) and the grid reads allocate
+    # nothing, so the peak is the strip, the normal kernel's chunk arrays and
+    # four rows of state, about 0.56 x.  A fresh strip and its two half-size
+    # uniform arrays per call would be 1.56 x.
+    tracemalloc.start()
+    try:
+        tail_probability(STABLE, NORMAL, SeriesParams(1, 2, 1), 2 ** 13, 4096, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * 8 * estimate.PATH_CELLS
+
+
 def test_sums_memory_stays_within_the_budget_on_a_dense_grid(monkeypatch):
     # 64 KiB strips of 2 time steps on grid 1..128: each |S_n| is reduced as
     # the recursion reaches n, in the block's one row of scratch, so the peak
     # is one strip with its sampling temporaries and the four rows of state
-    # (4 x 4096 doubles), about 3.6 x 8 * PATH_CELLS.  Holding the whole
+    # (4 x 4096 doubles), about 3.1 x 8 * PATH_CELLS.  Holding the whole
     # block's 128 x 4096 |S_n| would be 35 x.
     monkeypatch.setattr(estimate, "PATH_CELLS", 2 ** 14)
     tracemalloc.start()

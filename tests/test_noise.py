@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 import tracemalloc
@@ -17,6 +18,7 @@ from ar2lab import (
     generator_for,
     sample_block,
 )
+from ar2lab import noise
 from ar2lab.estimate import SET_ASIDE
 from ar2lab.noise import _COS_K, _SIN_K, _STEPS, _log2_abs_bound, _polar_pairs
 
@@ -269,6 +271,56 @@ def test_range_draw_is_a_slice_of_the_whole_block(spec, total, start, stop):
     assert part.tobytes() == whole[start:stop].tobytes()
 
 
+# (start, stop) inside a block of OUT_TOTAL draws: its start, a window inside it, its
+# last window, and an odd start with an odd count (mid-pair at both ends for normal);
+# the normal windows span more than one 8192-pair chunk of the angle map
+OUT_TOTAL = 100_001
+OUT_WINDOWS = [(0, 40_000), (30_000, 70_000), (60_001, 100_001), (4_097, 41_000)]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+@pytest.mark.parametrize("start, stop", OUT_WINDOWS)
+def test_draws_into_out_match_the_allocating_call(spec, start, stop):
+    key = StreamKey(2024, "out", n=OUT_TOTAL, block=2)
+    want = sample_block(spec, stop - start, key, start=start, total=OUT_TOTAL)
+    out = np.full(stop - start, np.nan)
+    got = sample_block(spec, stop - start, key, start=start, total=OUT_TOTAL, out=out)
+    assert got is out
+    assert out.tobytes() == want.tobytes()
+
+
+def test_sample_block_keeps_its_parameter_names():
+    # bench/spans.py binds spec and count by name when it wraps sample_block
+    names = ["spec", "count", "stream_key", "start", "total", "out"]
+    assert list(inspect.signature(sample_block).parameters) == names
+
+
+def _bad_out(kind, count):
+    read_only = np.empty(count)
+    read_only.setflags(write=False)
+    return {
+        "float32": np.empty(count, dtype=np.float32),
+        "int64": np.empty(count, dtype=np.int64),
+        "short": np.empty(count - 1),
+        "long": np.empty(count + 1),
+        "2-d": np.empty((count, 1)),
+        "strided": np.empty(2 * count)[::2],
+        "read-only": read_only,
+        "list": [0.0] * count,
+    }[kind]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+@pytest.mark.parametrize("kind", ["float32", "int64", "short", "long", "2-d", "strided", "read-only", "list"])
+def test_a_bad_out_is_refused_before_any_draw(spec, kind, monkeypatch):
+    def no_draw(key):
+        raise AssertionError("a stream was derived for a refused out")
+
+    monkeypatch.setattr(noise, "generator_for", no_draw)
+    with pytest.raises(InvalidParameters, match="out must be"):
+        sample_block(spec, 10, StreamKey(5, "out"), out=_bad_out(kind, 10))
+
+
 @pytest.mark.parametrize("total, start, stop", RANGES)
 def test_rademacher_draws_are_the_raw_bits(total, start, stop):
     # oracle in Python ints: draw v is 1 - 2 * (bit v % 64 of raw word v // 64)
@@ -347,6 +399,21 @@ def test_normal_kernel_memory_stays_within_two_and_a_half_outputs():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * x.nbytes
+
+
+def test_normal_kernel_holds_no_temporary_the_size_of_the_block():
+    # the radii are drawn into the output's upper half and the angles one 8192-pair
+    # chunk at a time, so beyond the output only six chunk arrays (0.09 x) are held;
+    # two half-size uniform arrays besides the output would be 2.1 x
+    key = StreamKey(3, "memory")
+    for out in (None, np.empty(2 ** 19)):
+        tracemalloc.start()
+        try:
+            x = sample_block(NoiseSpec("normal"), 2 ** 19, key, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1.25 if out is None else 0.25) * x.nbytes
 
 
 def test_rademacher_kernel_memory_stays_within_one_and_a_quarter_outputs():
