@@ -26,7 +26,7 @@ import numpy as np
 from . import estimate as est
 from .config import ExperimentConfig, parse_config
 from .errors import LabError
-from .noise import StreamKey, _as_whole, absolute_moment, sample_block
+from .noise import StreamKey, absolute_moment, sample_block
 from .recurrence import (
     bound_report,
     companion_power_column,  # noqa: F401  unused here, but bench/spans.py wraps it where cli looks it up
@@ -92,7 +92,7 @@ def emit_spectrum_csv(config: ExperimentConfig, spectrum, report, path) -> None:
         fields += [(name + "_re", value.real), (name + "_im", value.imag)] if complex_root else [(name, value)]
     names, values = zip(*fields)
     with _text_file(path) as fh:
-        _write_text(fh, _table(",".join(names) + "\n", ",".join(["%s"] * len(values)), [[_cell(v)] for v in values]))
+        _write_text(fh, ",".join(names) + "\n" + ",".join(map(_cell, values)) + "\n")
 
 
 def _text_file(path):
@@ -106,39 +106,40 @@ def _write_text(fh, text: str) -> None:
     fh.write(text)
 
 
-def _self_check(config: ExperimentConfig) -> float:
+def _self_check(config: ExperimentConfig, table) -> float:
     """Max dual-representation residual over probe paths, nan if any is nan.
 
     A heavy-tailed probe may overflow to inf; its residual is then nan,
     which fails the check instead of dropping out of the max.
     """
     n = config.grid_max
-    table = weight_sequence(config.coeffs, n - 1)
     residuals = []
     for i in range(SELF_CHECK_PATHS):
         theta = sample_block(config.noise, n, StreamKey(config.master_seed, "probe", n=n, block=i))
         with np.errstate(over="ignore", invalid="ignore"):
-            residuals.append(representation_residual(config.coeffs, theta, table))
+            residuals.append(representation_residual(table, theta))
     return float(np.max(residuals))
 
 
 def _bound_horizon(grid_max: int) -> int:
-    return max(200, min(_as_whole(grid_max, "grid_max"), 10000))
+    return max(200, min(grid_max, 10000))
 
 
 def run(config: ExperimentConfig) -> int:
     """Full pipeline; returns the process exit code.
 
     ExperimentConfig guarantees stable coefficients.  Order: spectrum +
-    envelope report, representation self-check, tail series over the
+    envelope report and self-check on one weight table, tail series over the
     default grid with the moment-growth fit read off the same paths,
     then CSVs and a text summary.  Nothing is written until
     every stage has succeeded, so a refused run leaves no file behind.
     """
     spectrum = companion_spectrum(config.coeffs)
-    report = bound_report(config.coeffs, _bound_horizon(config.grid_max))
+    horizon = _bound_horizon(config.grid_max)
+    table = weight_sequence(config.coeffs, max(horizon, config.grid_max - 1))
+    report = bound_report(table, horizon)
 
-    residual = _self_check(config)
+    residual = _self_check(config, table)
     if not residual <= RESIDUAL_TOL:
         raise LabError(
             f"representation self-check failed: residual {residual:.3e} > {RESIDUAL_TOL:.0e}"
@@ -197,7 +198,8 @@ def _summary_text(config, spectrum, report, residual, series) -> str:
 
 def _cmd_spectrum(config: ExperimentConfig) -> int:
     spectrum = companion_spectrum(config.coeffs)
-    report = bound_report(config.coeffs, _bound_horizon(config.grid_max))
+    horizon = _bound_horizon(config.grid_max)
+    report = bound_report(weight_sequence(config.coeffs, horizon), horizon)
     for name, value in _spectrum_fields(config, spectrum, report):
         print(f"{name} = {_cell(value)}")
     return 0
@@ -246,7 +248,7 @@ def _cmd_verify(config: ExperimentConfig) -> int:
     coeffs = config.coeffs
     spectrum = companion_spectrum(coeffs)
     horizon = 400
-    table = weight_sequence(coeffs, horizon + 1)
+    table = weight_sequence(coeffs, max(horizon + 1, config.grid_max - 1))  # the probes' table too
 
     # roots solve z^2 - a z - b = 0
     lam_sum = spectrum.lambda1 + spectrum.lambda2
@@ -273,7 +275,7 @@ def _cmd_verify(config: ExperimentConfig) -> int:
     check(f"cumulative weight identity at h = {horizon}", ok, f"gap {gap:.2e}")
 
     # dual representation on probe paths
-    residual = _self_check(config)
+    residual = _self_check(config, table)
     check("dual representation residual", residual <= RESIDUAL_TOL, f"max {residual:.2e}")
 
     # sampling determinism
@@ -305,20 +307,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ar2lab",
         description="Estimate weighted tail series for 2nd-order autoregressive partial sums.",
+        epilog="""commands:
+  spectrum  print roots, spectral radius, and envelope constants
+  weights   dump the weight table as CSV on stdout
+  simulate  write sample paths to <output>.paths.csv
+  series    run the full estimation pipeline
+  verify    run the internal consistency checks""",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("spectrum", "print roots, spectral radius, and envelope constants"),
-        ("weights", "dump the weight table as CSV on stdout"),
-        ("simulate", "write sample paths to <output>.paths.csv"),
-        ("series", "run the full estimation pipeline"),
-        ("verify", "run the internal consistency checks"),
-    ]:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True, help="path to the config file")
-        cmd.add_argument("--seed", type=int, default=None, help="override the master seed")
-        cmd.add_argument("--replications", type=int, default=None, help="override replications per n")
-        cmd.add_argument("--out", default=None, help="override the output path prefix")
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="one of the commands below")
+    parser.add_argument("--config", required=True, help="path to the config file")
+    parser.add_argument("--seed", type=int, default=None, help="override the master seed")
+    parser.add_argument("--replications", type=int, default=None, help="override replications per n")
+    parser.add_argument("--out", default=None, help="override the output path prefix")
     return parser
 
 

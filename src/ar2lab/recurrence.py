@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     DegenerateSpectrum,
     HorizonOverflow,
+    InsufficientHorizon,
     InvalidParameters,
     NonFiniteInput,
     UnstableCoefficients,
@@ -143,6 +144,11 @@ class WeightTable:
     u: np.ndarray
     cum: np.ndarray
 
+    def require(self, horizon: int) -> None:
+        """Refuse a reader that needs weights past this table's horizon."""
+        if self.horizon < horizon:
+            raise InsufficientHorizon(f"weight table horizon {self.horizon} < {horizon}")
+
 
 def weight_sequence(coeffs: ARCoefficients, horizon: int) -> WeightTable:
     """Tabulate u_n = a*u_{n-1} + b*u_{n-2} and U(n) for n = 0..horizon.
@@ -256,8 +262,8 @@ class BoundReport:
     horizon_used: int
 
 
-def bound_report(coeffs: ARCoefficients, horizon: int) -> BoundReport:
-    """Scan the weight table for envelope constants.
+def bound_report(table: WeightTable, horizon: int) -> BoundReport:
+    """Envelope constants from u_0..u_horizon and U(0..horizon) of a table reaching horizon.
 
     Requires stable coefficients and horizon >= 50.  The Frobenius norm
     is evaluated with hypot to survive squared underflow; once
@@ -266,13 +272,14 @@ def bound_report(coeffs: ARCoefficients, horizon: int) -> BoundReport:
     gives no ratio.  For the nilpotent pair a = b = 0 (rho = 0) no ratio
     is defined and the extrema are NaN.
     """
+    coeffs = table.coeffs
     require_stable(coeffs, "bound report")
     horizon = _as_whole(horizon, "horizon")
     if horizon < 50:
         raise InvalidParameters(f"horizon must be >= 50, got {horizon}")
-    table = weight_sequence(coeffs, horizon)
+    table.require(horizon)
     spectrum = companion_spectrum(coeffs)
-    L_star = float(np.max(np.abs(table.cum)))
+    L_star = float(np.max(np.abs(table.cum[: horizon + 1])))
     cum_limit = 1.0 / (1.0 - coeffs.a - coeffs.b)
 
     # R(s) for s = 1 .. stop: once rho^s underflows to 0 it stays 0

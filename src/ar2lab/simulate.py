@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientHorizon, InvalidParameters, NonFiniteInput
-from .recurrence import ARCoefficients, WeightTable, weight_sequence
+from .errors import InvalidParameters, NonFiniteInput
+from .recurrence import ARCoefficients, WeightTable
+from .recurrence import weight_sequence  # noqa: F401  unused here, but bench/spans.py wraps it where simulate looks it up
 from .summation import compensated_cumsum
 
 
@@ -41,22 +42,6 @@ def _as_theta(theta) -> np.ndarray:
     return arr
 
 
-def weights_for(coeffs: ARCoefficients, n: int, weights: WeightTable | None = None) -> WeightTable:
-    """A weight table covering U(0)..U(n-1) for these coefficients.
-
-    Without a table, a fresh one for exactly this n is built; a
-    caller-supplied one must have been built for the same coefficients
-    (InvalidParameters) and reach horizon n - 1 (InsufficientHorizon).
-    """
-    if weights is None:
-        return weight_sequence(coeffs, n - 1)
-    if weights.coeffs != coeffs:
-        raise InvalidParameters("weight table was built for different coefficients")
-    if weights.horizon < n - 1:
-        raise InsufficientHorizon(f"weight table horizon {weights.horizon} < n - 1 = {n - 1}")
-    return weights
-
-
 def simulate_path(coeffs: ARCoefficients, theta) -> Path:
     """Run the recursion from rest (xi_0 = xi_{-1} = 0) over theta.
 
@@ -77,22 +62,23 @@ def simulate_path(coeffs: ARCoefficients, theta) -> Path:
     return Path(coeffs=coeffs, n=arr.size, theta=arr, xi=xi, s_n=float(compensated_cumsum(xi)[-1]))
 
 
-def weighted_sum(coeffs: ARCoefficients, theta, weights: WeightTable | None = None) -> float:
+def weighted_sum(table: WeightTable, theta) -> float:
     """S_n via sum_{k=1}^{n} U(n-k) * theta_k, compensated.
 
-    The weight table comes from weights_for (built or checked).
+    The table must reach horizon n - 1 (InsufficientHorizon); it may
+    reach further, so one table serves vectors of any length up to it.
     """
     arr = _as_theta(theta)
     n = arr.size
-    weights = weights_for(coeffs, n, weights)
-    return float(compensated_cumsum(weights.cum[n - 1 :: -1] * arr)[-1])
+    table.require(n - 1)
+    return float(compensated_cumsum(table.cum[n - 1 :: -1] * arr)[-1])
 
 
-def representation_residual(coeffs: ARCoefficients, theta, weights: WeightTable | None = None) -> float:
+def representation_residual(table: WeightTable, theta) -> float:
     """|direct - weighted| / max(1, |direct|) on one noise vector.
 
-    weights goes to weighted_sum, so one table can serve many vectors.
+    Both routes take the table's coefficients.
     """
-    direct = simulate_path(coeffs, theta).s_n
-    other = weighted_sum(coeffs, theta, weights)
+    direct = simulate_path(table.coeffs, theta).s_n
+    other = weighted_sum(table, theta)
     return abs(direct - other) / max(1.0, abs(direct))

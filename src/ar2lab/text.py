@@ -138,7 +138,6 @@ def _constants() -> dict:
         "least_next": np.array(least),
         "scale": scale, "hi": hi, "hh": hh, "hl": hi - hh, "lo": lo,
         "key": cls * 17, "exponent": ascii4[np.abs(e)], "ascii4": ascii4, "tz4": tz4, "templates": templates,
-        "offsets": np.repeat(np.arange(0, SLAB * 32, 32), 24).reshape(SLAB, 24),  # row r reads bytes 32 r ...
         "sign": np.frombuffer(b"\0+\0\0-+\0\0", dtype=np.uint32),  # source bytes 0..3: sign, '+', NUL, NUL
         "tail": np.frombuffer(b".0e-", dtype=np.uint32),  # source bytes 28..31
         "lead": np.where(np.arange(20) >= 19 - np.arange(20)[:, None], 255, 0).astype(np.uint8),  # row k: last k + 1
@@ -212,7 +211,7 @@ def _floats(x: np.ndarray) -> tuple:
     words[:, 6] = c["exponent"][i]
     words[:, 7] = c["tail"]
     index = np.take(c["templates"], c["key"][i] + z, axis=0)
-    index += c["offsets"][: x.size]
+    index += 32 * np.arange(x.size)[:, None]  # row r reads bytes 32 r ...
     return words.view(np.uint8).ravel()[index], np.flatnonzero(fallback)
 
 

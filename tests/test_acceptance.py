@@ -192,8 +192,9 @@ def test_criterion_06_koval_envelope():
     ok = True
     details = []
     for coeffs in COEFF_SET:
-        short = bound_report(coeffs, 50)
-        full = bound_report(coeffs, 1000)
+        table = weight_sequence(coeffs, 1000)
+        short = bound_report(table, 50)
+        full = bound_report(table, 1000)
         ok = ok and full.koval_ratio_max <= 1.05 * short.koval_ratio_max
         ok = ok and full.koval_ratio_min > 0.0
         details.append(f"{full.koval_ratio_max / short.koval_ratio_max:.3f}")

@@ -52,11 +52,12 @@ def test_traced_run_records_spans_for_each_layer(tmp_path, capsys):
         "recurrence.weight_sequence", "recurrence.bound_report", "estimate.partial_series",
         "estimate.tail_probability",
     } <= set(names)
-    # tables: 2 self-checks (series, verify) + bound report + verify's table; the
-    # estimates build none, since normal noise never reaches the set-aside bound;
+    # tables: one per series (its bound report and self-check share it) and one per
+    # verify (its checks and probes); simulate needs none, and the estimates build
+    # none, since normal noise never reaches the set-aside bound;
     # streams: one per sampled chunk or block (series 15: 5 dyadic chunks to n = 16, read
     # by the tail counts and the moments alike, 10 probes; simulate 10; verify 20:
     # 10 probes, 2 draws, 2 tail checks of 4 chunks to n = 8)
-    assert names.count("recurrence.weight_sequence") == 4
+    assert names.count("recurrence.weight_sequence") == 2
     assert names.count("noise.generator_for") == 45
     assert ar2lab.estimate.sample_block is ar2lab.noise.sample_block  # uninstall restored it

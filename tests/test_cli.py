@@ -16,8 +16,8 @@ import ar2lab.estimate
 import ar2lab.text
 from ar2lab import (
     ARCoefficients,
-    InvalidParameters,
     StreamKey,
+    ValidationError,
     default_grid,
     parse_config_text,
     partial_series,
@@ -247,11 +247,14 @@ def test_spectrum_report_roots_carry_the_csv_digits(tmp_path, capsys):
         assert complex(report[name]) == complex(float(real), float(imag))
 
 
-def test_bound_horizon_takes_whole_numbers_only():
-    # int() would scan a 300-step table for grid_max 300.5
-    assert ar2lab.cli._bound_horizon(300.0) == ar2lab.cli._bound_horizon(300) == 300
-    with pytest.raises(InvalidParameters, match=r"grid_max must be a whole number"):
-        ar2lab.cli._bound_horizon(300.5)
+def test_bound_horizon_takes_whole_numbers_only(tmp_path):
+    # int() would scan a 300-step table for grid_max 300.5; the config refuses it,
+    # so _bound_horizon only ever sees the whole grid_max a config holds
+    config, _ = configure(tmp_path)
+    with pytest.raises(ValidationError, match=r"grid_max must be a whole number"):
+        dataclasses.replace(config, grid_max=300.5)
+    whole = dataclasses.replace(config, grid_max=300.0).grid_max
+    assert type(whole) is int and ar2lab.cli._bound_horizon(whole) == 300
 
 
 def test_self_check_fails_on_a_nan_residual(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from ar2lab import (
     ARCoefficients,
     DegenerateSpectrum,
     HorizonOverflow,
+    InsufficientHorizon,
     InvalidParameters,
     NonFiniteInput,
     Stability,
@@ -285,11 +287,11 @@ def test_power_column_matches_table(ab, s):
 # --- bound report ------------------------------------------------------------
 
 def test_bound_report_example_values():
-    report = bound_report(ARCoefficients(0.3, 0.2), 200)
+    table = weight_sequence(ARCoefficients(0.3, 0.2), 200)
+    report = bound_report(table, 200)
     assert report.cum_limit == pytest.approx(2.0)
     assert report.L_star == pytest.approx(2.0, abs=1e-9)
     # oracle: ratios recomputed from the raw table
-    table = weight_sequence(ARCoefficients(0.3, 0.2), 200)
     rho = companion_spectrum(ARCoefficients(0.3, 0.2)).rho
     ratios = [
         math.hypot(table.u[s], table.u[s - 1]) / rho ** s for s in range(1, 201)
@@ -300,16 +302,17 @@ def test_bound_report_example_values():
 
 def test_bound_report_requires_stability_and_horizon():
     with pytest.raises(UnstableCoefficients):
-        bound_report(ARCoefficients(1.0, 0.5), 100)
+        bound_report(weight_sequence(ARCoefficients(1.0, 0.5), 100), 100)
+    table = weight_sequence(ARCoefficients(0.3, 0.2), 100)
     with pytest.raises(InvalidParameters):
-        bound_report(ARCoefficients(0.3, 0.2), 49)
+        bound_report(table, 49)
     with pytest.raises(InvalidParameters, match=r"horizon must be a whole number"):
-        bound_report(ARCoefficients(0.3, 0.2), 60.5)
-    assert bound_report(ARCoefficients(0.3, 0.2), 60.0) == bound_report(ARCoefficients(0.3, 0.2), 60)
+        bound_report(table, 60.5)
+    assert bound_report(table, 60.0) == bound_report(table, 60)
 
 
 def test_bound_report_nilpotent_pair():
-    report = bound_report(ARCoefficients(0.0, 0.0), 100)
+    report = bound_report(weight_sequence(ARCoefficients(0.0, 0.0), 100), 100)
     assert report.L_star == 1.0
     assert report.cum_limit == 1.0
     assert math.isnan(report.koval_ratio_min) and math.isnan(report.koval_ratio_max)
@@ -346,17 +349,37 @@ def test_bound_report_is_the_plain_scan_bit_for_bit(horizon):
         if ARCoefficients(a, b).stability is Stability.STABLE:
             pairs.append((a, b))
     for a, b in pairs:
-        report = bound_report(ARCoefficients(a, b), horizon)
+        report = bound_report(weight_sequence(ARCoefficients(a, b), horizon), horizon)
         got = (report.koval_ratio_min, report.koval_ratio_max)
         want = scanned_extrema(ARCoefficients(a, b), horizon)
         assert [type(x) for x in got] == [float, float]
         assert np.array_equal(got, want, equal_nan=True), (a, b)
 
 
+@pytest.mark.parametrize("horizon", [50, 200, 1000])
+def test_bound_report_reads_the_prefix_of_a_longer_table(horizon):
+    # a longer table's prefix is the shorter table bit for bit, so the report is too
+    rng = np.random.default_rng(horizon + 1)
+    pairs = list(EDGE_PAIRS)
+    while len(pairs) < 40:
+        a, b = rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)
+        if ARCoefficients(a, b).stability is Stability.STABLE:
+            pairs.append((a, b))
+    for a, b in pairs:
+        coeffs = ARCoefficients(a, b)
+        exact = bound_report(weight_sequence(coeffs, horizon), horizon)
+        for longer in (horizon + 1, 4 * horizon, 10000):
+            report = bound_report(weight_sequence(coeffs, longer), horizon)
+            assert report.horizon_used == horizon
+            assert np.array_equal(dataclasses.astuple(report), dataclasses.astuple(exact), equal_nan=True), (a, b)
+        with pytest.raises(InsufficientHorizon):
+            bound_report(weight_sequence(coeffs, horizon - 1), horizon)
+
+
 @given(stable_pairs(margin=0.05))
 @settings(max_examples=50, derandomize=True, deadline=None)
 def test_bound_report_envelope_is_positive_and_finite(ab):
     assume(ab != (0.0, 0.0))  # nilpotent pair has no envelope; covered above
-    report = bound_report(ARCoefficients(*ab), 300)
+    report = bound_report(weight_sequence(ARCoefficients(*ab), 300), 300)
     assert 0.0 < report.koval_ratio_min <= report.koval_ratio_max < math.inf
     assert report.L_star < math.inf

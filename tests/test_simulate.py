@@ -59,7 +59,7 @@ def test_first_states_unrolled():
 def test_weighted_sum_example():
     # all-ones noise: S_3 = U(2) + U(1) + U(0) = 1.59 + 1.3 + 1
     coeffs = ARCoefficients(0.3, 0.2)
-    assert weighted_sum(coeffs, [1.0, 1.0, 1.0]) == pytest.approx(3.89, rel=1e-12)
+    assert weighted_sum(weight_sequence(coeffs, 2), [1.0, 1.0, 1.0]) == pytest.approx(3.89, rel=1e-12)
     assert simulate_path(coeffs, [1.0, 1.0, 1.0]).s_n == pytest.approx(3.89, rel=1e-12)
 
 
@@ -68,14 +68,14 @@ def test_unstable_pairs_still_simulate():
     theta = np.ones(12)
     path = simulate_path(coeffs, theta)
     assert np.allclose(path.xi, oracle_states(1.0, 0.5, theta), rtol=1e-13)
-    assert representation_residual(coeffs, theta) <= 1e-9
+    assert representation_residual(weight_sequence(coeffs, 11), theta) <= 1e-9
 
 
 @given(theta_arrays, st.sampled_from(sorted(NAMED_PAIRS)))
 @settings(max_examples=100, derandomize=True, deadline=None)
 def test_dual_representation_residual(theta, name):
     coeffs = ARCoefficients(*NAMED_PAIRS[name])
-    assert representation_residual(coeffs, theta) <= 1e-9
+    assert representation_residual(weight_sequence(coeffs, theta.size - 1), theta) <= 1e-9
 
 
 @given(theta_arrays, st.sampled_from([2.0, 0.5, -1.0, 3.0, -0.25]))
@@ -107,33 +107,29 @@ def test_prefix_sums_consistency(named_coeffs):
     assert np.allclose(direct, np.cumsum(path.xi), rtol=1e-12, atol=1e-12)
     # every prefix, both routes: S_m = sum_{k<=m} U(m-k) theta_k is the m-th
     # coefficient of the product of the theta and U series
-    weighted = np.convolve(theta, weight_sequence(named_coeffs, 399).cum)[:400]
+    table = weight_sequence(named_coeffs, 399)
+    weighted = np.convolve(theta, table.cum)[:400]
     scale = np.maximum(1.0, np.abs(direct))
     assert np.max(np.abs(direct - weighted) / scale) <= 1e-9
     for n in (1, 2, 3, 57, 400):
-        assert weighted[n - 1] == pytest.approx(weighted_sum(named_coeffs, theta[:n]), rel=1e-12, abs=1e-12)
+        assert weighted[n - 1] == pytest.approx(weighted_sum(table, theta[:n]), rel=1e-12, abs=1e-12)
 
 
 def test_weight_table_reuse_and_horizon_checks():
     coeffs = ARCoefficients(0.3, 0.2)
     theta = np.ones(10)
     table = weight_sequence(coeffs, 9)
-    assert weighted_sum(coeffs, theta, table) == pytest.approx(weighted_sum(coeffs, theta))
+    longer = weight_sequence(coeffs, 100)  # its prefix is table, bit for bit
+    assert weighted_sum(longer, theta) == weighted_sum(table, theta)
     short = weight_sequence(coeffs, 3)
     with pytest.raises(InsufficientHorizon):
-        weighted_sum(coeffs, theta, short)
+        weighted_sum(short, theta)
     with pytest.raises(InsufficientHorizon):  # n = 5 needs U(0)..U(4), one past the table
-        weighted_sum(coeffs, theta[:5], short)
-    other = weight_sequence(ARCoefficients(0.1, 0.1), 20)
-    with pytest.raises(InvalidParameters):
-        weighted_sum(coeffs, theta, other)
-    foreign = weight_sequence(ARCoefficients(0.9, 0.05), 100)
-    with pytest.raises(InvalidParameters):
-        weighted_sum(coeffs, theta, foreign)
+        weighted_sum(short, theta[:5])
     # representation_residual passes its table on to weighted_sum
-    assert representation_residual(coeffs, theta, table) == representation_residual(coeffs, theta)
+    assert representation_residual(longer, theta) == representation_residual(table, theta)
     with pytest.raises(InsufficientHorizon):
-        representation_residual(coeffs, theta, short)
+        representation_residual(short, theta)
 
 
 def test_input_validation():
@@ -143,7 +139,7 @@ def test_input_validation():
     with pytest.raises(NonFiniteInput):
         simulate_path(coeffs, [1.0, math.nan])
     with pytest.raises(NonFiniteInput):
-        weighted_sum(coeffs, [math.inf])
+        weighted_sum(weight_sequence(coeffs, 0), [math.inf])
     with pytest.raises(InvalidParameters):
         simulate_path(coeffs, [[1.0, 2.0]])
 
