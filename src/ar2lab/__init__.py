@@ -7,7 +7,22 @@ and estimates weighted tail series of Baum-Katz type
     sum_n n^(r/p-2) P{ |S_n| > eps n^(1/p) }
 
 by deterministic, seed-keyed Monte Carlo.
+
+Imported before numpy, the package sets OPENBLAS_NUM_THREADS to 1 for
+the whole process unless it is already set (see README, "Threads and
+start-up").
 """
+
+import os
+import sys
+
+# The lab's one BLAS/LAPACK call is np.polyfit on at most 14 points, so
+# the worker threads OpenBLAS starts when numpy loads, which poll for
+# work before they sleep, only cost CPU time and start-up time. Once
+# numpy is loaded the setting is too late, and a child process should
+# not inherit a value that did nothing here.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import ExperimentConfig, parse_config, parse_config_text
 from .errors import (

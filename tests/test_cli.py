@@ -272,13 +272,60 @@ def test_self_check_fails_on_a_nan_residual(tmp_path, capsys):
     assert [f.name for f in tmp_path.iterdir()] == ["exp.cfg"]  # a refused run writes no file
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test dependency only; importing it cost most of a run's start-up
+def fresh_env(openblas_threads=None):
+    """The environment of a fresh process that imports this checkout's ar2lab.
+
+    OPENBLAS_NUM_THREADS is dropped, since this process set it when
+    conftest imported ar2lab, then set to `openblas_threads` if given.
+    """
     src = str(Path(ar2lab.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return env
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; importing it cost most of a run's start-up
     probe = "import sys, ar2lab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    result = subprocess.run([sys.executable, "-c", probe], env=fresh_env(),
+                            capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "preset, imports, expected",
+    [(None, "ar2lab.cli", "1"), ("2", "ar2lab.cli", "2"), (None, "numpy, ar2lab.cli", None)],
+    ids=["unset", "preset", "numpy-first"],
+)
+def test_import_starts_openblas_with_one_thread_unless_told_otherwise(preset, imports, expected):
+    probe = (f"import os, {imports}\n"
+             "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+             "if os.path.exists('/proc/self/status'):\n"
+             "    with open('/proc/self/status') as fh:\n"
+             "        print(next(line for line in fh if line.startswith('Threads:')).split()[1])\n")
+    result = subprocess.run([sys.executable, "-c", probe], env=fresh_env(preset),
+                            capture_output=True, text=True, check=True)
+    variable, *threads = result.stdout.split()
+    assert variable == str(expected)
+    if expected == "1" and threads:  # numpy loaded, and OpenBLAS started no pool
+        assert threads == ["1"]
+
+
+def test_series_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # grid 1..128 reaches the moment fit, the lab's one BLAS/LAPACK call (np.polyfit)
+    text = BASE.replace("grid_max = 12", "grid_max = 128").replace("replications = 400", "replications = 100")
+    cfg_path, out = write_cfg(tmp_path, text)
+    code = main(["series", "--config", str(cfg_path)])
+    assert summary_line(out, "moment growth").startswith("moment growth: slope ")
+    for threads in (None, "2"):
+        prefix = tmp_path / f"threads-{threads}"
+        argv = ["series", "--config", str(cfg_path), "--out", str(prefix)]
+        child = subprocess.run([sys.executable, "-m", "ar2lab.cli", *argv], env=fresh_env(threads), capture_output=True)
+        assert child.returncode == code, child.stderr
+        for suffix in (".series.csv", ".summary.txt"):
+            assert Path(str(prefix) + suffix).read_bytes() == Path(str(out) + suffix).read_bytes(), (threads, suffix)
 
 
 # --- exit codes -------------------------------------------------------------
