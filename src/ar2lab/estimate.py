@@ -6,8 +6,9 @@ The object of interest is
 
 whose convergence for every eps > 0 is the complete-convergence property
 of the normalized partial sums.  Each replicate is one noise path, drawn
-once in dyadic chunks and read at every grid point by one streamed
-AR(2) recursion; each tail probability carries a 95% Wilson interval,
+once in time strips, each under its own stream key, and read at every
+grid point by one streamed AR(2) recursion; each tail probability
+carries a 95% Wilson interval,
 and the partial sums over a finite n-grid are reported together with a
 stabilization verdict.
 """
@@ -35,19 +36,19 @@ BLOCK_REPLICATES = 4096
 
 # Version of the sampling layout described in _read_paths.  Estimates
 # from different layouts agree in distribution, not draw for draw.
-# Layout 7 takes normal draws' cos and sin from noise._polar_pairs
-# instead of libm; every other family draws as in layout 6.
-SAMPLING_LAYOUT = 7
+# Layout 8 draws every time strip whole, under its own key; up to
+# t = 2 * STRIP_STEPS its strips are layout 7's dyadic chunks, with the
+# same keys and draws.
+SAMPLING_LAYOUT = 8
 
 # Every n up to this bound is on the default grid; above it only powers
 # of two are (see default_grid).
 DENSE_MAX = 128
 
-# A replication block reads its draws in time strips of at most
-# PATH_CELLS // 2 doubles (4 MiB), which leaves the other half for the
-# sampling temporaries.  Strips only split the work; no estimate depends
-# on this constant.
-PATH_CELLS = 2 ** 20
+# Time strips end at 1, 2, 4, ..., STRIP_STEPS and then every STRIP_STEPS
+# steps.  Fixed like BLOCK_REPLICATES: each strip is one stream block, so
+# strip ends are part of the sampling layout.
+STRIP_STEPS = 128
 
 # Draws beyond this magnitude are kept out of the recursion and added
 # back through the weights (see _read_paths).  Below it, |xi_t| and |S_t|
@@ -200,19 +201,19 @@ def _as_replications(replications) -> int:
 def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, moment_at) -> tuple:
     """Exceedance counts and moments, read off one pass over the paths.
 
-    Sampling layout 7 reads the paths as layout 6 did; it changed only
-    the normal draws.  Each replicate is one noise path.  Its chunk k
-    holds the times 2^(k-1) < t <= 2^k (chunk 0 is t = 1), and for
-    replication block b that chunk is one block of take * len draws under
-    StreamKey(master_seed, "tail", n=2^k, block=b), read time-major: draw
-    j * take + i is row i at time 2^(k-1) + 1 + j.  A block reads its
-    draws in time strips of at most PATH_CELLS // 2 draws (one time step
-    at least), each a contiguous range of its chunk taken with
-    sample_block's start and total, and only up to grid[-1].  So neither
-    the strip size nor how far the paths run changes a draw, and every
-    grid point of a block reads its prefix of the same paths.  One strip
-    buffer, allocated per call, receives every strip of every block
-    through sample_block's out, so sampling pages in no fresh memory.
+    Sampling layout 8.  Each replicate is one noise path, read in time
+    strips: the strip ending at time e follows the one ending at s and
+    holds the times s < t <= e, and strips end at 1, 2, 4, ...,
+    STRIP_STEPS, then every STRIP_STEPS steps.  For replication block b
+    that strip is one whole block of take * (e - s) draws under
+    StreamKey(master_seed, "tail", n=e, block=b), read time-major: draw
+    j * take + i is row i at time s + 1 + j.  The paths are drawn to the
+    end of the strip that holds grid[-1], and the recursion stops at
+    grid[-1], so how far the grid reaches inside that strip changes no
+    draw, and every grid point of a block reads its prefix of the same
+    paths.  One strip buffer, sized to the longest strip and allocated
+    per call, receives every strip of every block through sample_block's
+    out, so sampling pages in no fresh memory.
 
     Over each strip the recursion xi_t = a xi_(t-1) + b xi_(t-2) + theta_t,
     S_t = S_(t-1) + xi_t steps all rows of the block at once, in
@@ -242,59 +243,57 @@ def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, mo
     cum = weight_sequence(coeffs, grid[-1] - 1).cum if scan else None
     counts = [0] * len(grid)
     accs = {i: CompensatedSum() for i in moment_at}
-    # one strip and one row of flags serve every block: no block is wider than the first
+    ends = [0, 1]  # strip j holds the times ends[j] < t <= ends[j + 1]
+    while ends[-1] < grid[-1]:
+        ends.append(ends[-1] + min(ends[-1], STRIP_STEPS))
+    # one strip and one row of flags serve every block: no block is wider than
+    # the first, and no strip longer than the last
     widest = min(BLOCK_REPLICATES, replications)
-    strip = np.empty(min(max(PATH_CELLS // 2, widest), grid[-1] * widest))
+    strip = np.empty((ends[-1] - ends[-2]) * widest)
     flags = np.empty(widest, dtype=bool)
     for block, done in enumerate(range(0, replications, BLOCK_REPLICATES)):
         take = min(BLOCK_REPLICATES, replications - done)
-        steps = max(1, PATH_CELLS // 2 // take)
         row = flags[:take]
         prev, older, total, scratch = np.zeros((4, take))
         rows = times = np.empty(0, dtype=np.int64)
         aside = np.empty(0)
         i = 0
-        for k in range((grid[-1] - 1).bit_length() + 1):
-            end = 1 << k
-            first = end // 2  # the chunk holds the times first + 1 .. end
-            key = StreamKey(master_seed, "tail", n=end, block=block)
-            for t0 in range(first, min(end, grid[-1]), steps):
-                t1 = min(t0 + steps, end, grid[-1])
-                cells = (t1 - t0) * take
-                theta = strip[:cells]
-                sample_block(spec, cells, key, (t0 - first) * take, (end - first) * take, out=theta)
-                if scan and (theta.max() > SET_ASIDE or theta.min() < -SET_ASIDE):
-                    big = np.flatnonzero(np.abs(theta) > SET_ASIDE)
-                    rows = np.append(rows, big % take)
-                    times = np.append(times, t0 + 1 + big // take)
-                    aside = np.append(aside, theta[big])
-                    theta[big] = 0.0
-                for t, draws in enumerate(theta.reshape(t1 - t0, take), start=t0 + 1):
-                    older *= b
-                    np.multiply(prev, a, out=scratch)
-                    older += scratch
-                    older += draws
-                    total += older
-                    prev, older = older, prev
-                    if t < grid[i]:
-                        continue
-                    sums = total
-                    if aside.size:
-                        sums = scratch
-                        np.copyto(sums, total)
-                        now = times <= t  # the strip's later draws join only from their own time on
-                        with np.errstate(over="ignore", invalid="ignore"):  # inf draws make 0 * inf and inf - inf
-                            np.add.at(sums, rows[now], cum[t - times[now]] * aside[now])
-                    np.abs(sums, out=scratch)
-                    if math.isnan(np.sum(scratch)):  # a sum of |S_n| is NaN exactly when some |S_n| is
-                        nan_count = np.count_nonzero(np.isnan(scratch))
-                        raise NonFiniteInput(
-                            f"|S_n| is NaN for {nan_count} of {take} replicates at n={t}, block {block}"
-                        )
-                    counts[i] += np.count_nonzero(np.greater(scratch, thresholds[i], out=row))
-                    if i in accs:
-                        accs[i].add(float(np.sum(scratch ** r)))
-                    i += 1
+        for t0, end in zip(ends, ends[1:]):
+            cells = (end - t0) * take
+            sample_block(spec, cells, StreamKey(master_seed, "tail", n=end, block=block), out=strip[:cells])
+            theta = strip[: (min(end, grid[-1]) - t0) * take]  # the recursion stops at grid[-1]
+            if scan and (theta.max() > SET_ASIDE or theta.min() < -SET_ASIDE):
+                big = np.flatnonzero(np.abs(theta) > SET_ASIDE)
+                rows = np.append(rows, big % take)
+                times = np.append(times, t0 + 1 + big // take)
+                aside = np.append(aside, theta[big])
+                theta[big] = 0.0
+            for t, draws in enumerate(theta.reshape(-1, take), start=t0 + 1):
+                older *= b
+                np.multiply(prev, a, out=scratch)
+                older += scratch
+                older += draws
+                total += older
+                prev, older = older, prev
+                if t < grid[i]:
+                    continue
+                sums = total
+                if aside.size:
+                    sums = scratch
+                    np.copyto(sums, total)
+                    now = times <= t  # the strip's later draws join only from their own time on
+                    with np.errstate(over="ignore", invalid="ignore"):  # inf draws make 0 * inf and inf - inf
+                        np.add.at(sums, rows[now], cum[t - times[now]] * aside[now])
+                np.abs(sums, out=scratch)
+                if math.isnan(np.sum(scratch)):  # a sum of |S_n| is NaN exactly when some |S_n| is
+                    nan_count = np.count_nonzero(np.isnan(scratch))
+                    raise NonFiniteInput(
+                        f"|S_n| is NaN for {nan_count} of {take} replicates at n={t}, block {block}"
+                    )
+                counts[i] += np.count_nonzero(np.greater(scratch, thresholds[i], out=row))
+                if i in accs:
+                    accs[i].add(float(np.sum(scratch ** r)))
+                i += 1
     return counts, [accs[i].total / replications for i in moment_at]
 
 

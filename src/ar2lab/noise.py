@@ -154,7 +154,7 @@ class StreamKey:
 
     purpose separates independent uses of the same master seed (the
     estimation paths, probe paths, ...); n and block index the grid
-    point or chunk and the replication block inside a purpose.
+    point or time strip and the replication block inside a purpose.
     """
 
     master_seed: int
@@ -281,25 +281,22 @@ def _polar_pairs(radius: np.ndarray, angle: np.ndarray, out: np.ndarray) -> None
     odd *= radius
 
 
-def _normal_pairs(rng: Generator, pairs: int, first: int, out: np.ndarray) -> None:
-    """Fill out with the whole pairs first, first + 1, ... of a normal block of `pairs` pairs.
+def _normal_pairs(rng: Generator, out: np.ndarray) -> None:
+    """Fill out with a normal block of len(out) // 2 whole pairs.
 
-    Pair j's uniforms sit at j and pairs + j of the stream.  The radii
-    sqrt(-2 log1p(-u1)) are drawn and transformed in place in the upper
-    half of out; the angle map then runs over ascending chunks, each
-    copying its radii aside and drawing its angles in stream order.  Pair
-    j writes out[2 j] and out[2 j + 1], below every radius not yet read,
-    so no temporary the size of the block is needed.
+    Pair j's uniforms sit at j and m + j of the stream, m = len(out) // 2.
+    The radii sqrt(-2 log1p(-u1)) are drawn and transformed in place in
+    the upper half of out; the angle map then runs over ascending chunks,
+    each copying its radii aside and drawing its angles in stream order.
+    Pair j writes out[2 j] and out[2 j + 1], below every radius not yet
+    read, so no temporary the size of the block is needed.
     """
     m = len(out) // 2
-    advance = rng.bit_generator.advance  # one 64-bit step per double
-    advance(first)
     radius = rng.random(out=out[m:])
     np.negative(radius, out=radius)
     np.log1p(radius, out=radius)  # 1 - u in (0, 1], no log(0)
     radius *= -2.0
     np.sqrt(radius, out=radius)
-    advance(pairs - m)
     chunk_radius, chunk_angle = np.empty((2, min(m, _ANGLE_CHUNK)))
     for lo in range(0, m, _ANGLE_CHUNK):
         hi = min(lo + _ANGLE_CHUNK, m)
@@ -312,8 +309,6 @@ def sample_block(
     spec: NoiseSpec,
     count: int,
     stream_key: StreamKey,
-    start: int = 0,
-    total: int | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw `count` innovations for the given key.
@@ -328,25 +323,19 @@ def sample_block(
     w = 1 - u1 (exact, not a quantile approximation), and one raw bit
     per sign for rademacher: 1 - 2 * (bit v % 64 of 64-bit word v // 64),
     mapped as int8 and cast to float64 in one pass.
-    Calling twice with the same key is bit-identical.
-
-    The block of `total` draws (default `start + count`) under this key
-    is fixed; the call returns its values start .. start + count - 1,
-    bit for bit, reaching each uniform or word it needs with
-    bit_generator.advance instead of drawing the ones before it.
+    Calling twice with the same key and count is bit-identical; the
+    block is always drawn whole, from the start of its stream.
 
     out, if given, is a writable C-contiguous float64 array of shape
     (count,); the draws are written into it, with the same bits, and it
     is returned.  A caller that reuses one out for many calls pages in no
     fresh memory for them.  The normal kernel then holds only chunk
-    temporaries (about 0.1 x a 2^19-draw output); a window with an odd
-    start or count still goes through a buffer of its whole pairs.
+    temporaries (about 0.1 x a 2^19-draw output); an odd count still
+    goes through a buffer of its whole pairs.
     """
     count = _as_whole(count, "count")
-    start = _as_whole(start, "start")
-    total = start + count if total is None else _as_whole(total, "total")
-    if count < 0 or start < 0 or start + count > total:
-        raise InvalidParameters(f"need 0 <= start <= start + count <= total, got {start}, {count}, {total}")
+    if count < 0:
+        raise InvalidParameters(f"count must be >= 0, got {count}")
     if out is None:
         out = np.empty(count)
     elif not (
@@ -358,30 +347,24 @@ def sample_block(
     ):
         raise InvalidParameters(f"out must be a writable C-contiguous float64 array of shape ({count},)")
     rng = generator_for(stream_key)
-    advance = rng.bit_generator.advance  # one 64-bit step per double or raw word
     fam = spec.family
     if fam == "normal":
         # value v is the cos (v even) or sin (v odd) half of pair v // 2
-        pairs, first, stop = (total + 1) // 2, start // 2, (start + count + 1) // 2
-        lead = start - 2 * first
-        whole = out if lead == 0 and count % 2 == 0 else np.empty(2 * (stop - first))
-        _normal_pairs(rng, pairs, first, whole)
+        whole = out if count % 2 == 0 else np.empty(count + 1)
+        _normal_pairs(rng, whole)
         if whole is not out:
-            out[...] = whole[lead : lead + count]
+            out[...] = whole[:count]
         return out
     if fam == "rademacher":
         # value v is bit v % 64 (least significant first) of raw word v // 64
-        first = start // 64
-        advance(first)
-        words = rng.bit_generator.random_raw((start + count + 63) // 64 - first)
+        words = rng.bit_generator.random_raw((count + 63) // 64)
         bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
         # 1 - 2 bit in place as int8 (exact, never -0.0), then one cast writes each double once
-        signs = bits[start - 64 * first : start - 64 * first + count].view(np.int8)
+        signs = bits[:count].view(np.int8)
         signs *= -2
         signs += 1
         out[...] = signs
         return out
-    advance(start)
     rng.random(out=out)
     if fam == "uniform":
         (c,) = spec.params
@@ -390,7 +373,7 @@ def sample_block(
         out -= 1.0
         out *= c
         return out
-    # student_t and pareto: first uniforms at 0 .. total - 1 of the stream, second at total .. 2 total - 1
+    # student_t and pareto: first uniforms at 0 .. count - 1 of the stream, second at count .. 2 count - 1
     if fam == "student_t":
         (nu,) = spec.params
         # T = exp(log(nu) / 2 - log(w) / nu) * sqrt(-expm1(2 log(w) / nu)) * cos(2 pi v),
@@ -403,7 +386,6 @@ def sample_block(
         np.sqrt(factor, out=factor)
         out *= -1.0 / nu
         out += 0.5 * math.log(nu)
-        advance(total - count)
         angle = rng.random(count)
         angle *= 2.0 * math.pi
         np.cos(angle, out=angle)
@@ -423,7 +405,6 @@ def sample_block(
     with np.errstate(over="ignore"):  # beyond the largest double the draw is +inf, as intended
         np.power(out, -1.0 / alpha, out=out)
         out *= x_min
-    advance(total - count)
     sign = rng.random(count)
     np.negative(out, out=out, where=sign >= 0.5)
     return out

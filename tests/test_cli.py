@@ -175,8 +175,9 @@ def test_run_summary_says_why_the_moment_fit_is_skipped(tmp_path, grid_max, fami
 
 @pytest.mark.parametrize("grid_max", [100, 128])
 def test_series_run_draws_each_path_once(tmp_path, monkeypatch, grid_max):
-    # one pass: R paths to grid_max steps, drawn no further, feed the tail
-    # counts and the moments alike, plus 10 probe paths of grid_max steps
+    # one pass: R paths drawn to the end of the time strip holding grid_max
+    # (128 for both) feed the tail counts and the moments alike, plus 10 probe
+    # paths of grid_max steps
     draws = []
     for module in (ar2lab.cli, ar2lab.estimate):
         def counted(spec, count, *args, _sample=module.sample_block, **kwargs):
@@ -189,7 +190,7 @@ def test_series_run_draws_each_path_once(tmp_path, monkeypatch, grid_max):
     )
     config, _ = configure(tmp_path, text)
     run(config)
-    assert sum(draws) == 200 * grid_max + 10 * grid_max
+    assert sum(draws) == 200 * 128 + 10 * grid_max
 
 
 def test_run_is_byte_deterministic(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -172,16 +173,17 @@ def test_tail_weighted_route_feeds_feedback():
 
 
 def layout_paths(spec, seed, purpose, width, take=4096):
-    """Block 0's `take` paths to `width` steps, assembled from the documented chunks:
-    chunk k holds the times 2^(k-1) < t <= 2^k under StreamKey(seed, purpose, n=2^k, block=0),
-    time-major: draw j * take + i is path i at time 2^(k-1) + 1 + j."""
-    chunks, drawn = [], 0
+    """Block 0's `take` paths to `width` steps, assembled from the documented strips:
+    strips end at 1, 2, 4, ..., 128 and then every 128 steps; the strip ending at e after the
+    one ending at s holds the times s < t <= e under StreamKey(seed, purpose, n=e, block=0),
+    time-major: draw j * take + i is path i at time s + 1 + j."""
+    strips, drawn = [], 0
     while drawn < width:
-        end = max(1, 2 * drawn)
+        end = drawn + max(1, min(drawn, 128))
         key = StreamKey(seed, purpose, n=end, block=0)
-        chunks.append(sample_block(spec, take * (end - drawn), key).reshape(end - drawn, take).T)
+        strips.append(sample_block(spec, take * (end - drawn), key).reshape(end - drawn, take).T)
         drawn = end
-    return np.hstack(chunks)[:, :width]
+    return np.hstack(strips)[:, :width]
 
 
 def nan_rows(theta, n):
@@ -255,13 +257,13 @@ def test_dense_head_keeps_the_weighted_routes_nonfinite_sums(coeffs):
                 tail_probability(coeffs, heavy, SeriesParams(1, 2, 1), n, 4096, 1)
 
 
-def test_set_aside_draws_join_each_sum_from_their_own_time_on(monkeypatch):
+def test_set_aside_draws_join_each_sum_from_their_own_time_on():
     # A strip is scanned for draws beyond 2^512 before the recursion steps
     # through it, so a draw at time t must join |S_n| only from n = t on.  On
-    # the dense grid 1..64 a whole-chunk strip holds times after most grid
+    # the dense grid 1..64 each strip holds times after most of its grid
     # points; adding its later draws early made false infinite sums (seed 1,
     # from n = 3) and a false NaN refusal at n = 9 (seed 2).  Every grid
-    # point is checked against the weighted sum, at both strip sizes.
+    # point is checked against the weighted sum.
     coeffs = ARCoefficients(-0.5, 0.45)
     heavy = NoiseSpec("pareto", (0.01, 1.0))
     params = SeriesParams(1, 2, 1e300)
@@ -274,15 +276,12 @@ def test_set_aside_draws_join_each_sum_from_their_own_time_on(monkeypatch):
     paths = layout_paths(heavy, 2, "tail", 64)
     first = next(n for n in grid if np.isnan(weighted(paths, coeffs, n)).any())
     nans = np.count_nonzero(np.isnan(weighted(paths, coeffs, first)))
-    # whole-chunk strips, and strips of one time step
-    for cells in (2 ** 20, 7 * 64):
-        monkeypatch.setattr(estimate, "PATH_CELLS", cells)
-        est = partial_series(coeffs, heavy, params, grid, 4096, 1)
-        assert [round(tail.p_hat * 4096) for tail in est.tails] == expected
-        for n in (40, 50):
-            assert tail_probability(coeffs, heavy, params, n, 4096, 1) == est.tails[n - 1]
-        with pytest.raises(NonFiniteInput, match=rf"NaN for {nans} of 4096 replicates at n={first}, block 0"):
-            partial_series(coeffs, heavy, params, grid, 4096, 2)
+    est = partial_series(coeffs, heavy, params, grid, 4096, 1)
+    assert [round(tail.p_hat * 4096) for tail in est.tails] == expected
+    for n in (40, 50):
+        assert tail_probability(coeffs, heavy, params, n, 4096, 1) == est.tails[n - 1]
+    with pytest.raises(NonFiniteInput, match=rf"NaN for {nans} of 4096 replicates at n={first}, block 0"):
+        partial_series(coeffs, heavy, params, grid, 4096, 2)
 
 
 @pytest.mark.parametrize("ab", [(0.3, 0.2), (1.0, -0.25), (0.5, -0.9), (-0.5, 0.45), (0.2, 0.79)],
@@ -292,9 +291,9 @@ def test_dense_head_matches_the_direct_route(ab):
     # same path at every n in 1..1024, relative to max(1, |S_n|) as
     # representation_residual measures it.  A block of one replicate (below the
     # public minimum of 100) makes the mean of |S_n| the path's own |S_n|; the
-    # block of 100 pins the time-major reading of its chunks.  The engine's
+    # block of 100 pins the time-major reading of its strips.  The engine's
     # running sum is plain, not compensated, so its error grows with n: at most
-    # 1.0e-12 here to n = 1024 (near-boundary), 2.1e-12 on 64 such paths
+    # 0.95e-12 here to n = 1024 (near-boundary), 1.4e-12 on 64 such paths
     coeffs = ARCoefficients(*ab)
     grid = list(range(1, 1025))
     for seed, take in [*((seed, 1) for seed in range(16)), (16, 100)]:
@@ -320,8 +319,8 @@ def engine_table() -> str:
     """Exceedance counts and |S_n|^2 means of every family, as CSV text.
 
     default_grid(1024) with 4096 + 101 replicates runs two replication
-    blocks, read in strips of 128 and 5190 time steps at the default
-    PATH_CELLS, and the moment fit at n = 16, 32, ..., 1024.
+    blocks, read in strips ending at 1, 2, 4, ..., 128 and then every 128
+    steps, and the moment fit at n = 16, 32, ..., 1024.
     """
     replications = estimate.BLOCK_REPLICATES + 101
     lines = ["family,n,count,moment"]
@@ -334,89 +333,85 @@ def engine_table() -> str:
     return "\n".join(lines) + "\n"
 
 
+def test_readme_states_the_sampling_layout():
+    # the README's layout section and its summary line name the layout the engine draws
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"follow sampling layout (\d+)", text) + re.findall(r"`sampling layout: (\d+)`", text)
+    assert stated == [str(estimate.SAMPLING_LAYOUT)] * 2
+
+
 def test_engine_matches_golden():
     # pins every bit the path engine feeds into the counts and moments
     golden = Path(__file__).parent / "data" / "golden.engine.csv"
     assert engine_table() == golden.read_text()
 
 
-@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
-def test_row_sub_blocks_change_no_result(monkeypatch, spec):
-    # A block reads its chunks in time strips of PATH_CELLS // 2 draws, one
-    # time step at least.  4096 + 101 replicates: a full block and an odd last
-    # one.  Grid 1..40 reads chunks 1, 2, ..., 32 whole and 8 of chunk 64's 32
-    # steps; the dense grid 1..24 stops inside chunk 32.
+def test_paths_are_keyed_one_stream_per_strip(monkeypatch):
+    # strips end at 1, 2, 4, ..., 128, then every 128 steps; grid[-1] = 300 lies in
+    # the strip 256 < t <= 384, which each of the two blocks draws whole
     replications = estimate.BLOCK_REPLICATES + 101
-    params = SeriesParams(1, 2, 1)
-    for grid in ([1, 2, 3, 5, 8, 13, 21, 34, 40], list(range(1, 25))):
-        monkeypatch.setattr(estimate, "PATH_CELLS", 2 ** 20)
-        whole = partial_series(STABLE, spec, params, grid, replications, 8)
-        moments = moment_growth_check(STABLE, spec, 2.0, grid, replications, 8)
-        # 1001 * 64 cells: strips of 7 steps of the full block (7 * 4096 <= 32032)
-        # and of 317 steps of the last one; 7 * 64 cells: of 1 and 2 steps
-        for rows in (1001, 7):
-            monkeypatch.setattr(estimate, "PATH_CELLS", rows * 64)
-            assert partial_series(STABLE, spec, params, grid, replications, 8) == whole
-            assert moment_growth_check(STABLE, spec, 2.0, grid, replications, 8) == moments
-    # one time step per strip (PATH_CELLS below one step), on a grid of width 4
-    short = [1, 2, 3, 4]
-    monkeypatch.setattr(estimate, "PATH_CELLS", 2 ** 20)
-    whole = partial_series(STABLE, spec, params, short, replications, 9)
-    moments = moment_growth_check(STABLE, spec, 2.0, short, replications, 9)
-    monkeypatch.setattr(estimate, "PATH_CELLS", 3)
-    assert partial_series(STABLE, spec, params, short, replications, 9) == whole
-    assert moment_growth_check(STABLE, spec, 2.0, short, replications, 9) == moments
+    drawn = []
+
+    def recorded(spec, count, stream_key, out=None):
+        drawn.append((stream_key.master_seed, stream_key.purpose, stream_key.n, stream_key.block, count))
+        return sample_block(spec, count, stream_key, out=out)
+
+    monkeypatch.setattr(estimate, "sample_block", recorded)
+    partial_series(STABLE, NORMAL, SeriesParams(1, 2, 1), [1, 150, 300], replications, 11)
+    ends = [0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 384]
+    assert drawn == [
+        (11, "tail", end, block, take * (end - start))
+        for block, take in enumerate((4096, 101))
+        for start, end in zip(ends, ends[1:])
+    ]
+    assert sum(count for *_, count in drawn) == replications * 384
 
 
-def test_row_sub_blocks_keep_the_nan_refusal(monkeypatch):
-    # strips of one time step: the refusal still names the whole block's n and count
-    monkeypatch.setattr(estimate, "PATH_CELLS", 7 * 64)
-    test_tail_refuses_nan_sums_and_counts_infinite_ones()
+# the layout's longest strip: STRIP_STEPS time steps of a full block, in bytes
+STRIP_BYTES = 8 * estimate.STRIP_STEPS * estimate.BLOCK_REPLICATES
 
 
 def test_path_memory_stays_within_the_budget():
     # one unsplit block at n = 2^13 would hold 4096 x 8192 doubles (256 MiB) of
-    # paths.  Read in time strips, it holds one strip of PATH_CELLS // 2 draws
-    # with its sampling temporaries and four rows of state, about 1.8 x 8 *
-    # PATH_CELLS.
+    # paths.  Read in time strips, it holds one strip of STRIP_STEPS steps with
+    # its sampling temporaries and four rows of state, about 1.13 x STRIP_BYTES.
     tracemalloc.start()
     try:
         tail_probability(STABLE, NORMAL, SeriesParams(1, 2, 1), 2 ** 13, 4096, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 8 * estimate.PATH_CELLS
+    assert peak <= 6 * STRIP_BYTES
 
 
 def test_path_memory_is_one_reused_strip():
-    # n = 2^13, R = 4096: every block and strip is sampled into one strip of
-    # PATH_CELLS // 2 draws (0.5 x 8 * PATH_CELLS) and the grid reads allocate
-    # nothing, so the peak is the strip, the normal kernel's chunk arrays and
-    # four rows of state, about 0.56 x.  A fresh strip and its two half-size
-    # uniform arrays per call would be 1.56 x.
+    # n = 2^13, R = 4096: every strip is sampled into one buffer of STRIP_STEPS
+    # steps (STRIP_BYTES) and the grid reads allocate nothing, so the peak is
+    # the strip, the normal kernel's chunk arrays and four rows of state, about
+    # 1.13 x STRIP_BYTES.  A fresh strip and its two half-size uniform arrays
+    # per call would be 3.1 x.
     tracemalloc.start()
     try:
         tail_probability(STABLE, NORMAL, SeriesParams(1, 2, 1), 2 ** 13, 4096, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.75 * 8 * estimate.PATH_CELLS
+    assert peak <= 1.5 * STRIP_BYTES
 
 
-def test_sums_memory_stays_within_the_budget_on_a_dense_grid(monkeypatch):
-    # 64 KiB strips of 2 time steps on grid 1..128: each |S_n| is reduced as
-    # the recursion reaches n, in the block's one row of scratch, so the peak
-    # is one strip with its sampling temporaries and the four rows of state
-    # (4 x 4096 doubles), about 3.1 x 8 * PATH_CELLS.  Holding the whole
-    # block's 128 x 4096 |S_n| would be 35 x.
-    monkeypatch.setattr(estimate, "PATH_CELLS", 2 ** 14)
+def test_sums_memory_stays_within_the_budget_on_a_dense_grid():
+    # grid 1..128 at R = 4096: its longest strip is 64 < t <= 128, half of
+    # STRIP_BYTES (2 MiB), and each |S_n| is reduced as the recursion reaches n,
+    # in the block's one row of scratch, so the peak is that strip with its
+    # sampling temporaries and the four rows of state, about 2.5 MiB.  Holding
+    # the whole block's 128 x 4096 |S_n| (4 MiB) besides would be 6.5 MiB.
     tracemalloc.start()
     try:
         partial_series(STABLE, NORMAL, SeriesParams(1, 2, 1), range(1, 129), 4096, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 8 * estimate.PATH_CELLS
+    assert peak <= 0.75 * STRIP_BYTES
 
 
 def test_tail_validation():
@@ -496,8 +491,8 @@ def test_partial_series_is_deterministic():
 def test_partial_series_grid_insensitive_per_point():
     # the estimate at n depends only on (seed, n), not on the rest of the grid,
     # also when another grid draws the paths further (to 1024 against 64), or
-    # stops inside a chunk: at 40, and at 300, 44 steps into chunk 512, whose
-    # draws must still be read as part of the whole chunk
+    # stops inside a strip: at 40, and at 300, 44 steps into the strip
+    # 256 < t <= 384, whose draws must still be read as part of the whole strip
     params = SeriesParams(1, 2, 1)
     dense = partial_series(STABLE, NORMAL, params, sorted(default_grid(1024) + [129, 300]), 1000, 21)
     by_n = {t.n: t for t in dense.tails}

@@ -189,6 +189,12 @@ def test_sample_count_edges():
     assert sample_block(NoiseSpec("normal"), 7, key).size == 7  # odd count
     with pytest.raises(InvalidParameters):
         sample_block(NoiseSpec("normal"), -1, key)
+    # int() would return 3 draws for a count of 3.7
+    with pytest.raises(InvalidParameters, match="count must be a whole number"):
+        sample_block(NoiseSpec("normal"), 3.7, key)
+    three = sample_block(NoiseSpec("normal"), 3, key)
+    for whole in (3.0, np.int64(3)):
+        assert np.array_equal(sample_block(NoiseSpec("normal"), whole, key), three)
 
 
 def test_support_constraints():
@@ -251,47 +257,26 @@ def test_normal_second_moment_window():
     assert 0.995 <= np.mean(x * x) <= 1.005
 
 
-RANGES = [  # (total, start, stop): odd totals and odd ends (mid-pair for normal), empty and full ranges
-    (1, 0, 1), (1, 0, 0), (1, 1, 1), (2, 1, 2), (7, 0, 7), (7, 3, 4), (7, 1, 6), (7, 2, 7), (7, 7, 7),
-    (8, 3, 3), (8, 2, 6), (1001, 0, 1001), (1001, 333, 1000), (1001, 500, 501), (1024, 512, 1024),
-    # rademacher reads 64 values per raw word: ranges that start or end at a word's edge or one off it
-    (200, 0, 63), (200, 0, 64), (200, 0, 65), (200, 63, 64), (200, 63, 65), (200, 64, 128),
-    (200, 65, 128), (200, 63, 129), (200, 128, 200), (128, 65, 128), (129, 64, 129),
-    (1_000_003, 777_777, 999_999),  # a start that is not word-aligned inside a large block
-]
+# whole-block counts: empty, a raw word's edges and one off them (rademacher reads 64
+# values per word), odd counts (a half pair for normal), and odd normal blocks that
+# span more than one 8192-pair chunk of the angle map
+COUNTS = [0, 1, 63, 64, 65, 128, 129, 40_001, 1_000_003]
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
-@pytest.mark.parametrize("total, start, stop", RANGES)
-def test_range_draw_is_a_slice_of_the_whole_block(spec, total, start, stop):
-    key = StreamKey(2024, "range", n=total, block=1)
-    part = sample_block(spec, stop - start, key, start=start, total=total)
-    whole = sample_block(spec, total, key)
-    assert part.shape == (stop - start,)
-    assert part.tobytes() == whole[start:stop].tobytes()
-
-
-# (start, stop) inside a block of OUT_TOTAL draws: its start, a window inside it, its
-# last window, and an odd start with an odd count (mid-pair at both ends for normal);
-# the normal windows span more than one 8192-pair chunk of the angle map
-OUT_TOTAL = 100_001
-OUT_WINDOWS = [(0, 40_000), (30_000, 70_000), (60_001, 100_001), (4_097, 41_000)]
-
-
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
-@pytest.mark.parametrize("start, stop", OUT_WINDOWS)
-def test_draws_into_out_match_the_allocating_call(spec, start, stop):
-    key = StreamKey(2024, "out", n=OUT_TOTAL, block=2)
-    want = sample_block(spec, stop - start, key, start=start, total=OUT_TOTAL)
-    out = np.full(stop - start, np.nan)
-    got = sample_block(spec, stop - start, key, start=start, total=OUT_TOTAL, out=out)
+@pytest.mark.parametrize("count", COUNTS)
+def test_draws_into_out_match_the_allocating_call(spec, count):
+    key = StreamKey(2024, "out", n=count, block=2)
+    want = sample_block(spec, count, key)
+    out = np.full(count, np.nan)
+    got = sample_block(spec, count, key, out=out)
     assert got is out
     assert out.tobytes() == want.tobytes()
 
 
 def test_sample_block_keeps_its_parameter_names():
     # bench/spans.py binds spec and count by name when it wraps sample_block
-    names = ["spec", "count", "stream_key", "start", "total", "out"]
+    names = ["spec", "count", "stream_key", "out"]
     assert list(inspect.signature(sample_block).parameters) == names
 
 
@@ -321,16 +306,16 @@ def test_a_bad_out_is_refused_before_any_draw(spec, kind, monkeypatch):
         sample_block(spec, 10, StreamKey(5, "out"), out=_bad_out(kind, 10))
 
 
-@pytest.mark.parametrize("total, start, stop", RANGES)
-def test_rademacher_draws_are_the_raw_bits(total, start, stop):
+@pytest.mark.parametrize("count", COUNTS)
+def test_rademacher_draws_are_the_raw_bits(count):
     # oracle in Python ints: draw v is 1 - 2 * (bit v % 64 of raw word v // 64)
-    key = StreamKey(2024, "range", n=total, block=1)
-    part = sample_block(NoiseSpec("rademacher"), stop - start, key, start=start, total=total)
-    words = generator_for(key).bit_generator.random_raw((stop + 63) // 64).tolist()
-    want = [1 - 2 * ((words[v // 64] >> (v % 64)) & 1) for v in range(start, stop)]
-    assert part.dtype == np.float64
-    assert part.tolist() == want
-    assert not (np.signbit(part) & (part == 0.0)).any()  # no -0.0
+    key = StreamKey(2024, "bits", n=count, block=1)
+    draws = sample_block(NoiseSpec("rademacher"), count, key)
+    words = generator_for(key).bit_generator.random_raw((count + 63) // 64).tolist()
+    want = [1 - 2 * ((words[v // 64] >> (v % 64)) & 1) for v in range(count)]
+    assert draws.dtype == np.float64
+    assert draws.tolist() == want
+    assert not (np.signbit(draws) & (draws == 0.0)).any()  # no -0.0
 
 
 @pytest.mark.parametrize("nu", [0.3, 1.0, 3.0, 30.0])
@@ -463,19 +448,6 @@ def test_student_t_follows_the_polar_map_in_log_space(nu):
     assert np.array_equal(np.signbit(x[x != 0]), np.signbit(cos[x != 0]))
     with np.errstate(divide="ignore"):
         np.testing.assert_allclose(np.log(np.abs(x[~overflow])), log_t[~overflow], rtol=0, atol=1e-11)
-
-
-def test_range_draw_validation():
-    key = StreamKey(5, "edge")
-    for start, count, total in [(-1, 2, 4), (3, 2, 4), (0, 5, 4)]:
-        with pytest.raises(InvalidParameters):
-            sample_block(NoiseSpec("normal"), count, key, start=start, total=total)
-    # int() would return 3 draws for a count of 3.7, or read another range
-    for name, start, count, total in [("count", 0, 3.7, 8), ("start", 0.5, 2, 8), ("total", 0, 2, 8.5)]:
-        with pytest.raises(InvalidParameters, match=rf"{name} must be a whole number"):
-            sample_block(NoiseSpec("normal"), count, key, start=start, total=total)
-    whole = sample_block(NoiseSpec("normal"), 3.0, key, start=np.int64(1), total=8.0)
-    assert np.array_equal(whole, sample_block(NoiseSpec("normal"), 3, key, start=1, total=8))
 
 
 # 1 - u at the largest uniform k 2^-53 that the generator returns
