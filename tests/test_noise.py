@@ -257,19 +257,54 @@ def test_normal_second_moment_window():
     assert 0.995 <= np.mean(x * x) <= 1.005
 
 
-# whole-block counts: empty, a raw word's edges and one off them (rademacher reads 64
-# values per word), odd counts (a half pair for normal), and odd normal blocks that
-# span more than one 8192-pair chunk of the angle map
-COUNTS = [0, 1, 63, 64, 65, 128, 129, 40_001, 1_000_003]
+# (total, start, stop): one whole block of stop - start draws written into the range
+# [start, stop) of a buffer of `total` doubles, as the engine writes each strip into the
+# front of its one strip buffer.  Odd counts and odd starts (a half pair for normal),
+# empty and full ranges, and the whole-block counts 0, 63, 64, 65, 128, 129 and 1_000_003
+RANGES = [
+    (1, 0, 1), (1, 0, 0), (1, 1, 1), (2, 1, 2), (7, 0, 7), (7, 3, 4), (7, 1, 6), (7, 2, 7), (7, 7, 7),
+    (8, 3, 3), (8, 2, 6), (1001, 0, 1001), (1001, 333, 1000), (1001, 500, 501), (1024, 512, 1024),
+    # rademacher reads 64 values per raw word: counts at a word's edge or one off it
+    (200, 0, 63), (200, 0, 64), (200, 0, 65), (200, 63, 64), (200, 63, 65), (200, 64, 128),
+    (200, 65, 128), (200, 63, 129), (200, 128, 200), (128, 65, 128), (129, 64, 129),
+    (1_000_003, 777_777, 999_999),  # an odd start inside a large buffer
+    (0, 0, 0), (63, 0, 63), (64, 0, 64), (65, 0, 65), (128, 0, 128), (129, 0, 129),
+    (1_000_003, 0, 1_000_003),
+]
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
-@pytest.mark.parametrize("count", COUNTS)
-def test_draws_into_out_match_the_allocating_call(spec, count):
-    key = StreamKey(2024, "out", n=count, block=2)
-    want = sample_block(spec, count, key)
-    out = np.full(count, np.nan)
-    got = sample_block(spec, count, key, out=out)
+@pytest.mark.parametrize("total, start, stop", RANGES)
+def test_range_draw_is_a_slice_of_the_whole_block(spec, total, start, stop):
+    # the range holds the allocating call's block, bit for bit, and the rest of the buffer
+    # is left as it was
+    key = StreamKey(2024, "range", n=total, block=1)
+    buffer = np.full(total, np.nan)
+    part = sample_block(spec, stop - start, key, out=buffer[start:stop])
+    whole = sample_block(spec, stop - start, key)
+    assert part.shape == (stop - start,)
+    assert buffer[start:stop].tobytes() == whole.tobytes()
+    assert np.isnan(buffer[:start]).all() and np.isnan(buffer[stop:]).all()
+
+
+# (start, stop) inside a buffer of max(OUT_TOTAL, stop) doubles that holds an earlier
+# block: its start, a range inside it, its last range, and an odd start with an odd count
+# (a half pair for normal); the normal ranges span more than one 8192-pair chunk of the
+# angle map.  Then whole-block counts from the front of the buffer, as in COUNTS.
+OUT_TOTAL = 100_001
+COUNTS = [0, 1, 63, 64, 65, 128, 129, 40_001, 1_000_003]
+OUT_WINDOWS = [(0, 40_000), (30_000, 70_000), (60_001, 100_001), (4_097, 41_000)] + [(0, c) for c in COUNTS]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+@pytest.mark.parametrize("start, stop", OUT_WINDOWS)
+def test_draws_into_out_match_the_allocating_call(spec, start, stop):
+    # the draws do not depend on what out held before
+    key = StreamKey(2024, "out", n=stop - start, block=2)
+    want = sample_block(spec, stop - start, key)
+    buffer = sample_block(spec, max(OUT_TOTAL, stop), StreamKey(2024, "earlier"))
+    out = buffer[start:stop]
+    got = sample_block(spec, stop - start, key, out=out)
     assert got is out
     assert out.tobytes() == want.tobytes()
 
@@ -306,16 +341,18 @@ def test_a_bad_out_is_refused_before_any_draw(spec, kind, monkeypatch):
         sample_block(spec, 10, StreamKey(5, "out"), out=_bad_out(kind, 10))
 
 
-@pytest.mark.parametrize("count", COUNTS)
-def test_rademacher_draws_are_the_raw_bits(count):
-    # oracle in Python ints: draw v is 1 - 2 * (bit v % 64 of raw word v // 64)
-    key = StreamKey(2024, "bits", n=count, block=1)
-    draws = sample_block(NoiseSpec("rademacher"), count, key)
+@pytest.mark.parametrize("total, start, stop", RANGES)
+def test_rademacher_draws_are_the_raw_bits(total, start, stop):
+    # oracle in Python ints: draw v is 1 - 2 * (bit v % 64 of raw word v // 64); the
+    # block of stop - start draws goes into the range [start, stop) of a buffer
+    key = StreamKey(2024, "bits", n=total, block=start)
+    count = stop - start
+    part = sample_block(NoiseSpec("rademacher"), count, key, out=np.full(total, np.nan)[start:stop])
     words = generator_for(key).bit_generator.random_raw((count + 63) // 64).tolist()
     want = [1 - 2 * ((words[v // 64] >> (v % 64)) & 1) for v in range(count)]
-    assert draws.dtype == np.float64
-    assert draws.tolist() == want
-    assert not (np.signbit(draws) & (draws == 0.0)).any()  # no -0.0
+    assert part.dtype == np.float64
+    assert part.tolist() == want
+    assert not (np.signbit(part) & (part == 0.0)).any()  # no -0.0
 
 
 @pytest.mark.parametrize("nu", [0.3, 1.0, 3.0, 30.0])
