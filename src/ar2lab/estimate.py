@@ -7,10 +7,11 @@ The object of interest is
 whose convergence for every eps > 0 is the complete-convergence property
 of the normalized partial sums.  Each replicate is one noise path, drawn
 once in time strips, each under its own stream key, and read at every
-grid point by one streamed AR(2) recursion; each tail probability
-carries a 95% Wilson interval,
-and the partial sums over a finite n-grid are reported together with a
-stabilization verdict.
+grid point: step by step through the AR(2) recursion up to DENSE_MAX,
+and one whole strip at a time by the weighted sums S_n = sum_k
+U(n-k) theta_k beyond it.  Each tail probability carries a 95% Wilson
+interval, and the partial sums over a finite n-grid are reported
+together with a stabilization verdict.
 """
 
 from __future__ import annotations
@@ -36,13 +37,14 @@ BLOCK_REPLICATES = 4096
 
 # Version of the sampling layout described in _read_paths.  Estimates
 # from different layouts agree in distribution, not draw for draw.
-# Layout 8 draws every time strip whole, under its own key; up to
-# t = 2 * STRIP_STEPS its strips are layout 7's dyadic chunks, with the
-# same keys and draws.
-SAMPLING_LAYOUT = 8
+# Layout 9 draws layout 8's strips, with the same keys and draws, and
+# moves S_n past DENSE_MAX one whole strip at a time, which changes its
+# rounding there.
+SAMPLING_LAYOUT = 9
 
 # Every n up to this bound is on the default grid; above it only powers
-# of two are (see default_grid).
+# of two are (see default_grid).  The engine steps the recursion through
+# every time up to it and jumps whole strips past it (see _read_paths).
 DENSE_MAX = 128
 
 # Time strips end at 1, 2, 4, ..., STRIP_STEPS and then every STRIP_STEPS
@@ -201,34 +203,51 @@ def _as_replications(replications) -> int:
 def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, moment_at) -> tuple:
     """Exceedance counts and moments, read off one pass over the paths.
 
-    Sampling layout 8.  Each replicate is one noise path, read in time
+    Sampling layout 9.  Each replicate is one noise path, read in time
     strips: the strip ending at time e follows the one ending at s and
     holds the times s < t <= e, and strips end at 1, 2, 4, ...,
     STRIP_STEPS, then every STRIP_STEPS steps.  For replication block b
     that strip is one whole block of take * (e - s) draws under
     StreamKey(master_seed, "tail", n=e, block=b), read time-major: draw
     j * take + i is row i at time s + 1 + j.  The paths are drawn to the
-    end of the strip that holds grid[-1], and the recursion stops at
-    grid[-1], so how far the grid reaches inside that strip changes no
-    draw, and every grid point of a block reads its prefix of the same
-    paths.  One strip buffer, sized to the longest strip and allocated
-    per call, receives every strip of every block through sample_block's
-    out, so sampling pages in no fresh memory.
+    end of the strip that holds grid[-1], and no step past grid[-1] is
+    read, so how far the grid reaches inside that strip changes no draw,
+    and every grid point of a block reads its prefix of the same paths.
+    One strip buffer, sized to the longest strip and allocated per call,
+    receives every strip of every block through sample_block's out, so
+    sampling pages in no fresh memory.
 
-    Over each strip the recursion xi_t = a xi_(t-1) + b xi_(t-2) + theta_t,
-    S_t = S_(t-1) + xi_t steps all rows of the block at once, in
-    simulate_path's operation order, holding four row vectors: xi_(t-1),
-    xi_(t-2), S_t and a scratch.  |S_n| is read as t reaches each grid
-    point.  A draw with |theta| > SET_ASIDE (+-inf included; strips are
-    scanned for one, and U tabulated, only where the noise can reach it)
-    is zeroed before the recursion sees it and kept aside as (row, t,
-    theta); at each grid point n >= t its term U(n-t) theta is added back
-    to its row's S_n, in time order.  So S_n is +-inf or NaN exactly when
-    the weighted sum sum_k U(n-k) theta_k is, and the recursion itself
-    cannot overflow.  A grid read allocates nothing: |S_n| goes into the
-    scratch row, its sum detects a NaN (a sum of magnitudes is NaN
-    exactly when one of them is), and the exceedances are flagged in one
-    reused bool row and counted.
+    Up to DENSE_MAX, where the default grid reads every step, the
+    recursion xi_t = a xi_(t-1) + b xi_(t-2) + theta_t, S_t = S_(t-1) + xi_t
+    steps all rows of the block at once, in simulate_path's operation
+    order.  Past DENSE_MAX the engine no longer follows that order: each
+    strip s < t <= e moves the state (xi_s, xi_(s-1), S_s) to e in one
+    jump, by the weighted sums of the paper's representation,
+
+        xi_e = u_L xi_s + b u_(L-1) xi_(s-1) + sum_j u_(L-j) theta_(s+j),
+        S_e = S_s + (U(L) - 1) xi_s + b U(L-1) xi_(s-1) + sum_j U(L-j) theta_(s+j),
+
+    with L = e - s and xi_(e-1) alike, one step shorter.  The strip's
+    three weight rows meet its draws in one np.einsum (not BLAS, whose
+    bits depend on the machine), which sums the terms of each row in
+    time order when the block has two or more rows.  Every strip is
+    jumped whatever the grid, and a grid point at a strip end reads S_e;
+    a point n inside a strip is read by the same sum over its first
+    n - s steps from the strip's start, and never feeds the state.  So
+    S_n depends on the seed and n alone.
+
+    A draw with |theta| > SET_ASIDE (+-inf included; strips are scanned
+    for one only where the noise can reach it) is zeroed before the
+    recursion sees it and kept aside as (row, t, theta); at each grid
+    point n >= t its term U(n-t) theta is added back to its row's S_n, in
+    time order.  So S_n is +-inf or NaN exactly when the weighted sum
+    sum_k U(n-k) theta_k is, and the recursion itself cannot overflow.
+    One weight table, to STRIP_STEPS for the jumps and to grid[-1] - 1
+    for the set-aside draws, serves the call; none is built when neither
+    is needed.  A grid read allocates nothing: |S_n| goes into a scratch
+    row, its sum detects a NaN (a sum of magnitudes is NaN exactly when
+    one of them is), and the exceedances are flagged in one reused bool
+    row and counted.
 
     Returns the count of |S_n| > thresholds[i] at each grid point and
     the mean of |S_n|^r at grid[i] for i in moment_at.  Each mean adds
@@ -240,7 +259,12 @@ def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, mo
     """
     a, b = coeffs.a, coeffs.b
     scan = _log2_abs_bound(spec) > math.log2(SET_ASIDE) - 1
-    cum = weight_sequence(coeffs, grid[-1] - 1).cum if scan else None
+    if scan or grid[-1] > DENSE_MAX:
+        table = weight_sequence(coeffs, max(STRIP_STEPS, grid[-1] - 1) if scan else STRIP_STEPS)
+        u, cum = table.u, table.cum
+        # the last l columns weigh a strip's first l draws in xi, xi one step
+        # earlier and S, l steps into the strip
+        weights = np.array([u[STRIP_STEPS - 1 :: -1], [*u[STRIP_STEPS - 2 :: -1], 0.0], cum[STRIP_STEPS - 1 :: -1]])
     counts = [0] * len(grid)
     accs = {i: CompensatedSum() for i in moment_at}
     ends = [0, 1]  # strip j holds the times ends[j] < t <= ends[j + 1]
@@ -254,46 +278,79 @@ def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, mo
     for block, done in enumerate(range(0, replications, BLOCK_REPLICATES)):
         take = min(BLOCK_REPLICATES, replications - done)
         row = flags[:take]
-        prev, older, total, scratch = np.zeros((4, take))
+        # the state (xi_t, xi_(t-1), S_t), the sums ahead of it, and two scratch rows
+        state, ahead = np.zeros((2, 3, take))
+        prev, older, total = state
+        scratch, spare = np.empty((2, take))
         rows = times = np.empty(0, dtype=np.int64)
         aside = np.empty(0)
+
+        def read(i, n, sums):
+            """Count and reduce |S_n| of the block, held in sums, at grid[i] = n."""
+            if aside.size:
+                np.copyto(scratch, sums)
+                now = times <= n  # the strip's later draws join only from their own time on
+                with np.errstate(over="ignore", invalid="ignore"):  # inf draws make 0 * inf and inf - inf
+                    np.add.at(scratch, rows[now], cum[n - times[now]] * aside[now])
+                sums = scratch
+            np.abs(sums, out=scratch)
+            if math.isnan(np.sum(scratch)):  # a sum of |S_n| is NaN exactly when some |S_n| is
+                nan_count = np.count_nonzero(np.isnan(scratch))
+                raise NonFiniteInput(f"|S_n| is NaN for {nan_count} of {take} replicates at n={n}, block {block}")
+            counts[i] += np.count_nonzero(np.greater(scratch, thresholds[i], out=row))
+            if i in accs:
+                accs[i].add(float(np.sum(scratch ** r)))
+
+        def advance(steps, out):
+            """The last len(out) rows of (xi, xi one step earlier, S), steps into the strip, into out."""
+            first = 3 - len(out)
+            np.einsum("kj,ji->ki", weights[first:, -steps:], theta[:steps], out=out, optimize=False)
+            on_xi = (u[steps], u[steps - 1], cum[steps] - 1.0)
+            on_earlier = (b * u[steps - 1], b * u[steps - 2] if steps > 1 else 0.0, b * cum[steps - 1])
+            for sums, p, q in zip(out, on_xi[first:], on_earlier[first:]):
+                np.multiply(prev, p, out=spare)
+                sums += spare
+                np.multiply(older, q, out=spare)
+                sums += spare
+            out[-1] += total
+
         i = 0
         for t0, end in zip(ends, ends[1:]):
             cells = (end - t0) * take
             sample_block(spec, cells, StreamKey(master_seed, "tail", n=end, block=block), out=strip[:cells])
-            theta = strip[: (min(end, grid[-1]) - t0) * take]  # the recursion stops at grid[-1]
+            theta = strip[: (min(end, grid[-1]) - t0) * take]  # no step past grid[-1] is read
             if scan and (theta.max() > SET_ASIDE or theta.min() < -SET_ASIDE):
                 big = np.flatnonzero(np.abs(theta) > SET_ASIDE)
                 rows = np.append(rows, big % take)
                 times = np.append(times, t0 + 1 + big // take)
                 aside = np.append(aside, theta[big])
                 theta[big] = 0.0
-            for t, draws in enumerate(theta.reshape(-1, take), start=t0 + 1):
-                older *= b
-                np.multiply(prev, a, out=scratch)
-                older += scratch
-                older += draws
-                total += older
-                prev, older = older, prev
-                if t < grid[i]:
-                    continue
-                sums = total
-                if aside.size:
-                    sums = scratch
-                    np.copyto(sums, total)
-                    now = times <= t  # the strip's later draws join only from their own time on
-                    with np.errstate(over="ignore", invalid="ignore"):  # inf draws make 0 * inf and inf - inf
-                        np.add.at(sums, rows[now], cum[t - times[now]] * aside[now])
-                np.abs(sums, out=scratch)
-                if math.isnan(np.sum(scratch)):  # a sum of |S_n| is NaN exactly when some |S_n| is
-                    nan_count = np.count_nonzero(np.isnan(scratch))
-                    raise NonFiniteInput(
-                        f"|S_n| is NaN for {nan_count} of {take} replicates at n={t}, block {block}"
-                    )
-                counts[i] += np.count_nonzero(np.greater(scratch, thresholds[i], out=row))
-                if i in accs:
-                    accs[i].add(float(np.sum(scratch ** r)))
+            theta = theta.reshape(-1, take)
+            if end <= DENSE_MAX:
+                for t, draws in enumerate(theta, start=t0 + 1):
+                    older *= b
+                    np.multiply(prev, a, out=scratch)
+                    older += scratch
+                    older += draws
+                    total += older
+                    prev, older = older, prev
+                    if t == grid[i]:
+                        read(i, t, total)
+                        i += 1
+                continue
+            while grid[i] < end:  # a point inside the strip: summed from its start, and left out of the state
+                advance(grid[i] - t0, ahead[2:])
+                read(i, grid[i], ahead[2])
                 i += 1
+                if i == len(grid):
+                    break
+            else:
+                advance(STRIP_STEPS, ahead)
+                state, ahead = ahead, state
+                prev, older, total = state
+                if grid[i] == end:
+                    read(i, end, total)
+                    i += 1
     return counts, [accs[i].total / replications for i in moment_at]
 
 

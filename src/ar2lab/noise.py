@@ -241,44 +241,49 @@ def _angle_table(steps: int) -> tuple:
 _COS_K, _SIN_K = _angle_table(_STEPS)
 
 
-def _polar_pairs(radius: np.ndarray, angle: np.ndarray, out: np.ndarray) -> None:
-    """out[2 j], out[2 j + 1] = radius[j] * (cos, sin)(2 pi angle[j]), angle in [0, 1).
+def _polar_pairs(radius: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+    """out[2 j], out[2 j + 1] = radius[j] * (cos, sin)(2 pi u_j), u_j in [0, 1).
 
-    With u = angle[j], k = rint(1024 u) and x = (1024 u - k) 2 pi / 1024
+    The angles u_j are read from out[:n], n = len(radius), and work is three
+    rows of n doubles, apart from radius and out.  With u = u_j,
+    k = rint(1024 u) and x = (1024 u - k) 2 pi / 1024
     (1024 u and 1024 u - k are exact, |x| <= pi / 1024):
     cos(2 pi u) = C_k c(x) - S_k s(x) and sin(2 pi u) = S_k c(x) + C_k s(x),
     where C_k, S_k = cos, sin(2 pi k / 1024) are the table's entries and
     c(x) = 1 - x^2/2 + x^4/24, s(x) = x - x^3/6 + x^5/120 are Taylor
     polynomials (truncation below 2e-18).  Only +, -, *, rint and a table
     lookup, so a draw depends on neither libm's cos and sin nor numpy's SIMD
-    dispatch.  angle is overwritten, and the map holds four temporaries of
-    its length, so sample_block passes it _ANGLE_CHUNK angles at a time.
+    dispatch.  The map holds x and the table index in out, and its other
+    temporaries in work, so it allocates nothing.
     """
-    x = angle
+    n = len(radius)
+    x, index = out[:n], out[n:].view(np.intp)[:n]
+    spare, c, s = work
     x *= float(_STEPS)
-    k = np.rint(x)
+    k = np.rint(x, out=spare)
     x -= k
     x *= 2.0 * math.pi / _STEPS
-    index = k.astype(np.intp)
-    x2 = np.multiply(x, x, out=k)
-    c = x2 * (1.0 / 24.0)
+    np.copyto(index, k, casting="unsafe")  # k is a whole number in 0 .. 1024
+    x2 = np.multiply(x, x, out=spare)
+    np.multiply(x2, 1.0 / 24.0, out=c)
     c -= 0.5
     c *= x2
     c += 1.0
-    s = x2 * (1.0 / 120.0)
+    np.multiply(x2, 1.0 / 120.0, out=s)
     s -= 1.0 / 6.0
     s *= x2
     s *= x
     s += x
-    cos_k = _COS_K.take(index, out=x, mode="clip")  # index is in 0 .. 1024 already
-    sin_k = _SIN_K.take(index, out=x2, mode="clip")
-    even, odd = out[0::2], out[1::2]
-    np.multiply(cos_k, c, out=even)
-    np.multiply(sin_k, c, out=odd)
-    even -= np.multiply(sin_k, s, out=c)
-    odd += np.multiply(cos_k, s, out=c)
-    even *= radius
-    odd *= radius
+    cos_k = _COS_K.take(index, out=spare, mode="clip")  # index is in 0 .. 1024 already
+    sin_k = _SIN_K.take(index, out=x, mode="clip")
+    sin_s = np.multiply(sin_k, s, out=out[n:])
+    s *= cos_k
+    cos_k *= c
+    c *= sin_k
+    cos_k -= sin_s  # C_k c(x) - S_k s(x)
+    c += s  # S_k c(x) + C_k s(x)
+    np.multiply(cos_k, radius, out=out[0::2])
+    np.multiply(c, radius, out=out[1::2])
 
 
 def _normal_pairs(rng: Generator, out: np.ndarray) -> None:
@@ -287,9 +292,11 @@ def _normal_pairs(rng: Generator, out: np.ndarray) -> None:
     Pair j's uniforms sit at j and m + j of the stream, m = len(out) // 2.
     The radii sqrt(-2 log1p(-u1)) are drawn and transformed in place in
     the upper half of out; the angle map then runs over ascending chunks,
-    each copying its radii aside and drawing its angles in stream order.
-    Pair j writes out[2 j] and out[2 j + 1], below every radius not yet
-    read, so no temporary the size of the block is needed.
+    each copying its radii aside and drawing its angles in stream order
+    into the part of out that the chunk's pairs fill.  Pair j writes
+    out[2 j] and out[2 j + 1], below every radius not yet read, so the
+    kernel holds only four chunk rows besides out, of min(m, _ANGLE_CHUNK)
+    doubles each.
     """
     m = len(out) // 2
     radius = rng.random(out=out[m:])
@@ -297,12 +304,14 @@ def _normal_pairs(rng: Generator, out: np.ndarray) -> None:
     np.log1p(radius, out=radius)  # 1 - u in (0, 1], no log(0)
     radius *= -2.0
     np.sqrt(radius, out=radius)
-    chunk_radius, chunk_angle = np.empty((2, min(m, _ANGLE_CHUNK)))
+    chunk = np.empty((4, min(m, _ANGLE_CHUNK)))  # the radii and the map's three work rows
     for lo in range(0, m, _ANGLE_CHUNK):
         hi = min(lo + _ANGLE_CHUNK, m)
-        here, angle = chunk_radius[: hi - lo], chunk_angle[: hi - lo]
+        here = chunk[0, : hi - lo]
         here[...] = radius[lo:hi]
-        _polar_pairs(here, rng.random(out=angle), out[2 * lo : 2 * hi])
+        pairs = out[2 * lo : 2 * hi]
+        rng.random(out=pairs[: hi - lo])
+        _polar_pairs(here, pairs, chunk[1:, : hi - lo])
 
 
 def sample_block(

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -284,26 +287,36 @@ def test_set_aside_draws_join_each_sum_from_their_own_time_on():
         partial_series(coeffs, heavy, params, grid, 4096, 2)
 
 
+def weighted_magnitude(theta, coeffs, width):
+    """sum_k |U(n-k) theta_k| of each path at n = 1..width, a convolution done by FFT."""
+    size = 2 * width
+    cum = np.abs(weight_sequence(coeffs, width - 1).cum)
+    return np.fft.irfft(np.fft.rfft(np.abs(theta[:, :width]), size) * np.fft.rfft(cum, size), size)[:, :width]
+
+
 @pytest.mark.parametrize("ab", [(0.3, 0.2), (1.0, -0.25), (0.5, -0.9), (-0.5, 0.45), (0.2, 0.79)],
                          ids=["two-real", "repeated", "conjugate", "negative", "near-boundary"])
 def test_dense_head_matches_the_direct_route(ab):
     # the engine's |S_n| against simulate_path's compensated prefix sums of the
-    # same path at every n in 1..1024, relative to max(1, |S_n|) as
-    # representation_residual measures it.  A block of one replicate (below the
+    # same path at every n in 1..8192.  A block of one replicate (below the
     # public minimum of 100) makes the mean of |S_n| the path's own |S_n|; the
-    # block of 100 pins the time-major reading of its strips.  The engine's
-    # running sum is plain, not compensated, so its error grows with n: at most
-    # 0.95e-12 here to n = 1024 (near-boundary), 1.4e-12 on 64 such paths
+    # block of 100 pins the time-major reading of its strips.  Up to DENSE_MAX the
+    # engine steps the same recursion with a plain running sum: at most 2.7e-14
+    # relative to max(1, |S_n|) here (near-boundary).  Past it the engine sums each
+    # strip by weight instead, so the two routes round differently: the error is
+    # bounded by ulps of sum_k |U(n-k) theta_k|, at most 0.68 of them here (two-real)
     coeffs = ARCoefficients(*ab)
-    grid = list(range(1, 1025))
-    for seed, take in [*((seed, 1) for seed in range(16)), (16, 100)]:
-        limits = [math.inf] * len(grid)
-        _, engine = estimate._read_paths(coeffs, NORMAL, grid, take, seed, limits, 1.0, range(len(grid)))
-        paths = layout_paths(NORMAL, seed, "tail", grid[-1], take)
+    ulp = np.finfo(float).eps
+    for seed, take, width in [*((seed, 1, 1024) for seed in range(1, 16)), (0, 1, 8192), (16, 100, 8192)]:
+        grid = list(range(1, width + 1))
+        limits = [math.inf] * width
+        _, engine = estimate._read_paths(coeffs, NORMAL, grid, take, seed, limits, 1.0, range(width))
+        paths = layout_paths(NORMAL, seed, "tail", width, take)
         direct = np.abs([compensated_cumsum(simulate_path(coeffs, row).xi) for row in paths])
-        error = np.abs(np.asarray(engine) - direct.mean(axis=0)) / np.maximum(1.0, direct).mean(axis=0)
-        assert error[: estimate.DENSE_MAX].max() <= 1e-12
-        assert error.max() <= 5e-12
+        error = np.abs(np.asarray(engine) - direct.mean(axis=0))
+        head = estimate.DENSE_MAX
+        assert (error[:head] / np.maximum(1.0, direct[:, :head]).mean(axis=0)).max() <= 1e-12
+        assert (error[head:] / weighted_magnitude(paths, coeffs, width)[:, head:].mean(axis=0)).max() <= 4 * ulp
 
 
 FAMILIES = [
@@ -365,6 +378,82 @@ def test_paths_are_keyed_one_stream_per_strip(monkeypatch):
         for start, end in zip(ends, ends[1:])
     ]
     assert sum(count for *_, count in drawn) == replications * 384
+
+
+def test_strips_past_the_head_are_jumped_whatever_the_grid(monkeypatch):
+    # past DENSE_MAX each strip 128 < t <= 256, ..., 896 < t <= 1024 that the grid
+    # passes moves the state in one three-row strip sum, and a grid point strictly
+    # inside a strip is one one-row sum from the strip's start; a point at a strip
+    # end reads the carried sums, and the last strip is not jumped when grid[-1]
+    # lies inside it
+    rows = []
+    einsum = np.einsum
+
+    def recorded(subscripts, weights, theta, **kwargs):
+        rows.append(len(weights))
+        return einsum(subscripts, weights, theta, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recorded)
+    params = SeriesParams(1, 2, 1)
+    for grid, jumps, inside in [(range(1, 129), 0, 0), ([64, 129], 0, 1), (default_grid(1024), 7, 0),
+                                ([3, 256, 300, 384, 700, 1000, 1024], 7, 3), ([200, 1000], 6, 2)]:
+        rows.clear()
+        partial_series(STABLE, NORMAL, params, grid, 200, 5)
+        assert (rows.count(3), rows.count(1), len(rows)) == (jumps, inside, jumps + inside)
+
+
+def test_an_estimate_builds_at_most_one_weight_table(monkeypatch):
+    # the jumps need U and u to STRIP_STEPS, the set-aside draws U to grid[-1] - 1;
+    # one table serves both, and none is built within the dense head of noise
+    # that is never scanned
+    built = []
+
+    def recorded(coeffs, horizon):
+        built.append(horizon)
+        return weight_sequence(coeffs, horizon)
+
+    monkeypatch.setattr(estimate, "weight_sequence", recorded)
+    params = SeriesParams(1, 2, 1)
+    scanned = NoiseSpec("pareto", (0.09, 1.0))  # |theta| can pass 2^512, with probability 2^-46 per draw
+    for spec, grid, horizons in [(NORMAL, range(1, 129), []), (NORMAL, [2, 129], [estimate.STRIP_STEPS]),
+                                 (NORMAL, default_grid(1024), [estimate.STRIP_STEPS]),
+                                 (scanned, [2, 64], [estimate.STRIP_STEPS]), (scanned, [2, 1000], [999])]:
+        built.clear()
+        partial_series(STABLE, spec, params, grid, 200, 5)
+        assert built == horizons
+
+
+def dispatch_probe() -> str:
+    """Counts, partial sums and moments past DENSE_MAX, as text.
+
+    Rademacher and uniform noise, two replication blocks, and a grid whose
+    points 300, 383 and 1000 lie inside strips.
+    """
+    grid = sorted(default_grid(2048) + [300, 383, 1000])
+    replications = estimate.BLOCK_REPLICATES + 101
+    lines = []
+    for spec in (RADEMACHER, NoiseSpec("uniform", (1.5,))):
+        est = partial_series(STABLE, spec, SeriesParams(1.5, 2, 1), grid, replications, 23)
+        lines += [repr([round(t.p_hat * replications) for t in est.tails]), repr(est.partial_sums),
+                  repr(est.moments.estimates)]
+    return "\n".join(lines)
+
+
+def test_engine_bits_do_not_depend_on_numpy_simd_dispatch():
+    # numpy picks SIMD loops by CPU at run time; the strip sums, the recursion
+    # and the reductions must give the same bits with every dispatched feature
+    # turned off.  The feature names come from numpy itself.
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    disabled = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    paths = [Path(estimate.__file__).resolve().parents[1], Path(__file__).parent, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled),
+               PYTHONPATH=os.pathsep.join(str(path) for path in paths if path))
+    probe = "import test_estimate; print(test_estimate.dispatch_probe(), end='')"
+    child = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert child.stdout == dispatch_probe()
 
 
 # the layout's longest strip: STRIP_STEPS time steps of a full block, in bytes
@@ -490,26 +579,33 @@ def test_partial_series_is_deterministic():
 
 def test_partial_series_grid_insensitive_per_point():
     # the estimate at n depends only on (seed, n), not on the rest of the grid,
-    # also when another grid draws the paths further (to 1024 against 64), or
-    # stops inside a strip: at 40, and at 300, 44 steps into the strip
-    # 256 < t <= 384, whose draws must still be read as part of the whole strip
+    # also when another grid draws the paths further (to 8192 against 64), or
+    # stops inside a strip: at 40, at 300, 44 steps into the strip 256 < t <= 384,
+    # whose draws must still be read as part of the whole strip, and at 1000.
+    # Past DENSE_MAX a point inside a strip (300, 383, 385, 1000, 8191) is summed
+    # from the strip's start and a strip end (256, 384, 1024) reads the carried
+    # sums; neither may depend on which points the grid holds in or before its strip
     params = SeriesParams(1, 2, 1)
-    dense = partial_series(STABLE, NORMAL, params, sorted(default_grid(1024) + [129, 300]), 1000, 21)
+    points = [129, 300, 383, 384, 385, 1000, 8191]
+    dense = partial_series(STABLE, NORMAL, params, sorted(default_grid(8192) + points), 1000, 21)
     by_n = {t.n: t for t in dense.tails}
-    grids = [range(1, 17), [4, 8, 16], [1, 2, 4, 8, 16, 100, 300], [3, 40], range(1, 65), [3, 100, 129, 300]]
+    grids = [range(1, 17), [4, 8, 16], [1, 2, 4, 8, 16, 100, 300], [3, 40], range(1, 65), [3, 100, 129, 300],
+             [200, 383, 384, 385], [256, 385, 1000], [3, 1000, 8191], [130, 8192]]
     for grid in grids:
         for tail in partial_series(STABLE, NORMAL, params, grid, 1000, 21).tails:
             if tail.n in by_n:
                 assert tail == by_n[tail.n]
     # tail_probability is the one-point case of the same engine
-    for n in (1, 3, 40, 128, 129, 256, 300, 1024):
+    for n in (1, 3, 40, 128, 129, 256, 300, 383, 384, 385, 1000, 1024, 8191):
         assert tail_probability(STABLE, NORMAL, params, n, 1000, 21) == by_n[n]
-    # the moments see every bit of |S_n|: the same on a short grid
+    # the moments see every bit of |S_n|: the same on short grids, whose points
+    # inside strips differ from the dense grid's
     moments = dict(zip(dense.moments.n_grid, dense.moments.estimates))
-    short = moment_growth_check(STABLE, NORMAL, 2.0, [3, 16, 40, 64, 256], 1000, 21)
-    for n, moment in zip(short.n_grid, short.estimates):
-        if n in moments:
-            assert moment == moments[n]
+    for grid in ([3, 16, 40, 64, 256], [16, 200, 256, 1024, 1500, 2048], [300, 512, 700, 4096, 8000, 8192]):
+        short = moment_growth_check(STABLE, NORMAL, 2.0, grid, 1000, 21)
+        for n, moment in zip(short.n_grid, short.estimates):
+            if n in moments:
+                assert moment == moments[n]
 
 
 def test_wilson_coverage_against_exact_gaussian_tail():

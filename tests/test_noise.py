@@ -389,7 +389,8 @@ def test_angle_table_is_correctly_rounded():
 
 def unit_circle(u):
     out = np.empty(2 * len(u))
-    _polar_pairs(np.ones(len(u)), u.copy(), out)
+    out[: len(u)] = u
+    _polar_pairs(np.ones(len(u)), out, np.empty((3, len(u))))
     return out[0::2], out[1::2]
 
 
@@ -425,7 +426,7 @@ def test_normal_kernel_memory_stays_within_two_and_a_half_outputs():
 
 def test_normal_kernel_holds_no_temporary_the_size_of_the_block():
     # the radii are drawn into the output's upper half and the angles one 8192-pair
-    # chunk at a time, so beyond the output only six chunk arrays (0.09 x) are held;
+    # chunk at a time, so beyond the output only four chunk rows (0.06 x) are held;
     # two half-size uniform arrays besides the output would be 2.1 x
     key = StreamKey(3, "memory")
     for out in (None, np.empty(2 ** 19)):
@@ -436,6 +437,22 @@ def test_normal_kernel_holds_no_temporary_the_size_of_the_block():
         finally:
             tracemalloc.stop()
         assert peak <= (1.25 if out is None else 0.25) * x.nbytes
+
+
+def test_small_normal_draws_hold_four_chunk_rows():
+    # 8192 draws are one chunk of 4096 pairs: its radius copy and three rows of
+    # map temporaries, each half the output, 2 x with out; the angles and the
+    # table index live in the part of the output the chunk fills.  Separate
+    # angle, index and polynomial arrays besides them were 3.04 x with out
+    key = StreamKey(3, "memory")
+    for out in (None, np.empty(8192)):
+        tracemalloc.start()
+        try:
+            x = sample_block(NoiseSpec("normal"), 8192, key, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (3.25 if out is None else 2.25) * x.nbytes
 
 
 def test_rademacher_kernel_memory_stays_within_one_and_a_quarter_outputs():
