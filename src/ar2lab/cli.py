@@ -14,12 +14,9 @@ All emitted files are deterministic for a fixed config and seed.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -215,18 +212,21 @@ def _cmd_weights(config: ExperimentConfig) -> int:
 def _cmd_simulate(config: ExperimentConfig) -> int:
     """Write the paths one at a time, so only one path's text is held.
 
-    A path refused for an infinite draw removes the file it was written to.
+    Any failure after the file is opened, a path refused for an infinite
+    draw or a write that fails, removes the file, so a paths file that
+    exists is complete.
     """
     n = config.grid_max
     out = config.output_path + ".paths.csv"
+    fh = _text_file(out)
     try:
-        with _text_file(out) as fh:
+        with fh:
             for i in range(SELF_CHECK_PATHS):
                 theta = sample_block(config.noise, n, StreamKey(config.master_seed, "path", n=n, block=i))
                 path = simulate_path(config.coeffs, theta)
                 columns = [np.full(n, i), np.arange(1, n + 1), path.theta, path.xi]
                 _write_text(fh, _table("" if i else "path,k,theta,xi\n", "%d,%d,%.17g,%.17g", columns))
-    except LabError:
+    except BaseException:
         os.remove(out)
         raise
     print(f"wrote {SELF_CHECK_PATHS} paths of length {n} to {out}")
@@ -294,35 +294,6 @@ def _cmd_verify(config: ExperimentConfig) -> int:
     return 0 if failures == 0 else 1
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors on exit code 1, not 2, which is FloorLimited's."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="ar2lab",
-        description="Estimate weighted tail series for 2nd-order autoregressive partial sums.",
-        epilog="""commands:
-  spectrum  print roots, spectral radius, and envelope constants
-  weights   dump the weight table as CSV on stdout
-  simulate  write sample paths to <output>.paths.csv
-  series    run the full estimation pipeline
-  verify    run the internal consistency checks""",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="one of the commands below")
-    parser.add_argument("--config", required=True, help="path to the config file")
-    parser.add_argument("--seed", type=int, default=None, help="override the master seed")
-    parser.add_argument("--replications", type=int, default=None, help="override replications per n")
-    parser.add_argument("--out", default=None, help="override the output path prefix")
-    return parser
-
-
 _COMMANDS = {
     "spectrum": _cmd_spectrum,
     "weights": _cmd_weights,
@@ -331,14 +302,80 @@ _COMMANDS = {
     "verify": _cmd_verify,
 }
 
+_USAGE = "usage: ar2lab [-h] command --config CONFIG [--seed SEED] [--replications REPLICATIONS] [--out OUT]\n"
+
+_HELP = _USAGE + """
+Estimate weighted tail series for 2nd-order autoregressive partial sums.
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       path to the config file
+  --seed SEED           override the master seed
+  --replications REPLICATIONS
+                        override replications per n
+  --out OUT             override the output path prefix
+
+Each option takes its value as --opt value or --opt=value.
+
+commands:
+  spectrum  print roots, spectral radius, and envelope constants
+  weights   dump the weight table as CSV on stdout
+  simulate  write sample paths to <output>.paths.csv
+  series    run the full estimation pipeline
+  verify    run the internal consistency checks
+"""
+
+# option -> (config field it overrides, type of its value); --config names the file itself
+_OPTIONS = {"--config": ("config", str), "--seed": ("master_seed", int),
+            "--replications": ("replications", int), "--out": ("output_path", str)}
+
+
+def _usage_error(message: str):
+    """Exit 1, not 2, which is FloorLimited's code, with the usage line on stderr."""
+    sys.stderr.write(f"{_USAGE}ar2lab: error: {message}\n")
+    raise SystemExit(1)
+
+
+def _parse_args(argv: list) -> tuple:
+    """(command, {field: value}) from the command and --opt value / --opt=value options."""
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_HELP)
+        raise SystemExit(0)
+    commands, values = [], {}
+    args = iter(argv)
+    for arg in args:
+        if not arg.startswith("-"):
+            commands.append(arg)
+            continue
+        option, equals, value = arg.partition("=")
+        if option not in _OPTIONS:
+            _usage_error(f"unrecognized arguments: {arg}")
+        if not equals:
+            value = next(args, None)
+            if value is None or (value.startswith("-") and not value[1:].isdigit()):
+                _usage_error(f"argument {option}: expected one argument")
+        field, kind = _OPTIONS[option]
+        try:
+            values[field] = kind(value)
+        except ValueError:
+            _usage_error(f"argument {option}: invalid int value: {value!r}")
+    if len(commands) > 1:
+        _usage_error(f"unrecognized arguments: {' '.join(commands[1:])}")
+    if commands and commands[0] not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _usage_error(f"argument command: invalid choice: {commands[0]!r} (choose from {choices})")
+    missing = ["command"] * (not commands) + ["--config"] * ("config" not in values)
+    if missing:
+        _usage_error("the following arguments are required: " + ", ".join(missing))
+    return commands[0], values
+
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    command, overrides = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         # ExperimentConfig re-validates, so overrides obey the config file's rules
-        overrides = {"master_seed": args.seed, "replications": args.replications, "output_path": args.out}
-        config = replace(parse_config(args.config), **{k: v for k, v in overrides.items() if v is not None})
-        return _COMMANDS[args.command](config)
+        config = parse_config(overrides.pop("config")).replace(**overrides)
+        return _COMMANDS[command](config)
     except (LabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,11 +20,9 @@ the condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidParameters, NonFiniteInput, ParseError, UnstableCoefficients, ValidationError
 from .estimate import SeriesParams, _as_replications
-from .noise import NoiseSpec, _as_seed, _as_whole
+from .noise import NoiseSpec, _as_seed, _as_whole, _Record
 from .recurrence import ARCoefficients, require_stable
 
 # Raw values of the optional keys, parsed like values read from a file.
@@ -40,33 +38,39 @@ _KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     """Validated inputs for one full series run.
 
-    Checked on construction, so dataclasses.replace re-validates.
+    Checked on construction, so replace, which builds a new config,
+    re-validates.
     """
 
-    coeffs: ARCoefficients
-    noise: NoiseSpec
-    params: SeriesParams
-    grid_max: int
-    replications: int
-    master_seed: int
-    output_path: str
+    __slots__ = ("coeffs", "noise", "params", "grid_max", "replications", "master_seed", "output_path")
 
-    def __post_init__(self):
+    def __init__(self, coeffs: ARCoefficients, noise: NoiseSpec, params: SeriesParams, grid_max: int,
+                 replications: int, master_seed: int, output_path: str):
         try:
-            require_stable(self.coeffs, "config")
-            object.__setattr__(self, "replications", _as_replications(self.replications))
-            object.__setattr__(self, "master_seed", _as_seed(self.master_seed))
-            object.__setattr__(self, "grid_max", _as_whole(self.grid_max, "grid_max"))
+            require_stable(coeffs, "config")
+            replications = _as_replications(replications)
+            master_seed = _as_seed(master_seed)
+            grid_max = _as_whole(grid_max, "grid_max")
         except (UnstableCoefficients, InvalidParameters) as exc:
             raise ValidationError(str(exc)) from None
-        if self.grid_max < 1:
-            raise ValidationError(f"grid_max must be >= 1, got {self.grid_max}")
-        if not self.output_path:
+        if grid_max < 1:
+            raise ValidationError(f"grid_max must be >= 1, got {grid_max}")
+        if not output_path:
             raise ValidationError("output must be a non-empty path prefix")
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "noise", noise)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "grid_max", grid_max)
+        object.__setattr__(self, "replications", replications)
+        object.__setattr__(self, "master_seed", master_seed)
+        object.__setattr__(self, "output_path", output_path)
+
+    def replace(self, **changes) -> ExperimentConfig:
+        """A new config with the named fields changed, validated like any other (the CLI overrides)."""
+        return ExperimentConfig(**dict(zip(self.__slots__, self._values()), **changes))
 
 
 def _parse_value(key: str, raw: str, line: int | None, kind: type):

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyGrid, InfiniteMoment, InvalidParameters, NonFiniteInput
-from .noise import NoiseSpec, StreamKey, _as_whole, _log2_abs_bound, absolute_moment, sample_block
+from .noise import NoiseSpec, StreamKey, _as_whole, _log2_abs_bound, _Record, absolute_moment, sample_block
 from .recurrence import ARCoefficients, require_stable, weight_sequence
 from .summation import CompensatedSum, compensated_cumsum
 
@@ -67,18 +66,15 @@ STABILIZED_TAIL_SHARE = 1e-3
 FLOOR_FRACTION_LIMIT = 0.25
 
 
-@dataclass(frozen=True)
-class SeriesParams:
+class SeriesParams(_Record):
     """Exponents and threshold of the series: 0 < p < 2, r >= p, eps > 0."""
 
-    p: float
-    r: float
-    epsilon: float
+    __slots__ = ("p", "r", "epsilon")
 
-    def __post_init__(self):
-        p = float(self.p)
-        r = float(self.r)
-        eps = float(self.epsilon)
+    def __init__(self, p: float, r: float, epsilon: float):
+        p = float(p)
+        r = float(r)
+        eps = float(epsilon)
         if not (math.isfinite(p) and 0.0 < p < 2.0):
             raise InvalidParameters(f"p must satisfy 0 < p < 2, got {p}")
         if not (math.isfinite(r) and r >= p):
@@ -95,16 +91,21 @@ class SeriesParams:
         return self.r / self.p - 2.0
 
 
-@dataclass(frozen=True)
-class TailEstimate:
-    """One Monte Carlo tail probability with its Wilson interval."""
+class TailEstimate(_Record):
+    """One Monte Carlo tail probability with its Wilson interval.
 
-    n: int
-    replications: int
-    p_hat: float
-    ci_low: float
-    ci_high: float
-    at_floor: bool  # zero exceedances observed; p_hat sits on the MC floor
+    at_floor: zero exceedances observed; p_hat sits on the MC floor.
+    """
+
+    __slots__ = ("n", "replications", "p_hat", "ci_low", "ci_high", "at_floor")
+
+    def __init__(self, n: int, replications: int, p_hat: float, ci_low: float, ci_high: float, at_floor: bool):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "replications", replications)
+        object.__setattr__(self, "p_hat", p_hat)
+        object.__setattr__(self, "ci_low", ci_low)
+        object.__setattr__(self, "ci_high", ci_high)
+        object.__setattr__(self, "at_floor", at_floor)
 
 
 class Verdict(enum.Enum):
@@ -113,8 +114,7 @@ class Verdict(enum.Enum):
     GROWING = "Growing"
 
 
-@dataclass(frozen=True)
-class MomentGrowthReport:
+class MomentGrowthReport(_Record):
     """Least-squares slope of log E|S_n|^r against log n.
 
     bound = max(1, r/2) is the growth exponent that E|S_n|^r of a
@@ -122,27 +122,37 @@ class MomentGrowthReport:
     constant); slope materially above it signals a defect.
     """
 
-    r: float
-    n_grid: tuple
-    estimates: tuple
-    slope: float
-    intercept: float
-    bound: float
-    replications: int
+    __slots__ = ("r", "n_grid", "estimates", "slope", "intercept", "bound", "replications")
+
+    def __init__(self, r: float, n_grid: tuple, estimates: tuple, slope: float, intercept: float, bound: float,
+                 replications: int):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "n_grid", n_grid)
+        object.__setattr__(self, "estimates", estimates)
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "intercept", intercept)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "replications", replications)
 
 
-@dataclass(frozen=True)
-class SeriesEstimate:
-    """Per-point estimates and running sums over an n-grid."""
+class SeriesEstimate(_Record):
+    """Per-point estimates and running sums over an n-grid.
 
-    params: SeriesParams
-    grid: tuple
-    tails: tuple
-    terms: tuple
-    partial_sums: tuple
-    partial_sum_ci_high: tuple
-    verdict: Verdict
-    moments: MomentGrowthReport | None  # the fit of E|S_n|^r on the same paths, None if skipped
+    moments is the fit of E|S_n|^r on the same paths, None if skipped.
+    """
+
+    __slots__ = ("params", "grid", "tails", "terms", "partial_sums", "partial_sum_ci_high", "verdict", "moments")
+
+    def __init__(self, params: SeriesParams, grid: tuple, tails: tuple, terms: tuple, partial_sums: tuple,
+                 partial_sum_ci_high: tuple, verdict: Verdict, moments: MomentGrowthReport | None):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "tails", tails)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "partial_sums", partial_sums)
+        object.__setattr__(self, "partial_sum_ci_high", partial_sum_ci_high)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "moments", moments)
 
 
 def default_grid(n_max: int) -> list:

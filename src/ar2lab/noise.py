@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence  # at import: numpy loads it lazily, at first use
@@ -30,8 +29,52 @@ _PARAMS = {
 }
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
+class _Record:
+    """Base of the package's immutable record types.
+
+    A record's fields are its class's __slots__, in order, set once by
+    the class's own __init__ through object.__setattr__.  Equality and
+    hash come from the type and the field values, repr lists the fields,
+    and assigning or deleting a field raises AttributeError.  Nothing is
+    generated when a record class is defined.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((self.__class__, self._values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _rebuild, (self.__class__, self._values())
+
+
+def _rebuild(cls, values: tuple):
+    """Unpickle a record: its stored fields, not a second run of its checks."""
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(record, name, value)
+    return record
+
+
+class NoiseSpec(_Record):
     """A distribution choice plus its parameters.
 
     uniform:  params = (half_width,), support (-c, c)
@@ -40,21 +83,21 @@ class NoiseSpec:
     normal / rademacher: no parameters
     """
 
-    family: str
-    params: tuple = ()
+    __slots__ = ("family", "params")
 
-    def __post_init__(self):
-        names = _PARAMS.get(self.family)
+    def __init__(self, family: str, params: tuple = ()):
+        names = _PARAMS.get(family)
         if names is None:
-            raise InvalidParameters(f"noise.family must be one of {sorted(_PARAMS)}, got {self.family!r}")
-        params = tuple(float(p) for p in self.params)
-        object.__setattr__(self, "params", params)
+            raise InvalidParameters(f"noise.family must be one of {sorted(_PARAMS)}, got {family!r}")
+        params = tuple(float(p) for p in params)
         if len(params) != len(names):
             raise InvalidParameters(
-                f"noise.family {self.family!r} takes exactly {len(names)} parameter(s), got {len(params)}"
+                f"noise.family {family!r} takes exactly {len(names)} parameter(s), got {len(params)}"
             )
         if not all(p > 0 and math.isfinite(p) for p in params):
-            raise InvalidParameters(f"{self.family} needs " + " and ".join(f"{name} > 0" for name in names))
+            raise InvalidParameters(f"{family} needs " + " and ".join(f"{name} > 0" for name in names))
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
 
 
 def absolute_moment(spec: NoiseSpec, r: float) -> float:
@@ -148,8 +191,7 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class StreamKey:
+class StreamKey(_Record):
     """Address of one block of random draws.
 
     purpose separates independent uses of the same master seed (the
@@ -157,17 +199,18 @@ class StreamKey:
     point or time strip and the replication block inside a purpose.
     """
 
-    master_seed: int
-    purpose: str
-    n: int = 0
-    block: int = 0
+    __slots__ = ("master_seed", "purpose", "n", "block")
 
-    def __post_init__(self):
-        object.__setattr__(self, "master_seed", _as_seed(self.master_seed))
-        object.__setattr__(self, "n", _as_whole(self.n, "n"))
-        object.__setattr__(self, "block", _as_whole(self.block, "block"))
-        if self.n < 0 or self.block < 0:
+    def __init__(self, master_seed: int, purpose: str, n: int = 0, block: int = 0):
+        master_seed = _as_seed(master_seed)
+        n = _as_whole(n, "n")
+        block = _as_whole(block, "block")
+        if n < 0 or block < 0:
             raise InvalidParameters("n and block must be >= 0")
+        object.__setattr__(self, "master_seed", master_seed)
+        object.__setattr__(self, "purpose", purpose)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "block", block)
 
 
 def generator_for(key: StreamKey) -> Generator:

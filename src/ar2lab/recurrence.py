@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .errors import (
     NonFiniteInput,
     UnstableCoefficients,
 )
-from .noise import _as_whole
+from .noise import _as_whole, _Record
 from .summation import compensated_cumsum
 
 # Strict slack on the stability inequalities; points this close to the
@@ -57,22 +56,20 @@ class Stability(enum.Enum):
     UNSTABLE = "Unstable"
 
 
-@dataclass(frozen=True)
-class ARCoefficients:
+class ARCoefficients(_Record):
     """Coefficient pair (a, b) with its stability classification.
 
     Stable means -1 < b < 1 - |a| with slack STABILITY_SLACK on both
     strict inequalities, which is equivalent to both characteristic
-    roots lying strictly inside the unit circle.
+    roots lying strictly inside the unit circle.  stability is derived
+    from a and b, not passed.
     """
 
-    a: float
-    b: float
-    stability: Stability = field(init=False)
+    __slots__ = ("a", "b", "stability")
 
-    def __post_init__(self):
-        a = float(self.a)
-        b = float(self.b)
+    def __init__(self, a: float, b: float):
+        a = float(a)
+        b = float(b)
         if not (math.isfinite(a) and math.isfinite(b)):
             raise NonFiniteInput(f"coefficients must be finite, got a={a}, b={b}")
         object.__setattr__(self, "a", a)
@@ -87,8 +84,7 @@ def require_stable(coeffs: ARCoefficients, what: str) -> None:
         raise UnstableCoefficients(f"{what} needs -1 < b < 1 - |a|, got a={coeffs.a}, b={coeffs.b}")
 
 
-@dataclass(frozen=True)
-class CompanionSpectrum:
+class CompanionSpectrum(_Record):
     """Roots of z^2 - a*z - b and derived growth data.
 
     rho is the spectral radius max(|lambda1|, |lambda2|); mu is the
@@ -97,11 +93,14 @@ class CompanionSpectrum:
     a conjugate pair and rho = sqrt(-b).
     """
 
-    lambda1: complex
-    lambda2: complex
-    rho: float
-    mu: int
-    discriminant: float
+    __slots__ = ("lambda1", "lambda2", "rho", "mu", "discriminant")
+
+    def __init__(self, lambda1: complex, lambda2: complex, rho: float, mu: int, discriminant: float):
+        object.__setattr__(self, "lambda1", lambda1)
+        object.__setattr__(self, "lambda2", lambda2)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "discriminant", discriminant)
 
 
 def companion_spectrum(coeffs: ARCoefficients) -> CompanionSpectrum:
@@ -132,17 +131,19 @@ def _readonly(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class WeightTable:
+class WeightTable(_Record):
     """Weights u_0..u_horizon and their running sums U(0)..U(horizon).
 
     Arrays are read-only; a table is safe to share between workers.
     """
 
-    coeffs: ARCoefficients
-    horizon: int
-    u: np.ndarray
-    cum: np.ndarray
+    __slots__ = ("coeffs", "horizon", "u", "cum")
+
+    def __init__(self, coeffs: ARCoefficients, horizon: int, u: np.ndarray, cum: np.ndarray):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "cum", cum)
 
     def require(self, horizon: int) -> None:
         """Refuse a reader that needs weights past this table's horizon."""
@@ -244,8 +245,7 @@ def companion_power_column(coeffs: ARCoefficients, s: int) -> tuple:
     return power[0], power[2]
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """Empirical envelope constants for a stable coefficient pair.
 
     koval_ratio_min/max bracket R(s) = ||C^s M||_F / (rho^s * s^(mu-1))
@@ -255,11 +255,15 @@ class BoundReport:
     geometric-series limit 1 / (1 - a - b) of U(j).
     """
 
-    L_star: float
-    cum_limit: float
-    koval_ratio_min: float
-    koval_ratio_max: float
-    horizon_used: int
+    __slots__ = ("L_star", "cum_limit", "koval_ratio_min", "koval_ratio_max", "horizon_used")
+
+    def __init__(self, L_star: float, cum_limit: float, koval_ratio_min: float, koval_ratio_max: float,
+                 horizon_used: int):
+        object.__setattr__(self, "L_star", L_star)
+        object.__setattr__(self, "cum_limit", cum_limit)
+        object.__setattr__(self, "koval_ratio_min", koval_ratio_min)
+        object.__setattr__(self, "koval_ratio_max", koval_ratio_max)
+        object.__setattr__(self, "horizon_used", horizon_used)
 
 
 def bound_report(table: WeightTable, horizon: int) -> BoundReport:

@@ -12,25 +12,26 @@ whole pipeline; representation_residual quantifies it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidParameters, NonFiniteInput
+from .noise import _Record
 from .recurrence import ARCoefficients, WeightTable
 from .recurrence import weight_sequence  # noqa: F401  unused here, but bench/spans.py wraps it where simulate looks it up
 from .summation import compensated_cumsum
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(_Record):
     """One realized trajectory: innovations, states, and their sum."""
 
-    coeffs: ARCoefficients
-    n: int
-    theta: np.ndarray
-    xi: np.ndarray
-    s_n: float
+    __slots__ = ("coeffs", "n", "theta", "xi", "s_n")
+
+    def __init__(self, coeffs: ARCoefficients, n: int, theta: np.ndarray, xi: np.ndarray, s_n: float):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "s_n", s_n)
 
 
 def _as_theta(theta) -> np.ndarray:

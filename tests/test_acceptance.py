@@ -5,7 +5,6 @@ Each test covers one numbered criterion, prints exactly one
 and enforces the stated tolerance and runtime budget.
 """
 
-import dataclasses
 import math
 import time
 
@@ -212,7 +211,7 @@ def test_criterion_07_exact_tail_checkpoints():
     params = SeriesParams(p=1, r=2, epsilon=0.5)
     sure = tail_probability(FREE, RADEMACHER, params, 1, 1000, 3)
     never = tail_probability(
-        FREE, RADEMACHER, dataclasses.replace(params, epsilon=2.0), 1, 1000, 3
+        FREE, RADEMACHER, SeriesParams(p=params.p, r=params.r, epsilon=2.0), 1, 1000, 3
     )
     exact_ok = sure.p_hat == 1.0 and never.p_hat == 0.0 and never.at_floor
 

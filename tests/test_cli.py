@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import re
@@ -195,7 +194,7 @@ def test_series_run_draws_each_path_once(tmp_path, monkeypatch, grid_max):
 
 def test_run_is_byte_deterministic(tmp_path):
     config, out = configure(tmp_path)
-    other = dataclasses.replace(config, output_path=str(tmp_path / "again"))
+    other = config.replace(output_path=str(tmp_path / "again"))
     assert run(config) == run(other)
     for suffix in (".series.csv", ".spectrum.csv", ".summary.txt"):
         first = Path(str(out) + suffix).read_bytes()
@@ -253,8 +252,8 @@ def test_bound_horizon_takes_whole_numbers_only(tmp_path):
     # so _bound_horizon only ever sees the whole grid_max a config holds
     config, _ = configure(tmp_path)
     with pytest.raises(ValidationError, match=r"grid_max must be a whole number"):
-        dataclasses.replace(config, grid_max=300.5)
-    whole = dataclasses.replace(config, grid_max=300.0).grid_max
+        config.replace(grid_max=300.5)
+    whole = config.replace(grid_max=300.0).grid_max
     assert type(whole) is int and ar2lab.cli._bound_horizon(whole) == 300
 
 
@@ -293,6 +292,20 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", probe], env=fresh_env(),
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_series_process_loads_no_argparse_dataclasses_or_table_kernel(tmp_path):
+    # a small series process pays for none of them: the options are read by
+    # hand, the records generate no code, and a one-slab table is rendered by %
+    cfg_path, out = write_cfg(tmp_path)
+    probe = ("import sys, ar2lab.cli, ar2lab.text\n"
+             f"code = ar2lab.cli.main(['series', '--config', {str(cfg_path)!r}])\n"
+             "print(code, sorted({'argparse', 'gettext', 'locale', 'dataclasses'} & set(sys.modules)),"
+             " ar2lab.text._constants.cache_info().currsize)\n")
+    result = subprocess.run([sys.executable, "-c", probe], env=fresh_env(),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.split(maxsplit=1)[1].strip() == "[] 0"
+    assert Path(str(out) + ".series.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -412,6 +425,14 @@ def test_table_text_equals_the_format_route():
     got = ar2lab.cli._table("", "%.17g", [randoms])
     assert got == "".join([format(v, ".17g") + "\n" for v in randoms.tolist()])
 
+    # both sides of the route switch at one slab of float cells: the % route
+    # below it, the kernel at it
+    for cells in (ar2lab.text.SLAB - 2, ar2lab.text.SLAB):
+        rows = cells // 2
+        columns = [list(range(rows)), randoms[:rows], randoms[rows: 2 * rows], [f"r{i}" for i in range(rows)]]
+        got = ar2lab.cli._table("k,x,y,name\n", "%d,%.17g,%.17g,%s", columns)
+        assert got == format_route("k,x,y,name", "{},{:.17g},{:.17g},{}", zip(*columns)), cells
+
 
 def test_table_kernel_tables_hold_the_exact_powers_of_ten():
     # hi + lo of 10^(16-E) 2^-s come from a few exact seeds by double-double
@@ -497,6 +518,24 @@ def test_simulate_refused_path_leaves_no_file(tmp_path, capsys):
     assert not Path(str(out) + ".paths.csv").exists()
 
 
+def test_simulate_failed_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # a full disk after the first path: the header and one path are on disk
+    # and read like a finished file unless the failure removes them
+    writes = []
+
+    def write(fh, text, _write=ar2lab.cli._write_text):
+        writes.append(len(text))
+        if len(writes) == 2:
+            raise OSError(28, "No space left on device")
+        _write(fh, text)
+
+    monkeypatch.setattr(ar2lab.cli, "_write_text", write)
+    cfg_path, out = write_cfg(tmp_path)
+    assert main(["simulate", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert not Path(str(out) + ".paths.csv").exists()
+
+
 def test_main_verify_all_pass(tmp_path, capsys):
     # the last two pairs sit near the boundary, where U(400) is still far
     # from 1/(1-a-b); the cumulative-weight check must pass there too
@@ -564,15 +603,24 @@ def test_main_requires_subcommand():
 
 
 def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
-    # argparse would exit 2, the code of a FloorLimited series
-    cfg_path, _ = write_cfg(tmp_path)
-    for argv in (["series", "--config", str(cfg_path), "--seed", "abc"], ["series"], ["bogus"]):
+    cfg_path, out = write_cfg(tmp_path)
+    config = ["--config", str(cfg_path)]
+    for argv in (["series", *config, "--seed", "abc"], ["series", *config, "--seed=abc"], ["series"],
+                 ["bogus"], ["series", "--config"], ["series", *config, "--bogus", "1"],
+                 ["series", "spectrum", *config], ["series", "--conf", str(cfg_path)]):
         with pytest.raises(SystemExit) as exit_:
             main(argv)
-        assert exit_.value.code == 1
-        assert "error:" in capsys.readouterr().err
-    for argv in (["--help"], ["series", "--help"]):
+        assert exit_.value.code == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ar2lab") and "error:" in err, argv
+    for argv in (["--help"], ["series", "-h"]):
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         assert exit_.value.code == 0
-        assert capsys.readouterr().out.startswith("usage: ar2lab")
+        text = capsys.readouterr().out
+        assert text.startswith("usage: ar2lab")
+        assert all(f"\n  {command}  " in text for command in ("spectrum", "weights", "simulate", "series", "verify"))
+    moved = tmp_path / "moved"
+    assert main(["simulate", f"--config={cfg_path}", f"--out={moved}", "--seed=7"]) == 0
+    assert capsys.readouterr().out == f"wrote 10 paths of length 12 to {moved}.paths.csv\n"
+    assert not Path(str(out) + ".paths.csv").exists()

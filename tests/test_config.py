@@ -1,5 +1,5 @@
-import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from ar2lab import (
     NoiseSpec,
     ParseError,
     SeriesParams,
+    StreamKey,
     ValidationError,
     parse_config,
     parse_config_text,
@@ -183,7 +184,7 @@ def test_range_checks():
     with pytest.raises(ValidationError, match=r"seed must fit in 64 unsigned bits"):
         parse_config_text(MINIMAL + f"seed = {2 ** 64}\n")
 
-    # dataclasses.replace (the CLI overrides) re-validates with the same messages
+    # replace (the CLI overrides) re-validates with the same messages
     base = parse_config_text(MINIMAL)
     for change, text in [
         ({"replications": 99}, MINIMAL + "replications = 99\n"),
@@ -194,7 +195,7 @@ def test_range_checks():
         ({"output_path": ""}, None),  # an empty value never parses, so only replace() reaches this check
     ]:
         with pytest.raises(ValidationError) as replaced:
-            dataclasses.replace(base, **change)
+            base.replace(**change)
         if text is None:
             assert str(replaced.value) == "output must be a non-empty path prefix"
         else:
@@ -208,11 +209,30 @@ def test_counts_must_be_whole_numbers():
     base = parse_config_text(MINIMAL)
     for field in ("grid_max", "replications", "master_seed"):
         with pytest.raises(ValidationError, match=r"must be a whole number, got 12.5"):
-            dataclasses.replace(base, **{field: 12.5})
+            base.replace(**{field: 12.5})
     # whole floats are stored as the ints they name
-    whole = dataclasses.replace(base, grid_max=48.0, replications=1e3, master_seed=7.0)
-    assert whole == dataclasses.replace(base, grid_max=48, replications=1000, master_seed=7)
+    whole = base.replace(grid_max=48.0, replications=1e3, master_seed=7.0)
+    assert whole == base.replace(grid_max=48, replications=1000, master_seed=7)
     assert type(whole.grid_max) is type(whole.replications) is type(whole.master_seed) is int
+
+
+def test_records_are_frozen_values_that_pickle():
+    config = parse_config_text(MINIMAL)
+    key = StreamKey(7, "tail", n=3, block=1)
+    for record in (config, config.coeffs, config.noise, config.params, key):
+        field = record.__slots__[0]
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and hash(copy) == hash(record) and copy is not record
+        fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in record.__slots__)
+        assert repr(record) == f"{type(record).__name__}({fields})"
+    assert key != StreamKey(7, "tail", n=3, block=2) and key != (7, "tail", 3, 1)
+    assert repr(config.coeffs) == "ARCoefficients(a=0.3, b=0.2, stability=<Stability.STABLE: 'Stable'>)"
 
 
 # --- round trip ----------------------------------------------------------------
