@@ -49,8 +49,8 @@ def _f(x) -> str:
     return format(float(x), ".17g")
 
 
-def emit_series_csv(series: est.SeriesEstimate, path) -> None:
-    """Write one row per grid point; schema is fixed and documented."""
+def _series_csv(series: est.SeriesEstimate) -> str:
+    """One row per grid point; schema is fixed and documented."""
     tails = series.tails
     columns = [
         [t.n for t in tails], [t.p_hat for t in tails], [t.ci_low for t in tails], [t.ci_high for t in tails],
@@ -58,8 +58,7 @@ def emit_series_csv(series: est.SeriesEstimate, path) -> None:
         ["true" if t.at_floor else "false" for t in tails],
     ]
     head = "n,p_hat,ci_low,ci_high,term,partial_sum,partial_sum_ci_high,at_floor\n"
-    with _text_file(path) as fh:
-        _write_text(fh, _table(head, "%d" + ",%.17g" * 6 + ",%s", columns))
+    return _table(head, "%d" + ",%.17g" * 6 + ",%s", columns)
 
 
 def _spectrum_fields(config: ExperimentConfig, spectrum, report) -> list:
@@ -81,20 +80,30 @@ def _cell(value) -> str:
     return _f(value) if isinstance(value, float) else str(value)
 
 
-def emit_spectrum_csv(config: ExperimentConfig, spectrum, report, path) -> None:
+def _spectrum_csv(config: ExperimentConfig, spectrum, report) -> str:
     """One row of the spectrum fields; a complex root splits into <name>_re, <name>_im."""
     fields = []
     for name, value in _spectrum_fields(config, spectrum, report):
         complex_root = isinstance(value, complex)
         fields += [(name + "_re", value.real), (name + "_im", value.imag)] if complex_root else [(name, value)]
     names, values = zip(*fields)
-    with _text_file(path) as fh:
-        _write_text(fh, ",".join(names) + "\n" + ",".join(map(_cell, values)) + "\n")
+    return ",".join(names) + "\n" + ",".join(map(_cell, values)) + "\n"
 
 
-def _text_file(path):
-    """A new file for emitted text: UTF-8 with LF endings regardless of platform."""
-    return open(path, "w", encoding="utf-8", newline="\n")
+def _write_files(files) -> None:
+    """Write each (path, pieces of text) as UTF-8 with LF endings on every platform.  A failure in
+    making or writing a piece removes every file opened so far, so a file that exists is complete."""
+    opened = []
+    try:
+        for path, pieces in files:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                opened.append(path)
+                for text in pieces:
+                    _write_text(fh, text)
+    except BaseException:
+        for path in opened:
+            os.remove(path)
+        raise
 
 
 def _write_text(fh, text: str) -> None:
@@ -126,10 +135,11 @@ def run(config: ExperimentConfig) -> int:
     """Full pipeline; returns the process exit code.
 
     ExperimentConfig guarantees stable coefficients.  Order: spectrum +
-    envelope report and self-check on one weight table, tail series over the
-    default grid with the moment-growth fit read off the same paths,
-    then CSVs and a text summary.  Nothing is written until
-    every stage has succeeded, so a refused run leaves no file behind.
+    envelope report and self-check on one weight table, tail series over
+    the default grid with the moment-growth fit read off the same paths,
+    then CSVs and a text summary.  Nothing is written until every stage has
+    succeeded, and a failed write removes the files before it, so a
+    refused run leaves no file behind.
     """
     spectrum = companion_spectrum(config.coeffs)
     horizon = _bound_horizon(config.grid_max)
@@ -151,10 +161,9 @@ def run(config: ExperimentConfig) -> int:
         config.master_seed,
     )
 
-    emit_spectrum_csv(config, spectrum, report, config.output_path + ".spectrum.csv")
-    emit_series_csv(series, config.output_path + ".series.csv")
-    with _text_file(config.output_path + ".summary.txt") as fh:
-        _write_text(fh, _summary_text(config, spectrum, report, residual, series))
+    texts = {".spectrum.csv": _spectrum_csv(config, spectrum, report), ".series.csv": _series_csv(series),
+             ".summary.txt": _summary_text(config, spectrum, report, residual, series)}
+    _write_files([(config.output_path + suffix, [text]) for suffix, text in texts.items()])
     return _EXIT_CODE[series.verdict]
 
 
@@ -210,25 +219,19 @@ def _cmd_weights(config: ExperimentConfig) -> int:
 
 
 def _cmd_simulate(config: ExperimentConfig) -> int:
-    """Write the paths one at a time, so only one path's text is held.
-
-    Any failure after the file is opened, a path refused for an infinite
-    draw or a write that fails, removes the file, so a paths file that
-    exists is complete.
-    """
+    """Write the paths one at a time, so only one path's text is held; a path
+    refused for an infinite draw removes the file like a failed write."""
     n = config.grid_max
     out = config.output_path + ".paths.csv"
-    fh = _text_file(out)
-    try:
-        with fh:
-            for i in range(SELF_CHECK_PATHS):
-                theta = sample_block(config.noise, n, StreamKey(config.master_seed, "path", n=n, block=i))
-                path = simulate_path(config.coeffs, theta)
-                columns = [np.full(n, i), np.arange(1, n + 1), path.theta, path.xi]
-                _write_text(fh, _table("" if i else "path,k,theta,xi\n", "%d,%d,%.17g,%.17g", columns))
-    except BaseException:
-        os.remove(out)
-        raise
+
+    def paths():
+        for i in range(SELF_CHECK_PATHS):
+            theta = sample_block(config.noise, n, StreamKey(config.master_seed, "path", n=n, block=i))
+            path = simulate_path(config.coeffs, theta)
+            columns = [np.full(n, i), np.arange(1, n + 1), path.theta, path.xi]
+            yield _table("" if i else "path,k,theta,xi\n", "%d,%d,%.17g,%.17g", columns)
+
+    _write_files([(out, paths())])
     print(f"wrote {SELF_CHECK_PATHS} paths of length {n} to {out}")
     return 0
 

@@ -7,15 +7,15 @@ The object of interest is
 whose convergence for every eps > 0 is the complete-convergence property
 of the normalized partial sums.  Each replicate is one noise path, drawn
 once in time strips, each under its own stream key, and read at every
-grid point: step by step through the AR(2) recursion up to DENSE_MAX,
-and one whole strip at a time by the weighted sums S_n = sum_k
-U(n-k) theta_k beyond it.  Each tail probability carries a 95% Wilson
-interval, and the partial sums over a finite n-grid are reported
-together with a stabilization verdict.
+grid point by one step-by-step walk of the AR(2) recursion; past
+DENSE_MAX the state jumps whole strips by the paper's weighted sums.
+Each tail probability carries a 95% Wilson interval, and the partial
+sums over a finite n-grid are reported with a stabilization verdict.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 
@@ -36,10 +36,10 @@ BLOCK_REPLICATES = 4096
 
 # Version of the sampling layout described in _read_paths.  Estimates
 # from different layouts agree in distribution, not draw for draw.
-# Layout 9 draws layout 8's strips, with the same keys and draws, and
-# moves S_n past DENSE_MAX one whole strip at a time, which changes its
-# rounding there.
-SAMPLING_LAYOUT = 9
+# Layout 10 draws layout 9's strips, with the same keys and draws, and
+# reads S_n strictly inside a strip past DENSE_MAX by the per-step walk
+# from the strip's start, which changes its rounding there.
+SAMPLING_LAYOUT = 10
 
 # Every n up to this bound is on the default grid; above it only powers
 # of two are (see default_grid).  The engine steps the recursion through
@@ -213,7 +213,7 @@ def _as_replications(replications) -> int:
 def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, moment_at) -> tuple:
     """Exceedance counts and moments, read off one pass over the paths.
 
-    Sampling layout 9.  Each replicate is one noise path, read in time
+    Sampling layout 10.  Each replicate is one noise path, read in time
     strips: the strip ending at time e follows the one ending at s and
     holds the times s < t <= e, and strips end at 1, 2, 4, ...,
     STRIP_STEPS, then every STRIP_STEPS steps.  For replication block b
@@ -227,24 +227,24 @@ def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, mo
     receives every strip of every block through sample_block's out, so
     sampling pages in no fresh memory.
 
-    Up to DENSE_MAX, where the default grid reads every step, the
-    recursion xi_t = a xi_(t-1) + b xi_(t-2) + theta_t, S_t = S_(t-1) + xi_t
-    steps all rows of the block at once, in simulate_path's operation
-    order.  Past DENSE_MAX the engine no longer follows that order: each
-    strip s < t <= e moves the state (xi_s, xi_(s-1), S_s) to e in one
-    jump, by the weighted sums of the paper's representation,
+    One walk steps xi_t = a xi_(t-1) + b xi_(t-2) + theta_t, S_t = S_(t-1)
+    + xi_t for all rows of the block at once, in simulate_path's operation
+    order, and reads every grid point it passes; up to DENSE_MAX it steps
+    the state itself.  Past DENSE_MAX each strip s < t <= e moves the
+    state (xi_s, xi_(s-1), S_s) to e in one jump, by the weighted sums of
+    the paper's representation,
 
         xi_e = u_L xi_s + b u_(L-1) xi_(s-1) + sum_j u_(L-j) theta_(s+j),
         S_e = S_s + (U(L) - 1) xi_s + b U(L-1) xi_(s-1) + sum_j U(L-j) theta_(s+j),
 
-    with L = e - s and xi_(e-1) alike, one step shorter.  The strip's
-    three weight rows meet its draws in one np.einsum (not BLAS, whose
-    bits depend on the machine), which sums the terms of each row in
-    time order when the block has two or more rows.  Every strip is
-    jumped whatever the grid, and a grid point at a strip end reads S_e;
-    a point n inside a strip is read by the same sum over its first
-    n - s steps from the strip's start, and never feeds the state.  So
-    S_n depends on the seed and n alone.
+    with L = e - s = STRIP_STEPS and xi_(e-1) alike, one step shorter.
+    The three weight rows meet the strip's draws in one np.einsum (not
+    BLAS, whose bits depend on the machine), which sums each row's terms
+    in time order when the block has two or more rows.  Every strip is
+    jumped whatever the grid, and a point at a strip end reads S_e; the
+    points strictly inside it are read by the walk on a copy of the
+    strip's start, which stops at the last of them and never feeds the
+    state.  So S_n depends on the seed and n alone.
 
     A draw with |theta| > SET_ASIDE (+-inf included; strips are scanned
     for one only where the noise can reach it) is zeroed before the
@@ -272,9 +272,10 @@ def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, mo
     if scan or grid[-1] > DENSE_MAX:
         table = weight_sequence(coeffs, max(STRIP_STEPS, grid[-1] - 1) if scan else STRIP_STEPS)
         u, cum = table.u, table.cum
-        # the last l columns weigh a strip's first l draws in xi, xi one step
-        # earlier and S, l steps into the strip
+        # a whole strip s < t <= e moves (xi, xi one step earlier, S) to e by these weights
+        # on its draws and carries of xi_s and b xi_(s-1), which enters as a draw at s + 1
         weights = np.array([u[STRIP_STEPS - 1 :: -1], [*u[STRIP_STEPS - 2 :: -1], 0.0], cum[STRIP_STEPS - 1 :: -1]])
+        carry = [*zip((u[STRIP_STEPS], u[STRIP_STEPS - 1], cum[STRIP_STEPS] - 1.0), b * weights[:, 0])]
     counts = [0] * len(grid)
     accs = {i: CompensatedSum() for i in moment_at}
     ends = [0, 1]  # strip j holds the times ends[j] < t <= ends[j + 1]
@@ -288,10 +289,10 @@ def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, mo
     for block, done in enumerate(range(0, replications, BLOCK_REPLICATES)):
         take = min(BLOCK_REPLICATES, replications - done)
         row = flags[:take]
-        # the state (xi_t, xi_(t-1), S_t), the sums ahead of it, and two scratch rows
+        # the state (xi_t, xi_(t-1), S_t), the walk's copy or the sums ahead of it, and a scratch row
         state, ahead = np.zeros((2, 3, take))
         prev, older, total = state
-        scratch, spare = np.empty((2, take))
+        scratch = np.empty(take)
         rows = times = np.empty(0, dtype=np.int64)
         aside = np.empty(0)
 
@@ -311,19 +312,6 @@ def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, mo
             if i in accs:
                 accs[i].add(float(np.sum(scratch ** r)))
 
-        def advance(steps, out):
-            """The last len(out) rows of (xi, xi one step earlier, S), steps into the strip, into out."""
-            first = 3 - len(out)
-            np.einsum("kj,ji->ki", weights[first:, -steps:], theta[:steps], out=out, optimize=False)
-            on_xi = (u[steps], u[steps - 1], cum[steps] - 1.0)
-            on_earlier = (b * u[steps - 1], b * u[steps - 2] if steps > 1 else 0.0, b * cum[steps - 1])
-            for sums, p, q in zip(out, on_xi[first:], on_earlier[first:]):
-                np.multiply(prev, p, out=spare)
-                sums += spare
-                np.multiply(older, q, out=spare)
-                sums += spare
-            out[-1] += total
-
         i = 0
         for t0, end in zip(ends, ends[1:]):
             cells = (end - t0) * take
@@ -336,31 +324,40 @@ def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, mo
                 aside = np.append(aside, theta[big])
                 theta[big] = 0.0
             theta = theta.reshape(-1, take)
-            if end <= DENSE_MAX:
-                for t, draws in enumerate(theta, start=t0 + 1):
-                    older *= b
-                    np.multiply(prev, a, out=scratch)
-                    older += scratch
-                    older += draws
-                    total += older
-                    prev, older = older, prev
-                    if t == grid[i]:
-                        read(i, t, total)
-                        i += 1
-                continue
-            while grid[i] < end:  # a point inside the strip: summed from its start, and left out of the state
-                advance(grid[i] - t0, ahead[2:])
-                read(i, grid[i], ahead[2])
-                i += 1
-                if i == len(grid):
-                    break
-            else:
-                advance(STRIP_STEPS, ahead)
-                state, ahead = ahead, state
-                prev, older, total = state
-                if grid[i] == end:
-                    read(i, end, total)
+            if end <= DENSE_MAX:  # in the head the walk steps the state itself
+                walk = len(theta)
+                xi, earlier, sums = prev, older, total
+            else:  # past it a copy of the strip's start walks to the last grid point strictly inside the strip
+                inside = bisect.bisect_left(grid, end, i)  # grid[i:inside] lie inside the strip
+                walk = grid[inside - 1] - t0 if inside > i else 0
+                xi, earlier, sums = ahead
+                if walk:
+                    ahead[0], ahead[1], ahead[2] = prev, older, total
+            for t, draws in enumerate(theta[:walk], start=t0 + 1):
+                earlier *= b
+                np.multiply(xi, a, out=scratch)
+                earlier += scratch
+                earlier += draws
+                sums += earlier
+                xi, earlier = earlier, xi
+                if t == grid[i]:
+                    read(i, t, sums)
                     i += 1
+            if end <= DENSE_MAX or i == len(grid):  # the walk moved the state, or read the last grid point
+                prev, older = xi, earlier
+                continue
+            np.einsum("kj,ji->ki", weights, theta, out=ahead, optimize=False)
+            for sums, (p, q) in zip(ahead, carry):
+                np.multiply(prev, p, out=scratch)
+                sums += scratch
+                np.multiply(older, q, out=scratch)
+                sums += scratch
+            ahead[2] += total
+            state, ahead = ahead, state
+            prev, older, total = state
+            if grid[i] == end:
+                read(i, end, total)
+                i += 1
     return counts, [accs[i].total / replications for i in moment_at]
 
 

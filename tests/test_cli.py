@@ -536,6 +536,22 @@ def test_simulate_failed_write_leaves_no_file(tmp_path, capsys, monkeypatch):
     assert not Path(str(out) + ".paths.csv").exists()
 
 
+def test_series_failed_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # a full disk at the summary, the last of the three files: the spectrum and
+    # series files are complete and would read like a finished run unless the
+    # failure removes them with the empty summary
+    def write(fh, text, _write=ar2lab.cli._write_text):
+        if fh.name.endswith(".summary.txt"):
+            raise OSError(28, "No space left on device")
+        _write(fh, text)
+
+    monkeypatch.setattr(ar2lab.cli, "_write_text", write)
+    cfg_path, out = write_cfg(tmp_path)
+    assert main(["series", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["exp.cfg"]
+
+
 def test_main_verify_all_pass(tmp_path, capsys):
     # the last two pairs sit near the boundary, where U(400) is still far
     # from 1/(1-a-b); the cumulative-weight check must pass there too

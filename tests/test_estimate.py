@@ -302,9 +302,10 @@ def test_dense_head_matches_the_direct_route(ab):
     # public minimum of 100) makes the mean of |S_n| the path's own |S_n|; the
     # block of 100 pins the time-major reading of its strips.  Up to DENSE_MAX the
     # engine steps the same recursion with a plain running sum: at most 2.7e-14
-    # relative to max(1, |S_n|) here (near-boundary).  Past it the engine sums each
-    # strip by weight instead, so the two routes round differently: the error is
-    # bounded by ulps of sum_k |U(n-k) theta_k|, at most 0.68 of them here (two-real)
+    # relative to max(1, |S_n|) here (near-boundary).  Past it the engine jumps each
+    # strip by weight and walks from the strip's start to the points inside it, so
+    # the two routes round differently: the error is bounded by ulps of
+    # sum_k |U(n-k) theta_k|, at most 0.86 of them here (negative)
     coeffs = ARCoefficients(*ab)
     ulp = np.finfo(float).eps
     for seed, take, width in [*((seed, 1, 1024) for seed in range(1, 16)), (0, 1, 8192), (16, 100, 8192)]:
@@ -333,7 +334,10 @@ def engine_table() -> str:
 
     default_grid(1024) with 4096 + 101 replicates runs two replication
     blocks, read in strips ending at 1, 2, 4, ..., 128 and then every 128
-    steps, and the moment fit at n = 16, 32, ..., 1024.
+    steps, and the moment fit at n = 16, 32, ..., 1024.  A second section
+    holds |S_n|^2 means at points strictly inside strips past DENSE_MAX,
+    which default_grid never reads: one step in (129, 385), one step
+    short of a strip end (383, 8191) and in between (300, 1000).
     """
     replications = estimate.BLOCK_REPLICATES + 101
     lines = ["family,n,count,moment"]
@@ -343,6 +347,10 @@ def engine_table() -> str:
         for tail in est.tails:
             moment = format(moments[tail.n], ".17g") if tail.n in moments else ""
             lines.append(f"{spec.family},{tail.n},{round(tail.p_hat * replications)},{moment}")
+    lines.append("family,n,moment inside a strip")
+    for spec in FAMILIES:
+        inside = moment_growth_check(STABLE, spec, 2.0, [129, 300, 383, 385, 1000, 8191], replications, 20221210)
+        lines += [f"{spec.family},{n},{moment:.17g}" for n, moment in zip(inside.n_grid, inside.estimates)]
     return "\n".join(lines) + "\n"
 
 
@@ -382,10 +390,10 @@ def test_paths_are_keyed_one_stream_per_strip(monkeypatch):
 
 def test_strips_past_the_head_are_jumped_whatever_the_grid(monkeypatch):
     # past DENSE_MAX each strip 128 < t <= 256, ..., 896 < t <= 1024 that the grid
-    # passes moves the state in one three-row strip sum, and a grid point strictly
-    # inside a strip is one one-row sum from the strip's start; a point at a strip
-    # end reads the carried sums, and the last strip is not jumped when grid[-1]
-    # lies inside it
+    # passes moves the state in one three-row strip sum; a grid point strictly
+    # inside a strip is read by the per-step walk from the strip's start, which
+    # takes no strip sum; a point at a strip end reads the carried sums, and the
+    # last strip is not jumped when grid[-1] lies inside it
     rows = []
     einsum = np.einsum
 
@@ -395,11 +403,11 @@ def test_strips_past_the_head_are_jumped_whatever_the_grid(monkeypatch):
 
     monkeypatch.setattr(np, "einsum", recorded)
     params = SeriesParams(1, 2, 1)
-    for grid, jumps, inside in [(range(1, 129), 0, 0), ([64, 129], 0, 1), (default_grid(1024), 7, 0),
-                                ([3, 256, 300, 384, 700, 1000, 1024], 7, 3), ([200, 1000], 6, 2)]:
+    for grid, jumps in [(range(1, 129), 0), ([64, 129], 0), (default_grid(1024), 7),
+                        ([3, 256, 300, 384, 700, 1000, 1024], 7), ([200, 1000], 6)]:
         rows.clear()
         partial_series(STABLE, NORMAL, params, grid, 200, 5)
-        assert (rows.count(3), rows.count(1), len(rows)) == (jumps, inside, jumps + inside)
+        assert rows == [3] * jumps
 
 
 def test_an_estimate_builds_at_most_one_weight_table(monkeypatch):
@@ -582,7 +590,7 @@ def test_partial_series_grid_insensitive_per_point():
     # also when another grid draws the paths further (to 8192 against 64), or
     # stops inside a strip: at 40, at 300, 44 steps into the strip 256 < t <= 384,
     # whose draws must still be read as part of the whole strip, and at 1000.
-    # Past DENSE_MAX a point inside a strip (300, 383, 385, 1000, 8191) is summed
+    # Past DENSE_MAX a point inside a strip (300, 383, 385, 1000, 8191) is walked to
     # from the strip's start and a strip end (256, 384, 1024) reads the carried
     # sums; neither may depend on which points the grid holds in or before its strip
     params = SeriesParams(1, 2, 1)
