@@ -7,8 +7,9 @@
     ar2lab verify    --config cfg   internal consistency checks
 
 Exit codes for `series`: 0 the partial sums stabilized, 2 the Monte
-Carlo floor got in the way, 3 the sums kept growing, 1 any error, a
-usage error of any command included.
+Carlo floor got in the way, 3 the sums kept growing, 4 the series
+diverges because E|theta|^r is infinite, 1 any error, a usage error of
+any command included.
 All emitted files are deterministic for a fixed config and seed.
 """
 
@@ -41,6 +42,7 @@ _EXIT_CODE = {
     est.Verdict.STABILIZED: 0,
     est.Verdict.FLOOR_LIMITED: 2,
     est.Verdict.GROWING: 3,
+    est.Verdict.DIVERGENT: 4,
 }
 
 
@@ -187,7 +189,8 @@ def _summary_text(config, spectrum, report, residual, series) -> str:
         f"partial sum: {_f(series.partial_sums[-1])}",
         f"partial sum CI-upper: {_f(series.partial_sum_ci_high[-1])}",
         f"terms at Monte Carlo floor: {sum(t.at_floor for t in series.tails)} of {len(series.tails)}",
-        f"verdict: {series.verdict.value}",
+        f"verdict: {series.verdict.value}"
+        + (f" (E|theta|^{_f(config.params.r)} = inf)" if series.verdict is est.Verdict.DIVERGENT else ""),
     ]
     moment = series.moments
     if moment is not None:

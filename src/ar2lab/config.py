@@ -60,13 +60,7 @@ class ExperimentConfig(_Record):
             raise ValidationError(f"grid_max must be >= 1, got {grid_max}")
         if not output_path:
             raise ValidationError("output must be a non-empty path prefix")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "noise", noise)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "grid_max", grid_max)
-        object.__setattr__(self, "replications", replications)
-        object.__setattr__(self, "master_seed", master_seed)
-        object.__setattr__(self, "output_path", output_path)
+        super().__init__(coeffs, noise, params, grid_max, replications, master_seed, output_path)
 
     def replace(self, **changes) -> ExperimentConfig:
         """A new config with the named fields changed, validated like any other (the CLI overrides)."""

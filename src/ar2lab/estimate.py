@@ -81,9 +81,7 @@ class SeriesParams(_Record):
             raise InvalidParameters(f"r must satisfy r >= p, got r={r}, p={p}")
         if not (math.isfinite(eps) and eps > 0.0):
             raise InvalidParameters(f"epsilon must be > 0, got {eps}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "epsilon", eps)
+        super().__init__(p, r, eps)
 
     @property
     def exponent(self) -> float:
@@ -99,19 +97,12 @@ class TailEstimate(_Record):
 
     __slots__ = ("n", "replications", "p_hat", "ci_low", "ci_high", "at_floor")
 
-    def __init__(self, n: int, replications: int, p_hat: float, ci_low: float, ci_high: float, at_floor: bool):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "replications", replications)
-        object.__setattr__(self, "p_hat", p_hat)
-        object.__setattr__(self, "ci_low", ci_low)
-        object.__setattr__(self, "ci_high", ci_high)
-        object.__setattr__(self, "at_floor", at_floor)
-
 
 class Verdict(enum.Enum):
     STABILIZED = "Stabilized"
     FLOOR_LIMITED = "FloorLimited"
     GROWING = "Growing"
+    DIVERGENT = "Divergent"
 
 
 class MomentGrowthReport(_Record):
@@ -124,16 +115,6 @@ class MomentGrowthReport(_Record):
 
     __slots__ = ("r", "n_grid", "estimates", "slope", "intercept", "bound", "replications")
 
-    def __init__(self, r: float, n_grid: tuple, estimates: tuple, slope: float, intercept: float, bound: float,
-                 replications: int):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "n_grid", n_grid)
-        object.__setattr__(self, "estimates", estimates)
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "intercept", intercept)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "replications", replications)
-
 
 class SeriesEstimate(_Record):
     """Per-point estimates and running sums over an n-grid.
@@ -142,17 +123,6 @@ class SeriesEstimate(_Record):
     """
 
     __slots__ = ("params", "grid", "tails", "terms", "partial_sums", "partial_sum_ci_high", "verdict", "moments")
-
-    def __init__(self, params: SeriesParams, grid: tuple, tails: tuple, terms: tuple, partial_sums: tuple,
-                 partial_sum_ci_high: tuple, verdict: Verdict, moments: MomentGrowthReport | None):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "tails", tails)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "partial_sums", partial_sums)
-        object.__setattr__(self, "partial_sum_ci_high", partial_sum_ci_high)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "moments", moments)
 
 
 def default_grid(n_max: int) -> list:
@@ -268,8 +238,12 @@ def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, mo
     rather than silently miscounted.
     """
     a, b = coeffs.a, coeffs.b
+    ends = [0, 1]  # strip j holds the times ends[j] < t <= ends[j + 1]
+    while ends[-1] < grid[-1]:
+        ends.append(ends[-1] + min(ends[-1], STRIP_STEPS))
     scan = _log2_abs_bound(spec) > math.log2(SET_ASIDE) - 1
-    if scan or grid[-1] > DENSE_MAX:
+    # a strip past DENSE_MAX is jumped when the grid reaches its end
+    if scan or any(DENSE_MAX < end <= grid[-1] for end in ends):
         table = weight_sequence(coeffs, max(STRIP_STEPS, grid[-1] - 1) if scan else STRIP_STEPS)
         u, cum = table.u, table.cum
         # a whole strip s < t <= e moves (xi, xi one step earlier, S) to e by these weights
@@ -278,9 +252,6 @@ def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, mo
         carry = [*zip((u[STRIP_STEPS], u[STRIP_STEPS - 1], cum[STRIP_STEPS] - 1.0), b * weights[:, 0])]
     counts = [0] * len(grid)
     accs = {i: CompensatedSum() for i in moment_at}
-    ends = [0, 1]  # strip j holds the times ends[j] < t <= ends[j + 1]
-    while ends[-1] < grid[-1]:
-        ends.append(ends[-1] + min(ends[-1], STRIP_STEPS))
     # one strip and one row of flags serve every block: no block is wider than
     # the first, and no strip longer than the last
     widest = min(BLOCK_REPLICATES, replications)
@@ -445,6 +416,11 @@ def partial_series(
     moment_growth_check on those n.  The fit is skipped (moments None)
     when E|theta|^r diverges or fewer than 4 such points are on the grid;
     below n = 16 the curvature of log E|S_n|^r would tilt the slope.
+
+    When E|theta|^r diverges the verdict is Divergent, whatever the
+    estimates: for symmetric noise and a stable pair the series then
+    diverges for every eps (Baum and Katz 1965, through a Levy-type
+    maximal inequality; see the README).  The estimates are still made.
     """
     grid = _as_grid(grid, "grid")
     if grid[0].bit_length() == grid[-1].bit_length():
@@ -453,8 +429,9 @@ def partial_series(
         )
     require_stable(coeffs, "estimation")
     replications = _as_replications(replications)
+    finite = math.isfinite(absolute_moment(spec, params.r))
     moment_at = [i for i, n in enumerate(grid) if n >= 16 and n & (n - 1) == 0]
-    if len(moment_at) < 4 or not math.isfinite(absolute_moment(spec, params.r)):
+    if len(moment_at) < 4 or not finite:
         moment_at = []
     limits = [params.epsilon * float(n) ** (1.0 / params.p) for n in grid]
     counts, means = _read_paths(coeffs, spec, grid, replications, master_seed, limits, params.r, moment_at)
@@ -476,7 +453,7 @@ def partial_series(
         terms=tuple(terms),
         partial_sums=tuple(partial_sums),
         partial_sum_ci_high=tuple(ci_totals),
-        verdict=_verdict(grid, ci_terms, flags, partial_sums, ci_totals),
+        verdict=_verdict(grid, ci_terms, flags, partial_sums, ci_totals) if finite else Verdict.DIVERGENT,
         moments=moments,
     )
 

@@ -33,13 +33,31 @@ class _Record:
     """Base of the package's immutable record types.
 
     A record's fields are its class's __slots__, in order, set once by
-    the class's own __init__ through object.__setattr__.  Equality and
-    hash come from the type and the field values, repr lists the fields,
-    and assigning or deleting a field raises AttributeError.  Nothing is
-    generated when a record class is defined.
+    this __init__; a record that validates checks its arguments first and
+    ends with one call to it.  Equality and hash come from the type and
+    the field values, repr lists the fields, and assigning or deleting a
+    field raises AttributeError.  Nothing is generated when a record class
+    is defined.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        """Bind values by position, then named ones, to __slots__; TypeError on a missing, extra or repeated field."""
+        cls, names = self.__class__.__qualname__, self.__slots__
+        if len(values) > len(names):
+            raise TypeError(f"{cls} takes {len(names)} fields, got {len(values)}")
+        rest = names[len(values):]
+        if rest:
+            missing = [name for name in rest if name not in named]
+            if missing:
+                raise TypeError(f"{cls} is missing field(s) {', '.join(missing)}")
+            values += tuple(named.pop(name) for name in rest)
+        if named:  # what is left was given twice or is no field
+            name = next(iter(named))
+            raise TypeError(f"{cls} got field {name!r} " + ("twice" if name in names else "that it does not have"))
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -69,8 +87,7 @@ class _Record:
 def _rebuild(cls, values: tuple):
     """Unpickle a record: its stored fields, not a second run of its checks."""
     record = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        object.__setattr__(record, name, value)
+    _Record.__init__(record, *values)
     return record
 
 
@@ -96,8 +113,7 @@ class NoiseSpec(_Record):
             )
         if not all(p > 0 and math.isfinite(p) for p in params):
             raise InvalidParameters(f"{family} needs " + " and ".join(f"{name} > 0" for name in names))
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", params)
+        super().__init__(family, params)
 
 
 def absolute_moment(spec: NoiseSpec, r: float) -> float:
@@ -207,10 +223,7 @@ class StreamKey(_Record):
         block = _as_whole(block, "block")
         if n < 0 or block < 0:
             raise InvalidParameters("n and block must be >= 0")
-        object.__setattr__(self, "master_seed", master_seed)
-        object.__setattr__(self, "purpose", purpose)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "block", block)
+        super().__init__(master_seed, purpose, n, block)
 
 
 def generator_for(key: StreamKey) -> Generator:

@@ -72,10 +72,8 @@ class ARCoefficients(_Record):
         b = float(b)
         if not (math.isfinite(a) and math.isfinite(b)):
             raise NonFiniteInput(f"coefficients must be finite, got a={a}, b={b}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
         stable = (b > -1.0 + STABILITY_SLACK) and (b < 1.0 - abs(a) - STABILITY_SLACK)
-        object.__setattr__(self, "stability", Stability.STABLE if stable else Stability.UNSTABLE)
+        super().__init__(a, b, Stability.STABLE if stable else Stability.UNSTABLE)
 
 
 def require_stable(coeffs: ARCoefficients, what: str) -> None:
@@ -94,13 +92,6 @@ class CompanionSpectrum(_Record):
     """
 
     __slots__ = ("lambda1", "lambda2", "rho", "mu", "discriminant")
-
-    def __init__(self, lambda1: complex, lambda2: complex, rho: float, mu: int, discriminant: float):
-        object.__setattr__(self, "lambda1", lambda1)
-        object.__setattr__(self, "lambda2", lambda2)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "discriminant", discriminant)
 
 
 def companion_spectrum(coeffs: ARCoefficients) -> CompanionSpectrum:
@@ -138,12 +129,6 @@ class WeightTable(_Record):
     """
 
     __slots__ = ("coeffs", "horizon", "u", "cum")
-
-    def __init__(self, coeffs: ARCoefficients, horizon: int, u: np.ndarray, cum: np.ndarray):
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "cum", cum)
 
     def require(self, horizon: int) -> None:
         """Refuse a reader that needs weights past this table's horizon."""
@@ -256,14 +241,6 @@ class BoundReport(_Record):
     """
 
     __slots__ = ("L_star", "cum_limit", "koval_ratio_min", "koval_ratio_max", "horizon_used")
-
-    def __init__(self, L_star: float, cum_limit: float, koval_ratio_min: float, koval_ratio_max: float,
-                 horizon_used: int):
-        object.__setattr__(self, "L_star", L_star)
-        object.__setattr__(self, "cum_limit", cum_limit)
-        object.__setattr__(self, "koval_ratio_min", koval_ratio_min)
-        object.__setattr__(self, "koval_ratio_max", koval_ratio_max)
-        object.__setattr__(self, "horizon_used", horizon_used)
 
 
 def bound_report(table: WeightTable, horizon: int) -> BoundReport:

@@ -26,13 +26,6 @@ class Path(_Record):
 
     __slots__ = ("coeffs", "n", "theta", "xi", "s_n")
 
-    def __init__(self, coeffs: ARCoefficients, n: int, theta: np.ndarray, xi: np.ndarray, s_n: float):
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "s_n", s_n)
-
 
 def _as_theta(theta) -> np.ndarray:
     arr = np.asarray(theta, dtype=np.float64)

@@ -17,6 +17,7 @@ from ar2lab import (
     ARCoefficients,
     StreamKey,
     ValidationError,
+    Verdict,
     default_grid,
     parse_config_text,
     partial_series,
@@ -132,7 +133,7 @@ def test_run_skips_moment_check_when_moment_diverges(tmp_path):
     text = BASE.replace("noise.family = normal",
                         "noise.family = pareto\nnoise.param1 = 1.5\nnoise.param2 = 1.0")
     config, out = configure(tmp_path, text)
-    run(config)
+    assert run(config) == 4
     summary = Path(str(out) + ".summary.txt").read_text(encoding="utf-8")
     assert "moment growth: skipped" in summary
 
@@ -168,8 +169,11 @@ def test_run_summary_says_why_the_moment_fit_is_skipped(tmp_path, grid_max, fami
         assert series.moments is None
     assert summary_line(out, "moment growth") == expected
     # the moment fit never moves the exit code: it is the verdict's
-    assert summary_line(out, "verdict") == f"verdict: {series.verdict.value}"
-    assert code == {"Stabilized": 0, "FloorLimited": 2, "Growing": 3}[series.verdict.value]
+    # an infinite E|theta|^r does move it: the series diverges, and the verdict line says why
+    divergent = series.verdict is Verdict.DIVERGENT
+    assert divergent == (family == PARETO_1_5)
+    assert summary_line(out, "verdict") == f"verdict: {series.verdict.value}" + " (E|theta|^2 = inf)" * divergent
+    assert code == {"Stabilized": 0, "FloorLimited": 2, "Growing": 3, "Divergent": 4}[series.verdict.value]
 
 
 @pytest.mark.parametrize("grid_max", [100, 128])

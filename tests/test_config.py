@@ -1,6 +1,7 @@
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +14,13 @@ from ar2lab import (
     SeriesParams,
     StreamKey,
     ValidationError,
+    bound_report,
+    companion_spectrum,
     parse_config,
     parse_config_text,
+    partial_series,
+    simulate_path,
+    weight_sequence,
 )
 
 
@@ -216,10 +222,28 @@ def test_counts_must_be_whole_numbers():
     assert type(whole.grid_max) is type(whole.replications) is type(whole.master_seed) is int
 
 
-def test_records_are_frozen_values_that_pickle():
+def every_record_type() -> list:
+    """One instance of each of the package's 12 record types."""
     config = parse_config_text(MINIMAL)
-    key = StreamKey(7, "tail", n=3, block=1)
-    for record in (config, config.coeffs, config.noise, config.params, key):
+    table = weight_sequence(config.coeffs, 60)
+    series = partial_series(config.coeffs, config.noise, config.params, range(1, 129), 100, 1)
+    return [config, config.coeffs, config.noise, config.params, StreamKey(7, "tail", n=3, block=1),
+            companion_spectrum(config.coeffs), table, bound_report(table, 60), series.tails[0], series.moments,
+            series, simulate_path(config.coeffs, [1.0, -0.5, 2.0])]
+
+
+def same_fields(record, other) -> bool:
+    """Field-by-field equality; a numpy field compares by its values."""
+    return type(other) is type(record) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in ((getattr(record, name), getattr(other, name)) for name in record.__slots__)
+    )
+
+
+def test_records_are_frozen_values_that_pickle():
+    records = every_record_type()
+    assert len({type(record) for record in records}) == 12
+    for record in records:
         field = record.__slots__[0]
         with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
             setattr(record, field, None)
@@ -228,11 +252,46 @@ def test_records_are_frozen_values_that_pickle():
         with pytest.raises(AttributeError):
             record.extra = 1
         copy = pickle.loads(pickle.dumps(record))
-        assert copy == record and hash(copy) == hash(record) and copy is not record
+        assert same_fields(record, copy) and copy is not record
+        if not any(isinstance(getattr(record, name), np.ndarray) for name in record.__slots__):
+            assert copy == record and hash(copy) == hash(record)
         fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in record.__slots__)
         assert repr(record) == f"{type(record).__name__}({fields})"
+    key = records[4]
     assert key != StreamKey(7, "tail", n=3, block=2) and key != (7, "tail", 3, 1)
-    assert repr(config.coeffs) == "ARCoefficients(a=0.3, b=0.2, stability=<Stability.STABLE: 'Stable'>)"
+    assert repr(records[1]) == "ARCoefficients(a=0.3, b=0.2, stability=<Stability.STABLE: 'Stable'>)"
+
+
+def test_record_constructor_binds_each_field_once():
+    # the seven records that do not validate take their fields by position, then by name
+    data = [record for record in every_record_type()
+            if type(record) not in (ExperimentConfig, ARCoefficients, NoiseSpec, SeriesParams, StreamKey)]
+    assert len(data) == 7
+    for record in data:
+        cls, names = type(record), record.__slots__
+        values = [getattr(record, name) for name in names]
+        assert same_fields(record, cls(*values))
+        assert same_fields(record, cls(*values[:2], **dict(zip(names[2:], values[2:]))))
+        with pytest.raises(TypeError, match=f"{cls.__name__} is missing field\\(s\\) {names[-1]}"):
+            cls(*values[:-1])
+        with pytest.raises(TypeError, match=f"{cls.__name__} takes {len(names)} fields, got {len(names) + 1}"):
+            cls(*values, None)
+        with pytest.raises(TypeError, match=f"{cls.__name__} got field '{names[0]}' twice"):
+            cls(*values, **{names[0]: values[0]})
+        with pytest.raises(TypeError, match=f"{cls.__name__} got field 'extra' that it does not have"):
+            cls(*values, extra=None)
+
+
+def test_unpickling_skips_the_checks(monkeypatch):
+    # a pickled record holds values its checks already passed
+    noise = NoiseSpec("pareto", (2.5, 1.0))
+    data = pickle.dumps(noise)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("checked again")
+
+    monkeypatch.setattr(NoiseSpec, "__init__", refuse)
+    assert pickle.loads(data) == noise
 
 
 # --- round trip ----------------------------------------------------------------

@@ -22,6 +22,7 @@ from ar2lab import (
     StreamKey,
     UnstableCoefficients,
     Verdict,
+    absolute_moment,
     default_grid,
     moment_growth_check,
     partial_series,
@@ -412,8 +413,9 @@ def test_strips_past_the_head_are_jumped_whatever_the_grid(monkeypatch):
 
 def test_an_estimate_builds_at_most_one_weight_table(monkeypatch):
     # the jumps need U and u to STRIP_STEPS, the set-aside draws U to grid[-1] - 1;
-    # one table serves both, and none is built within the dense head of noise
-    # that is never scanned
+    # one table serves both, and none is built for noise that is never scanned
+    # unless the grid reaches the end of a strip past the dense head, 256: the
+    # strip 128 < t <= 256 is only walked to 129 or 255
     built = []
 
     def recorded(coeffs, horizon):
@@ -423,7 +425,8 @@ def test_an_estimate_builds_at_most_one_weight_table(monkeypatch):
     monkeypatch.setattr(estimate, "weight_sequence", recorded)
     params = SeriesParams(1, 2, 1)
     scanned = NoiseSpec("pareto", (0.09, 1.0))  # |theta| can pass 2^512, with probability 2^-46 per draw
-    for spec, grid, horizons in [(NORMAL, range(1, 129), []), (NORMAL, [2, 129], [estimate.STRIP_STEPS]),
+    for spec, grid, horizons in [(NORMAL, range(1, 129), []), (NORMAL, [2, 129], []), (NORMAL, [2, 255], []),
+                                 (NORMAL, [2, 256], [estimate.STRIP_STEPS]),
                                  (NORMAL, default_grid(1024), [estimate.STRIP_STEPS]),
                                  (scanned, [2, 64], [estimate.STRIP_STEPS]), (scanned, [2, 1000], [999])]:
         built.clear()
@@ -649,6 +652,32 @@ def test_verdict_floor_limited():
     floor_fraction = sum(t.at_floor for t in series.tails) / len(series.tails)
     assert floor_fraction >= 0.25
     assert series.verdict is Verdict.FLOOR_LIMITED
+
+
+@pytest.mark.parametrize(
+    "spec, p, r, divergent",
+    [
+        (NoiseSpec("pareto", (2.01, 1.0)), 1, 2, False),  # alpha just above r
+        (NoiseSpec("pareto", (1.99, 1.0)), 1, 2, True),  # alpha just below r
+        (NoiseSpec("pareto", (2.0, 1.0)), 1, 2, True),  # alpha = r
+        (NoiseSpec("student_t", (2.0,)), 1, 2, True),  # nu = r
+        (NoiseSpec("student_t", (2.01,)), 1, 2, False),
+        (NoiseSpec("student_t", (1.0,)), 1, 1, True),  # r = p (Spitzer): Cauchy noise
+        (NoiseSpec("pareto", (1.01, 1.0)), 1, 1, False),
+        (NORMAL, 1, 1, False),
+        (RADEMACHER, 1.5, 1.5, False),
+        (NoiseSpec("uniform", (2.0,)), 0.5, 4, False),
+    ],
+    ids=["pareto-above-r", "pareto-below-r", "pareto-at-r", "student-at-r", "student-above-r", "cauchy-r=p",
+         "pareto-r=p", "normal-r=p", "rademacher-r=p", "uniform"],
+)
+def test_verdict_divergent_exactly_when_the_moment_is_infinite(spec, p, r, divergent):
+    # E|theta|^r = inf makes the series diverge whatever the estimates say;
+    # the Monte Carlo still runs, so the tails are those tail_probability reads
+    series = partial_series(STABLE, spec, SeriesParams(p, r, 1), range(1, 129), 200, 4)
+    assert (series.verdict is Verdict.DIVERGENT) == divergent == (not math.isfinite(absolute_moment(spec, r)))
+    assert series.tails[-1] == tail_probability(STABLE, spec, SeriesParams(p, r, 1), 128, 200, 4)
+    assert (series.moments is None) == divergent
 
 
 def test_partial_series_validation():

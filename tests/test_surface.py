@@ -69,3 +69,18 @@ def test_bench_pins_are_wrapped_and_needed():
         home = getattr(ar2lab, name).__module__.rpartition(".")[2]
         assert not refs.get(name, set()) - {home}, f"{name} is used in src; it needs no pin"
         assert any(attr == name for _, attr in targets), f"bench/spans.py does not wrap {name}"
+
+
+def test_only_the_record_base_sets_fields():
+    # records bind their fields in _Record.__init__ alone; a per-field setter
+    # in a record's own __init__ would repeat its __slots__ by hand
+    calls = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        base = {id(node) for cls in ast.walk(tree)
+                if isinstance(cls, ast.ClassDef) and cls.name == "_Record" for node in ast.walk(cls)}
+        calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "__setattr__" and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id == "object" and id(node) not in base]
+    assert not calls, f"object.__setattr__ outside _Record: {calls}"
