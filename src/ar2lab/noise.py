@@ -35,7 +35,8 @@ class _Record:
     A record's fields are its class's __slots__, in order, set once by
     this __init__; a record that validates checks its arguments first and
     ends with one call to it.  Equality and hash come from the type and
-    the field values, repr lists the fields, and assigning or deleting a
+    the field values, a numpy field's by its bits (0.0 and -0.0 differ, a
+    nan equals itself), repr lists the fields, and assigning or deleting a
     field raises AttributeError.  Nothing is generated when a record class
     is defined.
     """
@@ -62,13 +63,17 @@ class _Record:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
+    def _key(self) -> tuple:
+        """The field values, an ndarray as its dtype, shape and bytes: one key for == and hash."""
+        return tuple((v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in self._values())
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.__class__, self._values()))
+        return hash((self.__class__, self._key()))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

@@ -9,11 +9,12 @@ cells taken row by row from the columns.  A table whose float cells fit
 in one slab (rows * float columns < SLAB) is rendered by that very
 expression.  On 128 rows of six float columns a warm kernel call costs
 about what % does (0.6-0.7 ms on a 2-vCPU VM), while the kernel's tables
-take 1.5-2.3 ms to build, once per process, which a run with only small
+take 1.3-2.1 ms to build, once per process, which a run with only small
 tables would pay for nothing.  Larger tables are rendered a slab at a
-time (SLAB float cells, all of them in one kernel call) into NUL-padded
-byte rows, one fixed-width field per cell, and the NULs are deleted from
-the joined rows.
+time (SLAB float cells, all of them in one kernel call) into one buffer
+of NUL-padded byte rows, one fixed-width field per cell; its literals
+are written once, the %d and %s cells are rendered once per table, and
+the NULs are deleted from each slab's rows.
 
 %.17g follows Loitsch (2010): a fast path that knows when it cannot
 certify a digit hands that cell to CPython.  A finite nonzero x has 17
@@ -30,11 +31,19 @@ goes to '%.17g' % x when
     digit (E itself is exact, read off the binary exponent of x and the
     least double >= 10^E);
   - x is inf or nan.
-Zeros are 0 and -0.  The digits go through a 4-digit lookup table into
-a 32-byte source row per cell, and one template per (exponent class,
-trailing zeros) picks that cell's text out of it in the form %g chooses:
-fixed for -4 <= E < 17, else d.ddde+XX, with the trailing zeros of the
-fraction (and a point left without digits) read as NUL.
+Zeros are 0 and -0.
+
+The text of a cell is three uint64 words built by integer arithmetic.
+With P = 10^(16-E) in fixed notation (0 <= E <= 16) and 10^16 in the
+exponent forms d.ddde+XX (E < -4 or E > 16), Y = D + 9 P floor(D / P)
+is D with a '0' slot after its integer digits.  The 24 digits of V =
+Y 10^5, or of V = D 10^(5+E) for -4 <= E < 0, are the text with its
+sign slot, slot and padding at fixed bytes, read four at a time through
+a lookup table (V = H 10^4 + L, with H < 10^19 in a uint64).  One mask
+row per (layout, trailing zeros of D, sign) ANDs away what %g drops --
+the sign slot's '0', the padding, the trailing zeros of the fraction and
+a point with no digit after it -- and XORs the slot into '.' and the
+sign into byte 0; one word per E ORs e+XX or e+XXX into bytes 19..23.
 """
 
 from __future__ import annotations
@@ -45,30 +54,12 @@ import re
 
 import numpy as np
 
-SLAB = 4096  # float cells rendered at a time: the temporaries stay ~2 MB
+SLAB = 4096  # float cells rendered at a time: the temporaries stay ~0.5 MB
 TIE = 1e-6  # the product is good to ~1e-14; fractions this close to 1/2 fall back
 
 _FIELD = re.compile(r"%(d|\.17g|s)")
 _E_MIN, _E_MAX = -324, 308  # decimal exponents of the finite nonzero doubles
-_POW10 = np.array([10 ** k for k in range(1, 20)], dtype=np.uint64)
-# byte positions in a float cell's 32-byte source row, eight uint32 words:
-# sign ('-' or NUL), '+', NUL, NUL | "000" d0 | d1..d16 | |E| in 4 digits | ".0e-"
-_SIGN, _PLUS, _NUL, _D0, _EXP, _POINT, _ZERO, _E, _MINUS = 0, 1, 2, 7, 24, 28, 29, 30, 31
-
-
-def _template(cls: int) -> tuple:
-    """(source-row byte positions of the text of a cell in class cls with
-    all 17 digits, the index of its last digit before the point): classes
-    0..20 are fixed notation with E = cls - 4, 21 is E <= -100, 22 E < -4,
-    23 E < 100 and 24 E >= 100."""
-    digits = [_D0 + j for j in range(17)]
-    if cls > 20:
-        exponent = [_E, _MINUS if cls < 23 else _PLUS] + list(range(_EXP + (1 if cls in (21, 24) else 2), _EXP + 4))
-        return [_SIGN, _D0, _POINT] + digits[1:] + exponent, 0
-    e = cls - 4
-    if e < 0:
-        return [_SIGN, _ZERO, _POINT] + [_ZERO] * (-e - 1) + digits, -1
-    return [_SIGN] + digits[: e + 1] + [_POINT] + digits[e + 1:], e
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)  # exact: uint64 products
 
 
 @functools.cache
@@ -78,9 +69,9 @@ def _constants() -> dict:
     Per binary exponent b: the index of the largest E with 10^E <= 2^(b-1).
     Per decimal exponent E: the least double >= 10^(E+1); the prescale
     2^s and 10^(16-E) 2^-s as hi + lo, hi split into 26-bit halves hh +
-    hl; 17 times its class; the ASCII of |E|.  Per 4-digit group: its
-    ASCII and its count of trailing zeros.  Per (class, trailing zeros):
-    the template of byte positions in the source row.
+    hl; the layout's P, A, B, C and word X; 34 times its class.  Per
+    4-digit group: its ASCII and its count of trailing zeros.  Per (class,
+    trailing zeros, sign): the AND and XOR words of the mask.
     """
     powers = [1]
     for _ in range(340):
@@ -121,29 +112,48 @@ def _constants() -> dict:
     lo = lo0 - (hi - hi0)
     hh = _split(hi)[0]
 
-    cls = np.where(e < -99, 21, np.where(e < -4, 22, np.where(e < 17, e + 4, np.where(e < 100, 23, 24))))
-    digits = np.meshgrid(*[np.arange(10, dtype=np.uint8)] * 4, indexing="ij")
-    digits = np.stack(digits, axis=-1).reshape(10000, 4)  # row g: the 4 digits of g
-    ascii4 = (digits + ord("0")).view(np.uint32).ravel()
-    zero = digits == 0
-    tz4 = zero[:, 3] * (1 + zero[:, 2] * (1 + zero[:, 1] * (1 + zero[:, 0].astype(np.int64))))  # 0 has 4
-    # template 17 c + z: class c's, with the z trailing zero digits of the
-    # fraction, and a point with no digit after it, read as NUL
-    base = np.full((25, 1, 24), _NUL, dtype=np.intp)
-    whole = np.empty((25, 1, 1), dtype=np.intp)
-    for c in range(25):
-        row, whole[c] = _template(c)
-        base[c, 0, : len(row)] = row
-    digit, kept = base - _D0, 17 - np.arange(17)[:, None]
-    drop = (digit >= kept) & (digit > whole) & (digit <= 16) | (base == _POINT) & (kept <= whole + 1)
-    templates = np.where(drop, _NUL, base).reshape(25 * 17, 24)
+    ascii4 = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)  # [a, b, c, d]: the ASCII of "abcd"
+    for k in range(4):
+        ascii4[..., k] = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8).reshape([10] + [1] * (3 - k))
+    ascii4 = ascii4.reshape(10000, 4)
+    tz4 = np.zeros(10000, dtype=np.uint8)  # trailing zeros; 0 has 4
+    tz4[::10], tz4[::100], tz4[::1000], tz4[0] = 1, 2, 3, 4
+
+    # V = H 10^4 + L with q, r = divmod(D, P), H = q A + r B and L = r C:
+    # for 0 <= E <= 16, P = 10^(16-E), A = 100 P, B = 10 and C = 0 give
+    # V = 10^5 (D + 9 P q); for -4 <= E < 0, P = 10^(-1-E), A = 1, B = 0
+    # and C = 10^4 / P give V = D 10^(5+E).  The exponent forms are laid
+    # out as E = 0, and their word X ORs e+XX or e+XXX into bytes 19..23
+    fixed = (e >= -4) & (e <= 16)
+    f = np.where(fixed, e, 0)
+    p = _POW10[np.where(f < 0, -1 - f, 16 - f)]
+    exponent = np.zeros((e.size, 8), dtype=np.uint8)
+    exponent[:, 3], exponent[:, 4], exponent[:, 5:] = ord("e"), np.where(e < 0, ord("-"), ord("+")), ascii4[abs(e), 1:]
+    short = abs(e) < 100  # |E| in 2 digits and a NUL, not 3
+    exponent[short, 5:7], exponent[short, 7] = exponent[short, 6:], 0
+    exponent[fixed] = 0
+    layout = np.array([p, np.where(f < 0, 1, 100 * p), 10 * (f >= 0), np.where(f < 0, 10000 // p, 0),
+                       exponent.view(np.uint64).ravel()], dtype=np.uint64)
+
+    # masks 34 c + 2 z + sign of fixed E = c - 4 (E = 0 for the exponent
+    # forms) with z trailing zero digits: AND keeps the bytes '%.17g'
+    # prints, dropping the z zeros as far as the slot and the slot if no
+    # digit follows it; XOR turns the slot's '0' into '.' and sets the sign
+    f, z, b = np.ix_(np.arange(-4, 17), np.arange(17), np.arange(24))
+    slot, last = 2 + np.maximum(f, 0), 18 - np.minimum(f, 0)  # the bytes of the slot and the last digit
+    keep = (b > 0) & (b <= last - np.minimum(z, last - slot)) & ((b != slot) | (z < last - slot))
+    masks = np.zeros((2, 21, 17, 2, 24), dtype=np.uint8)  # AND | XOR, c, z, sign, byte
+    masks[0] = 255 * keep[:, :, None]
+    masks[1] = (ord("0") ^ ord(".")) * (keep & (b == slot))[:, :, None]
+    masks[1, :, :, 1, 0] = ord("-")
+    masks = masks.view(np.uint64).reshape(2, -1, 3)
     tables = {
         "below": np.searchsorted([5e-324] + least, np.ldexp(1.0, np.arange(-1074, 1024)), side="right") - 1,
         "least_next": np.array(least),
         "scale": scale, "hi": hi, "hh": hh, "hl": hi - hh, "lo": lo,
-        "key": cls * 17, "exponent": ascii4[np.abs(e)], "ascii4": ascii4, "tz4": tz4, "templates": templates,
-        "sign": np.frombuffer(b"\0+\0\0-+\0\0", dtype=np.uint32),  # source bytes 0..3: sign, '+', NUL, NUL
-        "tail": np.frombuffer(b".0e-", dtype=np.uint32),  # source bytes 28..31
+        "key": 34 * np.where(fixed, e + 4, 4), **dict(zip("PABCX", layout)),
+        "and": masks[0], "xor": masks[1],
+        "ascii4": ascii4.view(np.uint32).ravel(), "tz4": tz4,
         "lead": np.where(np.arange(20) >= 19 - np.arange(20)[:, None], 255, 0).astype(np.uint8),  # row k: last k + 1
     }
     for table in tables.values():
@@ -158,19 +168,19 @@ def _split(v: np.ndarray) -> tuple:
     return head, v - head
 
 
-def _groups(v: np.ndarray, count: int) -> list:
-    """The last count 4-digit groups of v >= 0, most significant first."""
-    groups = []
-    for _ in range(count - 1):
+def _ascii(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out, (cells, k) uint32, set to the ASCII of the last 4 k digits of v >= 0, four to a word."""
+    ascii4 = _constants()["ascii4"]
+    for j in range(out.shape[1] - 1, 0, -1):
         q = v // 10000  # floor_divide by a constant is cheap; divmod is not
-        groups.append(v - q * 10000)
+        out[:, j] = ascii4[(v - q * 10000).view(np.int64)]
         v = q
-    return [v] + groups[::-1]
+    out[:, 0] = ascii4[v.view(np.int64)]
+    return out
 
 
-def _floats(x: np.ndarray) -> tuple:
-    """(NUL-padded '%.17g' text of x, rows the kernel could not certify)."""
-    c = _constants()
+def _digits(x: np.ndarray, c: dict) -> tuple:
+    """(the index i of E, the digits d, whether the kernel cannot certify them) of each cell of x."""
     ax = np.abs(x)
     plain = (ax > 0) & (ax < np.inf)  # finite and nonzero
     ax = np.where(plain, ax, 1.0)
@@ -195,28 +205,49 @@ def _floats(x: np.ndarray) -> tuple:
     zero = x == 0
     fallback &= ~zero
     d[zero] = 0  # and E = 0: zeros read 0 and -0
+    return i, d, fallback
 
-    groups = _groups(d, 5)
+
+def _floats(x: np.ndarray) -> tuple:
+    """(NUL-padded '%.17g' text of x as (cells, 24) bytes, the cells CPython renders)."""
+    c = _constants()
+    i, d, fallback = _digits(x, c)  # a function of its own: its temporaries are freed before the text's are made
+    # the 24 digits of V = H 10^4 + L (see _constants) are the cell's text
+    u = d.view(np.uint64)
+    p = c["P"][i]
+    q = u // p
+    r = u - q * p
+    h = q * c["A"][i]
+    h += r * c["B"][i]
+    words = np.empty((x.size, 6), dtype=np.uint32)
+    _ascii(h, words[:, :5])
+    _ascii(r * c["C"][i], words[:, 5:])
+
     tz4 = c["tz4"]
-    z = tz4[groups[4]]
+    q = d // 10000
+    z = tz4[d - q * 10000]  # d's trailing zero digits
     rows = np.flatnonzero(z == 4)  # the last four digits are zeros: read on
-    for g in groups[3:0:-1]:
+    q = q[rows]
+    for _ in range(3):
         if not rows.size:
             break
-        more = tz4[g[rows]]
+        v = q // 10000
+        more = tz4[q - v * 10000]
         z[rows] += more
-        rows = rows[more == 4]
+        rows, q = rows[more == 4], v[more == 4]
 
-    ascii4 = c["ascii4"]
-    words = np.empty((x.size, 8), dtype=np.uint32)
-    words[:, 0] = c["sign"][np.signbit(x).view(np.uint8)]
-    for j, g in enumerate(groups, start=1):
-        words[:, j] = ascii4[g]
-    words[:, 6] = c["exponent"][i]
-    words[:, 7] = c["tail"]
-    index = np.take(c["templates"], c["key"][i] + z, axis=0)
-    index += 32 * np.arange(x.size)[:, None]  # row r reads bytes 32 r ...
-    return words.view(np.uint8).ravel()[index], np.flatnonzero(fallback)
+    key = c["key"][i] + 2 * z
+    key += np.signbit(x)
+    words = words.view(np.uint64)
+    words &= np.take(c["and"], key, axis=0)
+    words ^= np.take(c["xor"], key, axis=0)
+    words[:, 2] |= c["X"][i]
+    text, fallback = words.view(np.uint8), np.flatnonzero(fallback)
+    for k in fallback.tolist():
+        own = np.frombuffer(("%.17g" % float(x[k])).encode(), dtype=np.uint8)
+        text[k] = 0
+        text[k, : own.size] = own
+    return text, fallback
 
 
 def _ints(v: np.ndarray) -> np.ndarray:
@@ -225,28 +256,12 @@ def _ints(v: np.ndarray) -> np.ndarray:
     negative = v < 0
     a = v.astype(np.uint64)
     a[negative] = ~a[negative] + np.uint64(1)  # |v|, also for -2^63
-    more = np.searchsorted(_POW10, a, side="right")  # digits - 1
-    width = 1 + int(more.max())
-    groups = _groups(a, -(-width // 4))
-    words = np.empty((v.size, len(groups)), dtype=np.uint32)
-    for j, g in enumerate(groups):
-        words[:, j] = c["ascii4"][g.astype(np.intp)]
-    text = np.empty((v.size, 1 + width), dtype=np.uint8)
-    text[:, 0] = negative * ord("-")
-    lead = np.take(c["lead"][:, -width:], more, axis=0)  # blanks the leading zeros
-    np.bitwise_and(words.view(np.uint8)[:, -width:], lead, out=text[:, 1:])
-    return text
-
-
-def _float_text(block: np.ndarray) -> np.ndarray:
-    """NUL-padded '%.17g' text of a (rows, columns) float64 block, as (rows, columns, 24) bytes."""
-    x = block.ravel()
-    text, fallback = _floats(x)
-    for k in fallback.tolist():
-        own = np.frombuffer(("%.17g" % float(x[k])).encode(), dtype=np.uint8)
-        text[k] = 0
-        text[k, : own.size] = own
-    return text.reshape(*block.shape, 24)
+    width = len(str(a.max()))
+    more = np.searchsorted(_POW10[1:width], a, side="right")  # digits - 1
+    words = _ascii(a, np.empty((v.size, -(-width // 4)), dtype=np.uint32))
+    words &= np.take(c["lead"], more, axis=0)[:, -4 * words.shape[1]:].view(np.uint32)  # blanks the leading zeros
+    text = words.view(np.uint8)[:, -width:]
+    return np.concatenate([negative[:, None] * np.uint8(ord("-")), text], axis=1) if negative.any() else text
 
 
 def table(head: str, row_format: str, columns) -> str:
@@ -281,25 +296,30 @@ def table(head: str, row_format: str, columns) -> str:
             cells[j::len(fields)] = col if fields[j] == "s" else col.tolist()
         return head + (row_format + "\n") * rows % tuple(cells)
 
+    # the rows of a slab as NUL-padded bytes in one buffer, its literals
+    # written once; the %d and %s cells are rendered once per table
     for j, field in enumerate(fields):
         if field == "s":
             text = np.array([cell.encode() for cell in data[j]], dtype=bytes)
             data[j] = text.view(np.uint8).reshape(rows, text.itemsize)
-    literals = [np.frombuffer(p.encode(), dtype=np.uint8) for p in literals]
+        elif field == "d":
+            data[j] = _ints(data[j])
     step = SLAB // len(floats)  # rows per slab: the float cells of a slab go through the kernel at once
-    pieces = []
+    widths = [24 if field == ".17g" else data[j].shape[1] for j, field in enumerate(fields)]
+    literals = [p.encode() for p in literals]
+    out = np.empty((min(step, rows), sum(widths) + sum(map(len, literals))), dtype=np.uint8)
+    at, starts = 0, []
+    for j, literal in enumerate(literals):
+        out[:, at: at + len(literal)] = np.frombuffer(literal, dtype=np.uint8)
+        starts.append(at + len(literal))
+        at = starts[-1] + (widths[j] if j < len(fields) else 0)
+    pieces = [head]
     for top in range(0, rows, step):
-        cells = {j: col[top: top + step] if field == "s" else _ints(col[top: top + step])
-                 for j, (field, col) in enumerate(zip(fields, data)) if field != ".17g"}
-        text = _float_text(np.stack([data[j][top: top + step] for j in floats], axis=1))
-        cells.update((j, text[:, k]) for k, j in enumerate(floats))
-        parts = [literals[0]]
-        for j, literal in enumerate(literals[1:]):
-            parts += [cells[j], literal]
-        out = np.empty((min(step, rows - top), sum(p.shape[-1] for p in parts)), dtype=np.uint8)
-        at = 0
-        for part in parts:
-            out[:, at: at + part.shape[-1]] = part
-            at += part.shape[-1]
-        pieces.append(out.tobytes().translate(None, b"\0"))
-    return head + b"".join(pieces).decode()
+        text = _floats(np.stack([data[j][top: top + step] for j in floats], axis=1).ravel())[0]
+        text = text.reshape(-1, len(floats), 24)
+        for j, field in enumerate(fields):
+            cells = text[:, floats.index(j)] if field == ".17g" else data[j][top: top + step]
+            item = f"V{widths[j]}"  # a cell copied as one item: numpy copies short byte rows slowly
+            out[: len(text), starts[j]: starts[j] + widths[j]].view(item)[:, 0] = cells.view(item)[:, 0]
+        pieces.append(out[: len(text)].tobytes().translate(None, b"\0").decode())
+    return "".join(pieces)

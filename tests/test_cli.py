@@ -428,6 +428,8 @@ def test_table_text_equals_the_format_route():
     randoms = rng.integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64).view(np.float64)
     got = ar2lab.cli._table("", "%.17g", [randoms])
     assert got == "".join([format(v, ".17g") + "\n" for v in randoms.tolist()])
+    finite = randoms[np.isfinite(randoms)]
+    assert handed_to_cpython(finite) <= finite.size // 1000  # 820 of 999,535
 
     # both sides of the route switch at one slab of float cells: the % route
     # below it, the kernel at it
@@ -436,6 +438,39 @@ def test_table_text_equals_the_format_route():
         columns = [list(range(rows)), randoms[:rows], randoms[rows: 2 * rows], [f"r{i}" for i in range(rows)]]
         got = ar2lab.cli._table("k,x,y,name\n", "%d,%.17g,%.17g,%s", columns)
         assert got == format_route("k,x,y,name", "{},{:.17g},{:.17g},{}", zip(*columns)), cells
+
+
+def handed_to_cpython(x) -> int:
+    """How many cells of x the table kernel leaves to '%.17g' % x."""
+    return sum(ar2lab.text._floats(x[k: k + ar2lab.text.SLAB])[1].size for k in range(0, x.size, ar2lab.text.SLAB))
+
+
+def test_table_kernel_renders_nearly_every_normal_draw_itself():
+    # a kernel that sent its cells to CPython would pass every byte test and lose its speed
+    assert handed_to_cpython(np.random.default_rng(13).standard_normal(10 ** 6)) <= 10
+
+
+def test_table_text_equals_the_format_route_on_every_layout_and_run_of_zeros():
+    # one cell for each %g layout -- fixed with E = -4..16 and the exponent
+    # forms with 2- and 3-digit exponents of both signs -- and each count z
+    # = 0..16 of trailing zeros among its 17 digits (z = 16 prints no
+    # point), both signs, through the kernel: every mask row random bits
+    # almost never reach
+    def shape(v):  # (E, z) of |v|
+        mantissa, exponent = format(abs(v), ".16e").split("e")
+        digits = mantissa.replace(".", "")
+        return int(exponent), len(digits) - len(digits.rstrip("0"))
+
+    def first(exponents, z):  # the first double k 10^(e-16+z) of shape (e, z), k of 17 - z digits
+        return next(v for e in exponents for k in range(10 ** (16 - z), 10 ** (16 - z) + 20)
+                    if shape(v := float(f"{k}e{e - 16 + z}")) == (e, z))
+
+    forms = [[e] for e in range(-4, 17)] + [range(17, 100), range(-5, -100, -1), range(100, 309), range(-100, -324, -1)]
+    cells = [first(exponents, z) for exponents in forms for z in range(17)]
+    assert len({shape(v) for v in cells}) == 25 * 17 and "1e+100" in map(repr, cells)
+    cells += [-v for v in cells]
+    x = np.resize(cells, ar2lab.text.SLAB + len(cells))  # every cell on the kernel route
+    assert ar2lab.cli._table("", "%.17g", [x]) == "".join(format(v, ".17g") + "\n" for v in x.tolist())
 
 
 def test_table_kernel_tables_hold_the_exact_powers_of_ten():
@@ -497,9 +532,9 @@ def test_simulate_text_equals_the_format_route_on_heavy_tails(tmp_path, capsys, 
 
 
 def test_simulate_memory_scales_with_one_path(tmp_path, capsys, monkeypatch):
-    # paths are rendered and written one at a time: the peak is about 5.4 x
-    # one path's text (its floats, cells and template), where the whole
-    # file's rows and text at once were ~6.6 x the file
+    # paths are rendered and written one at a time: the peak is about 4.1 x
+    # one path's text (its floats, slab rows and joined text), where the
+    # whole file's rows and text at once were ~6.6 x the file
     monkeypatch.setattr(ar2lab.cli, "SELF_CHECK_PATHS", 3)
     cfg_path, out = write_cfg(tmp_path, BASE.replace("grid_max = 12", f"grid_max = {2 ** 16}"))
     tracemalloc.start()

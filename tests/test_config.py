@@ -253,12 +253,17 @@ def test_records_are_frozen_values_that_pickle():
             record.extra = 1
         copy = pickle.loads(pickle.dumps(record))
         assert same_fields(record, copy) and copy is not record
-        if not any(isinstance(getattr(record, name), np.ndarray) for name in record.__slots__):
-            assert copy == record and hash(copy) == hash(record)
+        assert copy == record and hash(copy) == hash(record)
         fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in record.__slots__)
         assert repr(record) == f"{type(record).__name__}({fields})"
     key = records[4]
     assert key != StreamKey(7, "tail", n=3, block=2) and key != (7, "tail", 3, 1)
+    # the records that hold arrays compare and hash by the arrays' bits
+    table, path = records[6], records[11]
+    assert table == weight_sequence(table.coeffs, 60) and hash(table) == hash(weight_sequence(table.coeffs, 60))
+    assert table != weight_sequence(ARCoefficients(0.5, -0.9), 60) and table != weight_sequence(table.coeffs, 59)
+    assert path != simulate_path(table.coeffs, [1.0, -0.5, 2.5]) and len({path, pickle.loads(pickle.dumps(path))}) == 1
+    assert simulate_path(table.coeffs, [0.0]) != simulate_path(table.coeffs, [-0.0])
     assert repr(records[1]) == "ARCoefficients(a=0.3, b=0.2, stability=<Stability.STABLE: 'Stable'>)"
 
 
