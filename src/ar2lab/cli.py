@@ -117,15 +117,15 @@ def _write_text(fh, text: str) -> None:
 def _self_check(config: ExperimentConfig, table) -> float:
     """Max dual-representation residual over probe paths, nan if any is nan.
 
-    A heavy-tailed probe may overflow to inf; its residual is then nan,
-    which fails the check instead of dropping out of the max.
+    A heavy-tailed probe may draw or overflow to inf; its residual is then
+    nan, which fails the check instead of dropping out of the max.
     """
     n = config.grid_max
     residuals = []
     for i in range(SELF_CHECK_PATHS):
         theta = sample_block(config.noise, n, StreamKey(config.master_seed, "probe", n=n, block=i))
         with np.errstate(over="ignore", invalid="ignore"):
-            residuals.append(representation_residual(table, theta))
+            residuals.append(representation_residual(table, theta) if np.isfinite(theta).all() else math.nan)
     return float(np.max(residuals))
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 
 import numpy as np
 
@@ -246,12 +247,14 @@ class BoundReport(_Record):
 def bound_report(table: WeightTable, horizon: int) -> BoundReport:
     """Envelope constants from u_0..u_horizon and U(0..horizon) of a table reaching horizon.
 
-    Requires stable coefficients and horizon >= 50.  The Frobenius norm
-    is evaluated with hypot to survive squared underflow; once
-    rho^s * s^(mu-1) underflows to zero the scan stops, since ratios
-    past that point carry no information, and an s whose norm is zero
-    gives no ratio.  For the nilpotent pair a = b = 0 (rho = 0) no ratio
-    is defined and the extrema are NaN.
+    Requires stable coefficients and horizon >= 50.  The band covers
+    1 <= s <= horizon while the sequential product rho^s is a normal
+    double, and within that only the s whose Frobenius norm
+    math.hypot(u_s, u_(s-1)) is normal too: a subnormal or zero operand
+    has lost its relative precision, so its ratio carries no
+    information.  horizon_used is the horizon asked for.  For the
+    nilpotent pair a = b = 0 (rho = 0) no ratio is defined and the
+    extrema are NaN.
     """
     coeffs = table.coeffs
     require_stable(coeffs, "bound report")
@@ -263,26 +266,15 @@ def bound_report(table: WeightTable, horizon: int) -> BoundReport:
     L_star = float(np.max(np.abs(table.cum[: horizon + 1])))
     cum_limit = 1.0 / (1.0 - coeffs.a - coeffs.b)
 
-    # R(s) for s = 1 .. stop: once rho^s underflows to 0 it stays 0
-    rho_pow = np.cumprod(np.full(horizon, spectrum.rho))  # the sequential products rho^s
-    denom = rho_pow * np.arange(1, horizon + 1) if spectrum.mu == 2 else rho_pow
-    stop = np.count_nonzero(denom)
-    u = table.u
-    norm = np.hypot(u[1 : stop + 1], u[:stop])
+    # R(s) for s = 1 .. stop, the s whose sequential product rho^s is normal
+    rho_pow = np.cumprod(np.full(horizon, spectrum.rho))
+    stop = np.count_nonzero(rho_pow >= sys.float_info.min)
+    denom = rho_pow[:stop] * np.arange(1, stop + 1) if spectrum.mu == 2 else rho_pow[:stop]
+    u = table.u[: stop + 1].tolist()
+    norm = np.fromiter(map(math.hypot, u[1:], u), np.float64, stop)
     with np.errstate(over="ignore"):  # as a float division, an overflowing ratio is inf
-        ratio = norm / denom[:stop]
-    # np.hypot may differ from math.hypot in the last bit, so the extrema are
-    # taken with math.hypot over the candidates: every ratio within 1e-12 of
-    # either numpy extremum, and every ratio whose norm is near or below the
-    # subnormals, where a last bit is no longer a relative 2^-52.  Pairs
-    # (u_s, u_(s-1)) = (0, 0) contribute no ratio.
-    trusted = (norm >= 2.0 ** -1000) & np.isfinite(ratio)
-    candidates = (norm > 0.0) & ~trusted
-    if trusted.any():
-        lo, hi = ratio[trusted].min(), ratio[trusted].max()
-        candidates |= trusted & ((ratio <= lo * (1.0 + 1e-12)) | (ratio >= hi * (1.0 - 1e-12)))
-    ratios = [math.hypot(u[i + 1], u[i]) / float(denom[i]) for i in np.flatnonzero(candidates).tolist()]
-    ratio_min, ratio_max = (min(ratios), max(ratios)) if ratios else (math.nan, math.nan)
+        ratio = (norm / denom)[norm >= sys.float_info.min]
+    ratio_min, ratio_max = (float(ratio.min()), float(ratio.max())) if ratio.size else (math.nan, math.nan)
     return BoundReport(
         L_star=L_star,
         cum_limit=cum_limit,

@@ -40,9 +40,10 @@ def simulate_path(coeffs: ARCoefficients, theta) -> Path:
     """Run the recursion from rest (xi_0 = xi_{-1} = 0) over theta.
 
     Works for any finite coefficients, stable or not; n is just
-    len(theta).  S_n accumulates with compensation.
+    len(theta).  S_n accumulates with compensation.  The path holds its
+    own read-only copy of theta, so the caller's array stays writeable.
     """
-    arr = _as_theta(theta)
+    arr = _as_theta(theta).copy()
     a, b = coeffs.a, coeffs.b
     states = []
     prev2, prev1 = 0.0, 0.0

@@ -191,16 +191,16 @@ def test_criterion_06_koval_envelope():
     ok = True
     details = []
     for coeffs in COEFF_SET:
-        table = weight_sequence(coeffs, 1000)
+        table = weight_sequence(coeffs, 8192)
         short = bound_report(table, 50)
-        full = bound_report(table, 1000)
+        full = bound_report(table, 8192)
         ok = ok and full.koval_ratio_max <= 1.05 * short.koval_ratio_max
         ok = ok and full.koval_ratio_min > 0.0
         details.append(f"{full.koval_ratio_max / short.koval_ratio_max:.3f}")
     elapsed = time.perf_counter() - start
     _report(
         6,
-        "envelope ratio stays within 1.05x of its s <= 50 maximum out to s = 1000",
+        "envelope ratio stays within 1.05x of its s <= 50 maximum out to s = 8192",
         ok and elapsed < 1.0,
         f"max-ratio growth factors {', '.join(details)}, {elapsed:.2f}s",
     )

@@ -15,6 +15,7 @@ import ar2lab.estimate
 import ar2lab.text
 from ar2lab import (
     ARCoefficients,
+    NoiseSpec,
     StreamKey,
     ValidationError,
     Verdict,
@@ -261,19 +262,33 @@ def test_bound_horizon_takes_whole_numbers_only(tmp_path):
     assert type(whole) is int and ar2lab.cli._bound_horizon(whole) == 300
 
 
-def test_self_check_fails_on_a_nan_residual(tmp_path, capsys):
-    # alpha = 0.01 overflows probe 0 to +-inf, so its residual is nan
+def assert_self_check_fails(tmp_path, capsys, seed):
+    """verify and series on the pareto 0.01 config at this seed both fail the self-check on a nan residual."""
     text = (BASE.replace("noise.family = normal", "noise.family = pareto\nnoise.param1 = 0.01\nnoise.param2 = 1")
             .replace("grid_max = 12", "grid_max = 128").replace("replications = 400", "replications = 1000")
-            .replace("seed = 2026", "seed = 43"))
+            .replace("seed = 2026", f"seed = {seed}"))
     cfg_path, _ = write_cfg(tmp_path, text)
     assert main(["verify", "--config", str(cfg_path)]) == 1
     report = capsys.readouterr().out
     assert "[FAIL] dual representation residual (max nan)\n" in report
-    assert report.endswith("1 check(s) failed\n")
+    assert report.count("[PASS]") == 5 and report.endswith("1 check(s) failed\n")
     assert main(["series", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err == "error: representation self-check failed: residual nan > 1e-09\n"
     assert [f.name for f in tmp_path.iterdir()] == ["exp.cfg"]  # a refused run writes no file
+
+
+def test_self_check_fails_on_a_nan_residual(tmp_path, capsys):
+    # alpha = 0.01 overflows probe 0 to +-inf, so its residual is nan
+    assert_self_check_fails(tmp_path, capsys, 43)
+
+
+def test_self_check_fails_on_an_infinite_draw(tmp_path, capsys):
+    # at seed 3 a probe draws inf itself: it cannot be summed, so its residual
+    # is nan, and verify runs its remaining checks after the [FAIL] line
+    probes = [sample_block(NoiseSpec("pareto", (0.01, 1.0)), 128, StreamKey(3, "probe", n=128, block=i))
+              for i in range(ar2lab.cli.SELF_CHECK_PATHS)]
+    assert not all(np.isfinite(theta).all() for theta in probes)
+    assert_self_check_fails(tmp_path, capsys, 3)
 
 
 def fresh_env(openblas_threads=None):

@@ -23,6 +23,7 @@ from ar2lab import (
     UnstableCoefficients,
     Verdict,
     absolute_moment,
+    bound_report,
     default_grid,
     moment_growth_check,
     partial_series,
@@ -435,10 +436,11 @@ def test_an_estimate_builds_at_most_one_weight_table(monkeypatch):
 
 
 def dispatch_probe() -> str:
-    """Counts, partial sums and moments past DENSE_MAX, as text.
+    """Counts, partial sums and moments past DENSE_MAX, and envelope bands, as text.
 
     Rademacher and uniform noise, two replication blocks, and a grid whose
-    points 300, 383 and 1000 lie inside strips.
+    points 300, 383 and 1000 lie inside strips; the bands are the bound
+    reports at horizon 8192 of the five spectral classes.
     """
     grid = sorted(default_grid(2048) + [300, 383, 1000])
     replications = estimate.BLOCK_REPLICATES + 101
@@ -447,6 +449,9 @@ def dispatch_probe() -> str:
         est = partial_series(STABLE, spec, SeriesParams(1.5, 2, 1), grid, replications, 23)
         lines += [repr([round(t.p_hat * replications) for t in est.tails]), repr(est.partial_sums),
                   repr(est.moments.estimates)]
+    for ab in ((0.3, 0.2), (1.0, -0.25), (0.5, -0.9), (-0.5, 0.45), (0.2, 0.79)):
+        report = bound_report(weight_sequence(ARCoefficients(*ab), 8192), 8192)
+        lines.append(repr((report.koval_ratio_min, report.koval_ratio_max)))
     return "\n".join(lines)
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -319,25 +320,27 @@ def test_bound_report_nilpotent_pair():
 
 
 def scanned_extrema(coeffs, horizon):
-    """The envelope extrema by the plain scan: s = 1, 2, ... while rho^s * s^(mu-1) > 0."""
+    """The envelope extrema by the plain scan: s = 1, 2, ... while rho^s is normal, over normal norms."""
     u = weight_sequence(coeffs, horizon).u
     spectrum = companion_spectrum(coeffs)
     ratios, rho_pow = [], 1.0
     for s in range(1, horizon + 1):
         rho_pow *= spectrum.rho
-        denom = rho_pow * (float(s) if spectrum.mu == 2 else 1.0)
-        if denom == 0.0:
+        if rho_pow < sys.float_info.min:
             break
         norm = math.hypot(u[s], u[s - 1])
-        if norm != 0.0:
-            ratios.append(norm / denom)
+        if norm >= sys.float_info.min:
+            ratios.append(norm / (rho_pow * (float(s) if spectrum.mu == 2 else 1.0)))
     return (min(ratios), max(ratios)) if ratios else (math.nan, math.nan)
 
 
-# the five spectral classes, pairs whose rho^s underflows inside the horizon,
-# and one that keeps a ratio for s = 1 only
+# the five spectral classes, pairs whose rho^s leaves the normal range inside
+# the horizon, one that keeps a ratio for s = 1 only, two whose subnormal
+# ratios past that point would move the band, and two whose ratios tie to
+# within 1e-12 over thousands of steps
 EDGE_PAIRS = [(0.3, 0.2), (1.0, -0.25), (0.5, -0.9), (-0.5, 0.45), (0.2, 0.79), (0.5, 0.0), (0.001, 0.0),
-              (-1.6, -0.64), (0.0, 0.5), (0.0, -1e-300), (1e-200, 0.0), (1e-155, 0.0)]
+              (-1.6, -0.64), (0.0, 0.5), (0.0, -1e-300), (1e-200, 0.0), (1e-155, 0.0),
+              (1.2, -0.36), (0.0, -0.5), (-0.99, 0.0), (0.0, -0.999)]
 
 
 @pytest.mark.parametrize("horizon", [200, 8192])

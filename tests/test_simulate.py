@@ -148,3 +148,13 @@ def test_path_arrays_are_readonly():
     path = simulate_path(ARCoefficients(0.3, 0.2), [1.0, 2.0])
     with pytest.raises(ValueError):
         path.xi[0] = 0.0
+
+
+def test_path_holds_its_own_copy_of_theta():
+    theta = np.ones(5)
+    path = simulate_path(ARCoefficients(0.3, 0.2), theta)
+    assert theta.flags.writeable and not path.theta.flags.writeable
+    theta[0] = 2.0  # the caller's array stays writeable and the path keeps its theta
+    assert path.theta.tolist() == [1.0] * 5
+    with pytest.raises(ValueError):
+        path.theta[0] = 0.0
