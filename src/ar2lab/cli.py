@@ -117,15 +117,19 @@ def _write_text(fh, text: str) -> None:
 def _self_check(config: ExperimentConfig, table) -> float:
     """Max dual-representation residual over probe paths, nan if any is nan.
 
-    A heavy-tailed probe may draw or overflow to inf; its residual is then
-    nan, which fails the check instead of dropping out of the max.
+    The finite probes are checked in one batch.  A heavy-tailed probe may
+    draw or overflow to inf; its residual is then nan, which fails the
+    check instead of dropping out of the max.
     """
     n = config.grid_max
-    residuals = []
-    for i in range(SELF_CHECK_PATHS):
-        theta = sample_block(config.noise, n, StreamKey(config.master_seed, "probe", n=n, block=i))
+    probes = np.empty((SELF_CHECK_PATHS, n))
+    for i, theta in enumerate(probes):
+        sample_block(config.noise, n, StreamKey(config.master_seed, "probe", n=n, block=i), out=theta)
+    finite = np.isfinite(probes).all(axis=1)
+    residuals = np.full(SELF_CHECK_PATHS, math.nan)
+    if finite.any():
         with np.errstate(over="ignore", invalid="ignore"):
-            residuals.append(representation_residual(table, theta) if np.isfinite(theta).all() else math.nan)
+            residuals[finite] = representation_residual(table, probes if finite.all() else probes[finite])
     return float(np.max(residuals))
 
 
@@ -222,19 +226,27 @@ def _cmd_weights(config: ExperimentConfig) -> int:
 
 
 def _cmd_simulate(config: ExperimentConfig) -> int:
-    """Write the paths one at a time, so only one path's text is held; a path
-    refused for an infinite draw removes the file like a failed write."""
+    """Walk the paths in one batch, then write them one at a time.
+
+    The batch holds every path's draws and states (2 x 10 x n doubles)
+    and the walk's chunk arrays, about as much again, while the text is
+    rendered and held for one path at a time.  A batch refused for an
+    infinite draw writes no file, and a failed write removes the file.
+    """
     n = config.grid_max
     out = config.output_path + ".paths.csv"
+    thetas = np.empty((SELF_CHECK_PATHS, n))
+    for i, theta in enumerate(thetas):
+        sample_block(config.noise, n, StreamKey(config.master_seed, "path", n=n, block=i), out=theta)
+    paths = simulate_path(config.coeffs, thetas)
+    steps = np.arange(1, n + 1)
 
-    def paths():
+    def texts():
         for i in range(SELF_CHECK_PATHS):
-            theta = sample_block(config.noise, n, StreamKey(config.master_seed, "path", n=n, block=i))
-            path = simulate_path(config.coeffs, theta)
-            columns = [np.full(n, i), np.arange(1, n + 1), path.theta, path.xi]
+            columns = [np.full(n, i), steps, paths.theta[i], paths.xi[i]]
             yield _table("" if i else "path,k,theta,xi\n", "%d,%d,%.17g,%.17g", columns)
 
-    _write_files([(out, paths())])
+    _write_files([(out, texts())])
     print(f"wrote {SELF_CHECK_PATHS} paths of length {n} to {out}")
     return 0
 

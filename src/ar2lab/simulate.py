@@ -7,73 +7,176 @@ Two routes to the same partial sum:
 
 with U the cumulative weights from the recurrence module.  Agreement of
 the two routes on the same noise vector is the main self-check of the
-whole pipeline; representation_residual quantifies it.
+whole pipeline; representation_residual quantifies it.  Each function
+takes one path as a 1-d theta or m paths as the rows of an (m, n) theta,
+and its results follow theta's shape.
+
+The direct route steps every path and every time chunk at once.  Time is
+cut into chunks of CHUNK_STEPS steps, and each (path, chunk) is one row
+of a lockstep walk, which steps all rows together in the scalar
+recursion's operation order, fl(fl(fl(a xi_(t-1)) + fl(b xi_(t-2))) +
+theta_t), three ufunc calls per step.  Chunk 0 starts from rest; every
+later chunk starts from a guess, the weighted-sum jump of its
+predecessor's guessed start by the weights u_0..u_L (the estimate
+engine's strip jump).  Then, as in a parareal iteration (Lions, Maday &
+Turinici 2001) with the jump as the coarse propagator and the exact
+recursion as the fine one, each sweep walks the rows and restarts every
+chunk from the end its predecessor reached.  The walk stops once every
+chunk's start equals that end, compared as 64-bit patterns: each chunk
+then was walked from its predecessor's end, and chunk 0 from rest, so
+by induction every state is the scalar loop's to the last bit, -0.0,
+inf and NaN included.
+
+Cost: after sweep k the first k chunks of every path are final, so a
+walk takes at most one sweep per chunk, and each sweep re-walks only the
+rows from the first changed start on.  On stable coefficients the
+guesses are off by rounding alone, and a few sweeps finish paths of any
+length.  The walk loses to a scalar loop on one short path, whose one
+chunk still costs three ufunc calls per step, and on unstable
+coefficients, whose guesses overflow so that nearly every chunk takes
+its own sweep.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParameters, NonFiniteInput
+from .errors import HorizonOverflow, InvalidParameters, NonFiniteInput
 from .noise import _Record
-from .recurrence import ARCoefficients, WeightTable
-from .recurrence import weight_sequence  # noqa: F401  unused here, but bench/spans.py wraps it where simulate looks it up
-from .summation import compensated_cumsum
+from .recurrence import ARCoefficients, WeightTable, weight_sequence
+from .summation import compensated_totals
+
+# Steps per time chunk of the lockstep walk.  Fixed, and free of the
+# results: the walk's output is the scalar recursion's whatever its value.
+CHUNK_STEPS = 128
 
 
 class Path(_Record):
-    """One realized trajectory: innovations, states, and their sum."""
+    """Realized trajectories: innovations, states, and their sums.
+
+    For a 1-d theta one path, s_n a float; for an (m, n) theta m paths,
+    one per row, and s_n an array of m sums.  n is the number of steps.
+    """
 
     __slots__ = ("coeffs", "n", "theta", "xi", "s_n")
 
 
 def _as_theta(theta) -> np.ndarray:
     arr = np.asarray(theta, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidParameters("theta must be a non-empty 1-d array")
+    if arr.ndim not in (1, 2) or arr.size == 0:
+        raise InvalidParameters("theta must be a non-empty 1-d array or 2-d array of rows")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput("theta contains NaN or infinity")
     return arr
 
 
-def simulate_path(coeffs: ARCoefficients, theta) -> Path:
-    """Run the recursion from rest (xi_0 = xi_{-1} = 0) over theta.
+def _start_guesses(coeffs: ARCoefficients, draws: np.ndarray, paths: int) -> np.ndarray:
+    """Guessed (xi_(s-1), xi_s) at the start s of every chunk but the first, as 2 rows.
 
-    Works for any finite coefficients, stable or not; n is just
-    len(theta).  S_n accumulates with compensation.  The path holds its
-    own read-only copy of theta, so the caller's array stays writeable.
+    draws is the walk's (L, rows) array of chunk draws, chunk-major.  A
+    chunk's forced end, the state its draws reach from rest, is one
+    einsum with the weights u_0..u_L; chunk c + 1 starts at J start_c +
+    forced_c, with J the jump of a start over L steps, and that linear
+    scan over the chunks takes log2(chunks) doubling rounds, each adding
+    J^(2^k) times the starts 2^k chunks back (einsum, not BLAS, as in the
+    estimate engine).  Only the number of sweeps depends on these values:
+    weights that overflow leave every chunk at rest.
+    """
+    steps = len(draws)
+    try:
+        u = weight_sequence(coeffs, steps).u
+    except HorizonOverflow:
+        return np.zeros((2, draws.shape[1] - paths))
+    weights = np.array([[*u[steps - 2 :: -1], 0.0], u[steps - 1 :: -1]])
+    starts = np.einsum("kj,ji->ki", weights, draws[:, :-paths], optimize=False)
+    b = coeffs.b
+    jump = np.array([[b * u[steps - 2], u[steps - 1]], [b * u[steps - 1], u[steps]]])
+    span = paths
+    while span < starts.shape[1]:
+        starts[:, span:] += np.einsum("kj,ji->ki", jump, starts[:, :-span], optimize=False)
+        jump = np.einsum("kj,ji->ki", jump, jump, optimize=False)
+        span *= 2
+    return starts
+
+
+def _walk(coeffs: ARCoefficients, theta: np.ndarray) -> tuple:
+    """States of the recursion from rest over each row of a 2-d theta, and the sweeps taken."""
+    paths, n = theta.shape
+    chunks = -(-n // CHUNK_STEPS)
+    steps = min(n, CHUNK_STEPS)
+    rows = paths * chunks
+    if n % steps:  # the last chunk's steps past n walk zero draws
+        theta = np.pad(theta, ((0, 0), (0, chunks * steps - n)))
+    # draws[t, c * paths + i] is step t of path i's chunk c
+    draws = np.empty((steps, rows))
+    np.copyto(draws.reshape(steps, chunks, paths), theta.reshape(paths, chunks, steps).T)
+    # states[t + 2] is each row's state after step t; rows 0 and 1 hold its start (xi_(s-1), xi_s)
+    states = np.zeros((steps + 2, rows))
+    bits = states.view(np.uint64)
+    coeff = np.array([[coeffs.b], [coeffs.a]])
+    scratch = np.empty((2, rows))
+    first = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if chunks > 1:
+            states[:2, paths:] = _start_guesses(coeffs, draws, paths)
+        # sweep k leaves the first k chunks of every path final, so the last
+        # sweep finds every start equal to its predecessor's end
+        for sweeps in range(1, chunks + 1):
+            # rows before `first` start where they started on their last walk
+            prod = scratch[:, first:]
+            for t, (here, draw) in enumerate(zip(states[2:, first:], draws[:, first:])):
+                np.multiply(states[t : t + 2, first:], coeff, out=prod)
+                np.add(prod[1], prod[0], out=here)
+                here += draw
+            moved = np.flatnonzero((bits[steps:, :-paths] != bits[:2, paths:]).any(axis=0))
+            if not moved.size:
+                break
+            first = paths + moved[0]
+            states[:2, first:] = states[steps:, first - paths : rows - paths]
+    # the draws' buffer, read no more, receives the states path by path
+    xi = draws.reshape(paths, chunks * steps)
+    np.copyto(xi.reshape(paths, chunks, steps), states[2:].reshape(steps, chunks, paths).T)
+    xi = xi[:, :n]
+    return xi, sweeps
+
+
+def simulate_path(coeffs: ARCoefficients, theta) -> Path:
+    """Run the recursion from rest (xi_0 = xi_{-1} = 0) over theta, or over each of its rows.
+
+    Works for any finite coefficients, stable or not; n is theta's last
+    dimension.  The states are the scalar loop's bit for bit (see the
+    module docstring), and S_n accumulates with compensation.  The path
+    holds its own read-only copy of theta, so the caller's array stays
+    writeable.
     """
     arr = _as_theta(theta).copy()
-    a, b = coeffs.a, coeffs.b
-    states = []
-    prev2, prev1 = 0.0, 0.0
-    for t in arr.tolist():
-        here = a * prev1 + b * prev2 + t
-        states.append(here)
-        prev2, prev1 = prev1, here
-    xi = np.fromiter(states, float, arr.size)
+    xi, _ = _walk(coeffs, arr.reshape(-1, arr.shape[-1]))
+    xi = xi.reshape(arr.shape)
     arr.setflags(write=False)
     xi.setflags(write=False)
-    return Path(coeffs=coeffs, n=arr.size, theta=arr, xi=xi, s_n=float(compensated_cumsum(xi)[-1]))
+    return Path(coeffs=coeffs, n=arr.shape[-1], theta=arr, xi=xi, s_n=compensated_totals(xi))
 
 
-def weighted_sum(table: WeightTable, theta) -> float:
-    """S_n via sum_{k=1}^{n} U(n-k) * theta_k, compensated.
+def weighted_sum(table: WeightTable, theta):
+    """S_n via sum_{k=1}^{n} U(n-k) * theta_k, compensated; one per row of a 2-d theta.
 
     The table must reach horizon n - 1 (InsufficientHorizon); it may
     reach further, so one table serves vectors of any length up to it.
     """
     arr = _as_theta(theta)
-    n = arr.size
+    n = arr.shape[-1]
     table.require(n - 1)
-    return float(compensated_cumsum(table.cum[n - 1 :: -1] * arr)[-1])
+    return compensated_totals(table.cum[n - 1 :: -1] * arr)
 
 
-def representation_residual(table: WeightTable, theta) -> float:
-    """|direct - weighted| / max(1, |direct|) on one noise vector.
+def representation_residual(table: WeightTable, theta):
+    """|direct - weighted| / max(1, |direct|) on one noise vector, or on each row of a 2-d theta.
 
-    Both routes take the table's coefficients.
+    Both routes take the table's coefficients.  An infinite or NaN
+    direct sum gives a NaN residual.
     """
     direct = simulate_path(table.coeffs, theta).s_n
     other = weighted_sum(table, theta)
-    return abs(direct - other) / max(1.0, abs(direct))
+    with np.errstate(invalid="ignore"):
+        residual = np.abs(direct - other) / np.maximum(1.0, np.abs(direct))
+    return float(residual) if residual.ndim == 0 else residual

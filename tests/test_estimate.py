@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -436,11 +437,13 @@ def test_an_estimate_builds_at_most_one_weight_table(monkeypatch):
 
 
 def dispatch_probe() -> str:
-    """Counts, partial sums and moments past DENSE_MAX, and envelope bands, as text.
+    """Counts, partial sums and moments past DENSE_MAX, envelope bands and paths, as text.
 
     Rademacher and uniform noise, two replication blocks, and a grid whose
     points 300, 383 and 1000 lie inside strips; the bands are the bound
-    reports at horizon 8192 of the five spectral classes.
+    reports at horizon 8192 of the five spectral classes, and the paths
+    are simulate_path's lockstep walks of 10 uniform and 10 Rademacher
+    rows of 8192 steps at each of them, as a digest of their states' bits.
     """
     grid = sorted(default_grid(2048) + [300, 383, 1000])
     replications = estimate.BLOCK_REPLICATES + 101
@@ -452,6 +455,10 @@ def dispatch_probe() -> str:
     for ab in ((0.3, 0.2), (1.0, -0.25), (0.5, -0.9), (-0.5, 0.45), (0.2, 0.79)):
         report = bound_report(weight_sequence(ARCoefficients(*ab), 8192), 8192)
         lines.append(repr((report.koval_ratio_min, report.koval_ratio_max)))
+        for spec in (NoiseSpec("uniform", (1.0,)), RADEMACHER):
+            theta = np.array([sample_block(spec, 8192, StreamKey(29, "path", n=8192, block=i)) for i in range(10)])
+            path = simulate_path(ARCoefficients(*ab), theta)
+            lines.append(hashlib.sha256(path.xi.tobytes()).hexdigest() + " " + repr(path.s_n.tolist()))
     return "\n".join(lines)
 
 

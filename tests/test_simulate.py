@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ar2lab import (
     ARCoefficients,
+    HorizonOverflow,
     InsufficientHorizon,
     InvalidParameters,
     NonFiniteInput,
@@ -15,16 +16,17 @@ from ar2lab import (
     weight_sequence,
     weighted_sum,
 )
+from ar2lab import simulate as sim
 from ar2lab.summation import compensated_cumsum
 
 from conftest import NAMED_PAIRS
 
 
 def oracle_states(a, b, theta):
-    """Plain recursion, no compensation."""
+    """Plain recursion, no compensation: the scalar loop the lockstep walk must match bit for bit."""
     xi = []
     p2 = p1 = 0.0
-    for t in theta:
+    for t in np.asarray(theta, dtype=float).tolist():
         x = a * p1 + b * p2 + t
         xi.append(x)
         p2, p1 = p1, x
@@ -140,8 +142,13 @@ def test_input_validation():
         simulate_path(coeffs, [1.0, math.nan])
     with pytest.raises(NonFiniteInput):
         weighted_sum(weight_sequence(coeffs, 0), [math.inf])
+    # rows of a 2-d theta are paths; a 3-d theta or an empty row is refused
     with pytest.raises(InvalidParameters):
-        simulate_path(coeffs, [[1.0, 2.0]])
+        simulate_path(coeffs, [[[1.0, 2.0]]])
+    with pytest.raises(InvalidParameters):
+        simulate_path(coeffs, np.empty((2, 0)))
+    with pytest.raises(NonFiniteInput):
+        representation_residual(weight_sequence(coeffs, 1), [[1.0, 2.0], [math.inf, 0.0]])
 
 
 def test_path_arrays_are_readonly():
@@ -158,3 +165,98 @@ def test_path_holds_its_own_copy_of_theta():
     assert path.theta.tolist() == [1.0] * 5
     with pytest.raises(ValueError):
         path.theta[0] = 0.0
+
+
+# the five spectral classes of the analytic benchmark, and two unstable pairs
+# whose states overflow: to inf, and through 0 * inf to NaN
+ANALYTIC_PAIRS = [(0.3, 0.2), (1.0, -0.25), (0.5, -0.9), (-0.5, 0.45), (0.2, 0.79)]
+OVERFLOWING_PAIRS = [(2.5, 0.5), (1e200, 0.0)]
+LENGTHS = (1, 2, 127, 128, 129, 1000, 8192)  # one chunk, chunk edges, a short last chunk, 64 chunks
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def edge_draws(kind: str, m: int, n: int) -> np.ndarray:
+    rng = np.random.default_rng([m, n, len(kind)])
+    if kind == "signed_zeros":  # +-0.0 with rare +-1e-300, whose states decay to zeros of either sign
+        return rng.choice([0.0, -0.0, 1e-300, -1e-300], size=(m, n), p=[0.498, 0.498, 0.002, 0.002])
+    if kind == "subnormal":  # products underflow to zeros of either sign
+        return rng.integers(-(2 ** 20), 2 ** 20, size=(m, n)) * 5e-324
+    return rng.choice([-1.0, 1.0], size=(m, n)) * rng.pareto(0.1, size=(m, n))  # up to ~1e170
+
+
+@pytest.mark.parametrize("kind", ["signed_zeros", "subnormal", "pareto_0.1"])
+@pytest.mark.parametrize("ab", ANALYTIC_PAIRS + OVERFLOWING_PAIRS, ids=str)
+def test_lockstep_walk_is_the_scalar_loop_bit_for_bit(ab, kind):
+    coeffs = ARCoefficients(*ab)
+    for n in LENGTHS:
+        theta = edge_draws(kind, 10, n)
+        reference = [oracle_states(*ab, row) for row in theta]
+        sums = [compensated_cumsum(row)[-1] for row in reference]
+        for m in (1, 3, 10):
+            path = simulate_path(coeffs, theta[:m])
+            assert path.xi.shape == path.theta.shape == (m, n) and path.n == n
+            assert np.array_equal(bits(path.xi), bits(reference[:m])), (n, m)
+            assert np.array_equal(bits(path.s_n), bits(sums[:m])), (n, m)
+        one = simulate_path(coeffs, theta[0])  # a 1-d theta is one path, its s_n a float
+        assert np.array_equal(bits(one.xi), bits(reference[0])) and isinstance(one.s_n, float)
+
+
+WRONG_GUESSES = [math.inf, -math.inf, math.nan, 1e308, -0.0]
+
+
+@pytest.mark.parametrize("guess", WRONG_GUESSES, ids=repr)
+def test_a_wrong_start_guess_costs_sweeps_not_bits(monkeypatch, guess):
+    # every chunk but the first starts from a wrong guess, even inf or NaN: it is
+    # walked again from its predecessor's end until the starts match as bits, at
+    # most once per chunk.  With draws of -0.0 the true states are +0.0, and a
+    # -0.0 guess equals them as a float but not as bits.
+    monkeypatch.setattr(sim, "_start_guesses", lambda coeffs, draws, paths: np.full((2, draws.shape[1] - paths), guess))
+    cases = [(ab, edge_draws("pareto_0.1", 3, 1000)) for ab in ANALYTIC_PAIRS]
+    cases.append(((0.3, 0.2), np.full((3, 1000), -0.0)))
+    for ab, theta in cases:
+        xi, sweeps = sim._walk(ARCoefficients(*ab), theta)
+        assert np.array_equal(bits(xi), bits([oracle_states(*ab, row) for row in theta])), ab
+        assert 2 <= sweeps <= 8  # 8 chunks of 128 steps
+
+
+def test_overflowing_start_guesses_raise_nothing():
+    draws = edge_draws("pareto_0.1", 128, 40)  # 10 paths of 4 chunks, time-major
+    # (1e200, 0): the weights u_0..u_128 overflow, so every chunk starts at rest
+    with pytest.raises(HorizonOverflow):
+        weight_sequence(ARCoefficients(1e200, 0.0), 128)
+    rest = sim._start_guesses(ARCoefficients(1e200, 0.0), draws, 10)
+    assert rest.shape == (2, 30) and not rest.any()
+    # (2.5, 0.5): finite weights, but the jumps of the guesses overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        wild = sim._start_guesses(ARCoefficients(2.5, 0.5), np.ones((128, 80)), 10)
+    assert not np.isfinite(wild).all()
+    theta = np.ones((10, 1024))
+    path = simulate_path(ARCoefficients(2.5, 0.5), theta)
+    assert np.array_equal(bits(path.xi), bits([oracle_states(2.5, 0.5, row) for row in theta]))
+    assert np.isinf(path.xi[:, -1]).all()
+
+
+def test_stable_walks_take_few_sweeps():
+    # the guesses are off by rounding alone: 10 paths of 64 chunks take far fewer
+    # than 64 sweeps (two when the guesses' rounding dies out within one chunk)
+    theta = np.random.default_rng(5).standard_normal((10, 8192))
+    for ab in ANALYTIC_PAIRS:
+        _, sweeps = sim._walk(ARCoefficients(*ab), theta)
+        assert 2 <= sweeps <= 16, ab
+
+
+def test_batched_routes_follow_theta_shape():
+    coeffs = ARCoefficients(0.2, 0.79)
+    theta = np.random.default_rng(9).standard_normal((4, 300))
+    table = weight_sequence(coeffs, 299)
+    sums = weighted_sum(table, theta)
+    residuals = representation_residual(table, theta)
+    assert sums.shape == residuals.shape == (4,)
+    for i, row in enumerate(theta):
+        assert bits(sums[i]) == bits(weighted_sum(table, row))
+        assert bits(residuals[i]) == bits(representation_residual(table, row))
+    path = simulate_path(coeffs, theta)
+    assert not path.xi.flags.writeable and not path.theta.flags.writeable
