@@ -228,10 +228,11 @@ def _cmd_weights(config: ExperimentConfig) -> int:
 def _cmd_simulate(config: ExperimentConfig) -> int:
     """Walk the paths in one batch, then write them one at a time.
 
-    The batch holds every path's draws and states (2 x 10 x n doubles)
-    and the walk's chunk arrays, about as much again, while the text is
-    rendered and held for one path at a time.  A batch refused for an
-    infinite draw writes no file, and a failed write removes the file.
+    The batch holds the draws, the paths' own copy of them and their
+    states, 3 x 10 x n doubles (the walk adds one more array of states
+    as large while it runs), and the text is rendered and held for one
+    path at a time.  A batch refused for an infinite draw writes no
+    file, and a failed write removes the file.
     """
     n = config.grid_max
     out = config.output_path + ".paths.csv"

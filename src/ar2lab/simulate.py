@@ -119,8 +119,8 @@ def _walk(coeffs: ARCoefficients, theta: np.ndarray) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         if chunks > 1:
             states[:2, paths:] = _start_guesses(coeffs, draws, paths)
-        # sweep k leaves the first k chunks of every path final, so the last
-        # sweep finds every start equal to its predecessor's end
+        # sweep k leaves the first k chunks of every path final, so by sweep
+        # `chunks` at the latest every start equals its predecessor's end
         for sweeps in range(1, chunks + 1):
             # rows before `first` start where they started on their last walk
             prod = scratch[:, first:]
@@ -136,8 +136,7 @@ def _walk(coeffs: ARCoefficients, theta: np.ndarray) -> tuple:
     # the draws' buffer, read no more, receives the states path by path
     xi = draws.reshape(paths, chunks * steps)
     np.copyto(xi.reshape(paths, chunks, steps), states[2:].reshape(steps, chunks, paths).T)
-    xi = xi[:, :n]
-    return xi, sweeps
+    return xi[:, :n], sweeps
 
 
 def simulate_path(coeffs: ARCoefficients, theta) -> Path:
