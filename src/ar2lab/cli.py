@@ -102,6 +102,7 @@ def _write_files(files) -> None:
                 opened.append(path)
                 for text in pieces:
                     _write_text(fh, text)
+                    del text  # before the next piece is made, so one piece is held at a time
     except BaseException:
         for path in opened:
             os.remove(path)
@@ -228,18 +229,20 @@ def _cmd_weights(config: ExperimentConfig) -> int:
 def _cmd_simulate(config: ExperimentConfig) -> int:
     """Walk the paths in one batch, then write them one at a time.
 
-    The batch holds the draws, the paths' own copy of them and their
-    states, 3 x 10 x n doubles (the walk adds one more array of states
-    as large while it runs), and the text is rendered and held for one
-    path at a time.  A batch refused for an infinite draw writes no
-    file, and a failed write removes the file.
+    The walk holds the draws and two arrays as large of its own, 3 x 10
+    x n doubles.  The paths keep their own copy of the draws, so the
+    draws are dropped after it: while the paths are written, their theta
+    and xi (2 x 10 x n doubles) and one path's text are held.  A batch
+    refused for an infinite draw writes no file, and a failed write
+    removes the file.
     """
     n = config.grid_max
     out = config.output_path + ".paths.csv"
     thetas = np.empty((SELF_CHECK_PATHS, n))
-    for i, theta in enumerate(thetas):
-        sample_block(config.noise, n, StreamKey(config.master_seed, "path", n=n, block=i), out=theta)
+    for i in range(SELF_CHECK_PATHS):
+        sample_block(config.noise, n, StreamKey(config.master_seed, "path", n=n, block=i), out=thetas[i])
     paths = simulate_path(config.coeffs, thetas)
+    del thetas
     steps = np.arange(1, n + 1)
 
     def texts():

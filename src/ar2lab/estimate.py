@@ -245,11 +245,12 @@ def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, mo
     # a strip past DENSE_MAX is jumped when the grid reaches its end
     if scan or any(DENSE_MAX < end <= grid[-1] for end in ends):
         table = weight_sequence(coeffs, max(STRIP_STEPS, grid[-1] - 1) if scan else STRIP_STEPS)
-        u, cum = table.u, table.cum
+        cum = table.cum
         # a whole strip s < t <= e moves (xi, xi one step earlier, S) to e by these weights
         # on its draws and carries of xi_s and b xi_(s-1), which enters as a draw at s + 1
-        weights = np.array([u[STRIP_STEPS - 1 :: -1], [*u[STRIP_STEPS - 2 :: -1], 0.0], cum[STRIP_STEPS - 1 :: -1]])
-        carry = [*zip((u[STRIP_STEPS], u[STRIP_STEPS - 1], cum[STRIP_STEPS] - 1.0), b * weights[:, 0])]
+        xi_weights, jump = table.strip_jump(STRIP_STEPS)
+        weights = np.array([*xi_weights, cum[STRIP_STEPS - 1 :: -1]])
+        carry = [*map(tuple, jump), (cum[STRIP_STEPS] - 1.0, b * cum[STRIP_STEPS - 1])]
     counts = [0] * len(grid)
     accs = {i: CompensatedSum() for i in moment_at}
     # one strip and one row of flags serve every block: no block is wider than

@@ -136,6 +136,18 @@ class WeightTable(_Record):
         if self.horizon < horizon:
             raise InsufficientHorizon(f"weight table horizon {self.horizon} < {horizon}")
 
+    def strip_jump(self, steps: int) -> tuple:
+        """How a strip of steps >= 2 draws moves the state from its start s to its end e = s + steps.
+
+        Returns (weights, jump), with (xi_e, xi_(e-1)) = jump @ (xi_s,
+        xi_(s-1)) + weights @ (theta_(s+1), ..., theta_e).
+        """
+        self.require(steps)
+        u, b = self.u, self.coeffs.b
+        weights = np.array([u[steps - 1 :: -1], [*u[steps - 2 :: -1], 0.0]])
+        jump = np.array([[u[steps], b * u[steps - 1]], [u[steps - 1], b * u[steps - 2]]])
+        return weights, jump
+
 
 def weight_sequence(coeffs: ARCoefficients, horizon: int) -> WeightTable:
     """Tabulate u_n = a*u_{n-1} + b*u_{n-2} and U(n) for n = 0..horizon.

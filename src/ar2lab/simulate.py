@@ -17,24 +17,34 @@ of a lockstep walk, which steps all rows together in the scalar
 recursion's operation order, fl(fl(fl(a xi_(t-1)) + fl(b xi_(t-2))) +
 theta_t), three ufunc calls per step.  Chunk 0 starts from rest; every
 later chunk starts from a guess, the weighted-sum jump of its
-predecessor's guessed start by the weights u_0..u_L (the estimate
-engine's strip jump).  Then, as in a parareal iteration (Lions, Maday &
-Turinici 2001) with the jump as the coarse propagator and the exact
-recursion as the fine one, each sweep walks the rows and restarts every
-chunk from the end its predecessor reached.  The walk stops once every
-chunk's start equals that end, compared as 64-bit patterns: each chunk
-then was walked from its predecessor's end, and chunk 0 from rest, so
-by induction every state is the scalar loop's to the last bit, -0.0,
-inf and NaN included.
+predecessor's guessed start by the weights u_0..u_L
+(WeightTable.strip_jump, as in the estimate engine's strip jumps).
+Then, as in a parareal iteration (Lions, Maday & Turinici 2001) with the
+jump as the coarse propagator and the exact recursion as the fine one,
+each sweep walks rows not yet final (see Cost) and restarts each chunk
+from the end its predecessor reached.  The walk stops once every chunk's start equals
+that end, compared as 64-bit patterns: each chunk then was walked from
+its predecessor's end, and chunk 0 from rest, so by induction every
+state is the scalar loop's to the last bit, -0.0, inf and NaN included.
 
-Cost: after sweep k the first k chunks of every path are final, so a
-walk takes at most one sweep per chunk, and each sweep re-walks only the
-rows from the first changed start on.  On stable coefficients the
-guesses are off by rounding alone, and a few sweeps finish paths of any
-length.  The walk loses to a scalar loop on one short path, whose one
-chunk still costs three ufunc calls per step, and on unstable
-coefficients, whose guesses overflow so that nearly every chunk takes
-its own sweep.
+Cost: a sweep walks the rows from the first one not yet final on, at
+most WINDOW_ROWS of them (one chunk of every path if there are more
+paths), and leaves at least one more chunk of every path final.  So a
+walk takes at most one sweep per chunk, and its work grows linearly
+with n.  How many sweeps it takes depends on rho^L, the factor by which
+an error in a chunk's start shrinks over the chunk (rho the spectral
+radius): the guesses, and the states walked from them, are off by a few
+ulps of rounding, which must die out before the bits match.  Where
+rho^L is small a few sweeps settle a whole window: 10 paths of 8192
+steps (640 rows) take 2, 2, 3, 3 and 10 sweeps on the analytic
+benchmark's five pairs, about a third of a scalar loop's time.  Where
+rho^L is near 1 most sweeps settle one chunk, and the walk loses to a
+scalar loop: (0, -0.999), rho^L = 0.94, takes 62 sweeps for those 64
+chunks, ~1.6 x the loop's time, and (0, -0.99999) one sweep per chunk,
+~4 x at 10 paths of 2^18 steps.  It also loses on unstable
+coefficients, whose guesses overflow to NaN so that each chunk past the
+overflow takes its own sweep, and on one short path, whose one chunk
+still pays three ufunc calls per step (n = 1000: ~4 x).
 """
 
 from __future__ import annotations
@@ -44,11 +54,17 @@ import numpy as np
 from .errors import HorizonOverflow, InvalidParameters, NonFiniteInput
 from .noise import _Record
 from .recurrence import ARCoefficients, WeightTable, weight_sequence
-from .summation import compensated_totals
+from .summation import compensated_cumsum
 
 # Steps per time chunk of the lockstep walk.  Fixed, and free of the
 # results: the walk's output is the scalar recursion's whatever its value.
 CHUNK_STEPS = 128
+
+# Rows a sweep of the walk walks at most, or one chunk of every path if
+# there are more paths; free of the results too.  Near this width a
+# step's work on its rows about equals the fixed cost of its three ufunc
+# calls, and 10 paths of 8192 steps (640 rows) fit in one window.
+WINDOW_ROWS = 1024
 
 
 class Path(_Record):
@@ -75,22 +91,20 @@ def _start_guesses(coeffs: ARCoefficients, draws: np.ndarray, paths: int) -> np.
 
     draws is the walk's (L, rows) array of chunk draws, chunk-major.  A
     chunk's forced end, the state its draws reach from rest, is one
-    einsum with the weights u_0..u_L; chunk c + 1 starts at J start_c +
-    forced_c, with J the jump of a start over L steps, and that linear
-    scan over the chunks takes log2(chunks) doubling rounds, each adding
-    J^(2^k) times the starts 2^k chunks back (einsum, not BLAS, as in the
-    estimate engine).  Only the number of sweeps depends on these values:
-    weights that overflow leave every chunk at rest.
+    einsum with the strip weights u_0..u_L; chunk c + 1 starts at
+    J start_c + forced_c, with J the strip's jump of a start, and that
+    linear scan over the chunks takes log2(chunks) doubling rounds, each
+    adding J^(2^k) times the starts 2^k chunks back (einsum, not BLAS, as
+    in the estimate engine).  Only the number of sweeps depends on these
+    values: weights that overflow leave every chunk at rest.
     """
     steps = len(draws)
     try:
-        u = weight_sequence(coeffs, steps).u
+        weights, jump = weight_sequence(coeffs, steps).strip_jump(steps)
     except HorizonOverflow:
         return np.zeros((2, draws.shape[1] - paths))
-    weights = np.array([[*u[steps - 2 :: -1], 0.0], u[steps - 1 :: -1]])
+    weights, jump = weights[::-1], jump[::-1, ::-1]  # in time order, (xi_(s-1), xi_s)
     starts = np.einsum("kj,ji->ki", weights, draws[:, :-paths], optimize=False)
-    b = coeffs.b
-    jump = np.array([[b * u[steps - 2], u[steps - 1]], [b * u[steps - 1], u[steps]]])
     span = paths
     while span < starts.shape[1]:
         starts[:, span:] += np.einsum("kj,ji->ki", jump, starts[:, :-span], optimize=False)
@@ -105,38 +119,54 @@ def _walk(coeffs: ARCoefficients, theta: np.ndarray) -> tuple:
     chunks = -(-n // CHUNK_STEPS)
     steps = min(n, CHUNK_STEPS)
     rows = paths * chunks
-    if n % steps:  # the last chunk's steps past n walk zero draws
-        theta = np.pad(theta, ((0, 0), (0, chunks * steps - n)))
-    # draws[t, c * paths + i] is step t of path i's chunk c
+    whole = n // steps  # chunks that theta fills
+    # draws[t, c * paths + i] is step t of path i's chunk c; steps past n draw zeros
     draws = np.empty((steps, rows))
-    np.copyto(draws.reshape(steps, chunks, paths), theta.reshape(paths, chunks, steps).T)
+    full = draws[:, : whole * paths].reshape(steps, whole, paths)
+    np.copyto(full, theta[:, : whole * steps].reshape(paths, whole, steps).T)
+    if whole < chunks:
+        draws[:, whole * paths :] = 0.0
+        draws[: n - whole * steps, whole * paths :] = theta[:, whole * steps :].T
     # states[t + 2] is each row's state after step t; rows 0 and 1 hold its start (xi_(s-1), xi_s)
     states = np.zeros((steps + 2, rows))
     bits = states.view(np.uint64)
     coeff = np.array([[coeffs.b], [coeffs.a]])
-    scratch = np.empty((2, rows))
+    window = paths * max(1, WINDOW_ROWS // paths)
+    scratch = np.empty((2, min(window, rows)))
     first = 0
     with np.errstate(over="ignore", invalid="ignore"):
         if chunks > 1:
             states[:2, paths:] = _start_guesses(coeffs, draws, paths)
-        # sweep k leaves the first k chunks of every path final, so by sweep
-        # `chunks` at the latest every start equals its predecessor's end
+        # rows before `first` are final; a sweep walks the window from it, after
+        # which at least one more chunk of every path is final
         for sweeps in range(1, chunks + 1):
-            # rows before `first` start where they started on their last walk
-            prod = scratch[:, first:]
-            for t, (here, draw) in enumerate(zip(states[2:, first:], draws[:, first:])):
-                np.multiply(states[t : t + 2, first:], coeff, out=prod)
+            last = min(rows, first + window)
+            walked = slice(first, last)
+            prod = scratch[:, : last - first]
+            for t, (here, draw) in enumerate(zip(states[2:, walked], draws[:, walked])):
+                np.multiply(states[t : t + 2, walked], coeff, out=prod)
                 np.add(prod[1], prod[0], out=here)
                 here += draw
-            moved = np.flatnonzero((bits[steps:, :-paths] != bits[:2, paths:]).any(axis=0))
-            if not moved.size:
+            # the starts of the later chunks up to one chunk past the window
+            # against the ends their predecessors reached
+            lo, hi = max(paths, first), min(rows, last + paths)
+            moved = np.flatnonzero((bits[steps:, lo - paths : hi - paths] != bits[:2, lo:hi]).any(axis=0))
+            if not moved.size and last == rows:
                 break
-            first = paths + moved[0]
-            states[:2, first:] = states[steps:, first - paths : rows - paths]
+            # a row past the window whose start matched is final but not yet walked
+            first = min(last, lo + moved[0]) if moved.size else last
+            states[:2, first:hi] = states[steps:, first - paths : hi - paths]
     # the draws' buffer, read no more, receives the states path by path
     xi = draws.reshape(paths, chunks * steps)
     np.copyto(xi.reshape(paths, chunks, steps), states[2:].reshape(steps, chunks, paths).T)
     return xi[:, :n], sweeps
+
+
+def _totals(values: np.ndarray):
+    """Compensated sum of a 1-d array as a float, or of each row of a 2-d one."""
+    if values.ndim == 1:
+        return float(compensated_cumsum(values)[-1])
+    return np.array([compensated_cumsum(row)[-1] for row in values])
 
 
 def simulate_path(coeffs: ARCoefficients, theta) -> Path:
@@ -146,14 +176,19 @@ def simulate_path(coeffs: ARCoefficients, theta) -> Path:
     dimension.  The states are the scalar loop's bit for bit (see the
     module docstring), and S_n accumulates with compensation.  The path
     holds its own read-only copy of theta, so the caller's array stays
-    writeable.
+    writeable; it is taken after the walk, so that at most three arrays
+    of theta's size (theta, the walk's draws and its states) are held at
+    once.  Paths are cheaper in one call than one at a time: one path of
+    1000 steps costs about 4 x a scalar loop's time, and 10 of them in
+    one call a little less than 10 loops (see the module docstring).
     """
-    arr = _as_theta(theta).copy()
+    arr = _as_theta(theta)
     xi, _ = _walk(coeffs, arr.reshape(-1, arr.shape[-1]))
     xi = xi.reshape(arr.shape)
+    arr = arr.copy()
     arr.setflags(write=False)
     xi.setflags(write=False)
-    return Path(coeffs=coeffs, n=arr.shape[-1], theta=arr, xi=xi, s_n=compensated_totals(xi))
+    return Path(coeffs=coeffs, n=arr.shape[-1], theta=arr, xi=xi, s_n=_totals(xi))
 
 
 def weighted_sum(table: WeightTable, theta):
@@ -165,7 +200,7 @@ def weighted_sum(table: WeightTable, theta):
     arr = _as_theta(theta)
     n = arr.shape[-1]
     table.require(n - 1)
-    return compensated_totals(table.cum[n - 1 :: -1] * arr)
+    return _totals(table.cum[n - 1 :: -1] * arr)
 
 
 def representation_residual(table: WeightTable, theta):

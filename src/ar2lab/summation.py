@@ -7,8 +7,7 @@ variant of Kahan summation tracks the rounding error in a carry term and
 folds it in at the end.
 
 CompensatedSum adds one term at a time; compensated_cumsum returns all
-running totals of an array, or of each of its rows, at once, equal to
-CompensatedSum's bit for bit, and compensated_totals only the last.
+running totals of an array at once, equal to CompensatedSum's bit for bit.
 """
 
 import numpy as np
@@ -37,40 +36,18 @@ class CompensatedSum:
         return self._sum + self._carry
 
 
-# compensated_totals works through the rows in blocks of at most this many
-# values (one row if a row is longer): a block's temporaries come from memory
-# the allocator reuses, where temporaries the size of a whole batch of rows
-# are fresh pages, one minor fault per 4 KiB.
-_BLOCK_VALUES = 2 ** 13
-
-
-def _cumsum_from_zero(x: np.ndarray) -> np.ndarray:
-    """Running sums along the last axis, each row started from +0.0 as the scalar accumulator is."""
-    return np.cumsum(np.concatenate((np.zeros(x.shape[:-1] + (1,)), x), axis=-1), axis=-1)
-
-
 def compensated_cumsum(values) -> np.ndarray:
-    """Running totals along the last axis, equal to CompensatedSum's after each add.
+    """Running totals of a 1-d array, equal to CompensatedSum's after each add.
 
     The plain prefix sums are one cumsum; the rounding error of each
     step is computed with the branch CompensatedSum.add takes, and the
     carry is the cumsum of those errors.  Both cumsums start from +0.0
-    as the scalar accumulator does.  An (m, n) array gives each row's
-    totals, equal to the 1-d call on that row bit for bit.  NaN or
-    infinity in the input propagates to every later total of its row.
+    as the scalar accumulator does.  NaN or infinity in the input
+    propagates to every later total.
     """
     x = np.asarray(values, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = _cumsum_from_zero(x)
-        before, after = sums[..., :-1], sums[..., 1:]
+        sums = np.cumsum(np.concatenate(([0.0], x)))
+        before, after = sums[:-1], sums[1:]
         err = np.where(np.abs(before) >= np.abs(x), (before - after) + x, (x - after) + before)
-        return after + _cumsum_from_zero(err)[..., 1:]
-
-
-def compensated_totals(values):
-    """The last of compensated_cumsum's totals: a float for a 1-d array, one per row of a 2-d one."""
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim == 1:
-        return float(compensated_cumsum(x)[-1])
-    block = max(1, _BLOCK_VALUES // x.shape[1])
-    return np.concatenate([compensated_cumsum(x[lo : lo + block])[:, -1] for lo in range(0, len(x), block)])
+        return after + np.cumsum(np.concatenate(([0.0], err)))[1:]

@@ -547,9 +547,10 @@ def test_simulate_text_equals_the_format_route_on_heavy_tails(tmp_path, capsys, 
 
 
 def test_simulate_memory_scales_with_one_path(tmp_path, capsys, monkeypatch):
-    # paths are rendered and written one at a time: the peak is about 4.1 x
-    # one path's text (its floats, slab rows and joined text), where the
-    # whole file's rows and text at once were ~6.6 x the file
+    # paths are walked in one batch, then rendered and written one at a time:
+    # the peak is about 3.7 x one path's text (the batch's theta and xi, 2 x
+    # 3 x n doubles, and one path's floats, slab rows and joined text), where
+    # the whole file's rows and text at once were ~6.6 x the file
     monkeypatch.setattr(ar2lab.cli, "SELF_CHECK_PATHS", 3)
     cfg_path, out = write_cfg(tmp_path, BASE.replace("grid_max = 12", f"grid_max = {2 ** 16}"))
     tracemalloc.start()
@@ -559,6 +560,21 @@ def test_simulate_memory_scales_with_one_path(tmp_path, capsys, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * os.path.getsize(str(out) + ".paths.csv") / 3
+
+
+def test_simulate_memory_of_the_whole_batch(tmp_path, capsys):
+    # at the real batch of 10 paths the peak is about 6.0 x one path's text:
+    # their theta and xi (2 x 10 x n doubles, ~3.3 x) and one path's text at a
+    # time; the walk itself holds 3 x 10 x n doubles, the draws among them
+    assert ar2lab.cli.SELF_CHECK_PATHS == 10
+    cfg_path, out = write_cfg(tmp_path, BASE.replace("grid_max = 12", f"grid_max = {2 ** 16}"))
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * os.path.getsize(str(out) + ".paths.csv") / 10
 
 
 def test_simulate_refused_path_leaves_no_file(tmp_path, capsys):

@@ -387,3 +387,18 @@ def test_bound_report_envelope_is_positive_and_finite(ab):
     report = bound_report(weight_sequence(ARCoefficients(*ab), 300), 300)
     assert 0.0 < report.koval_ratio_min <= report.koval_ratio_max < math.inf
     assert report.L_star < math.inf
+
+
+@pytest.mark.parametrize("steps", [2, 3, 128])
+def test_strip_jump_moves_a_state_across_a_strip(named_coeffs, steps):
+    # (xi_e, xi_(e-1)) = jump @ (xi_s, xi_(s-1)) + weights @ draws, against the recursion
+    rng = np.random.default_rng(steps)
+    draws = rng.standard_normal(steps)
+    older, prev = rng.standard_normal(2)
+    start = (prev, older)
+    for t in draws:
+        older, prev = prev, named_coeffs.a * prev + named_coeffs.b * older + t
+    weights, jump = weight_sequence(named_coeffs, steps).strip_jump(steps)
+    assert np.allclose(jump @ start + weights @ draws, [prev, older], rtol=1e-12, atol=1e-12)
+    with pytest.raises(InsufficientHorizon):
+        weight_sequence(named_coeffs, steps - 1).strip_jump(steps)

@@ -222,6 +222,26 @@ def test_a_wrong_start_guess_costs_sweeps_not_bits(monkeypatch, guess):
         assert 2 <= sweeps <= 8  # 8 chunks of 128 steps
 
 
+# rho^128 of about 0.94 and 0.28, and near 1: a start's rounding error outlives
+# many chunks, so most sweeps settle about one chunk
+SLOW_PAIRS = [(0.0, -0.999), (-0.99, 0.0), (0.0, -0.99999)]
+
+
+@pytest.mark.parametrize("window", [1, 7, 30, 1024])
+def test_a_narrow_window_changes_no_bit(monkeypatch, window):
+    # a sweep walks at most WINDOW_ROWS rows, or one chunk of every path: 3 paths
+    # of 16 chunks in windows of 1, 2, 10 and 16 chunks; a chunk past the window
+    # keeps its guess until the window reaches it, and a start that matched there
+    # is final but still to be walked
+    monkeypatch.setattr(sim, "WINDOW_ROWS", window)
+    rng = np.random.default_rng(window)
+    for theta in (rng.standard_normal((3, 2000)), edge_draws("pareto_0.1", 3, 2000)):
+        for ab in ANALYTIC_PAIRS + SLOW_PAIRS + OVERFLOWING_PAIRS:
+            xi, sweeps = sim._walk(ARCoefficients(*ab), theta)
+            assert np.array_equal(bits(xi), bits([oracle_states(*ab, row) for row in theta])), ab
+            assert sweeps <= 16
+
+
 def test_overflowing_start_guesses_raise_nothing():
     draws = edge_draws("pareto_0.1", 128, 40)  # 10 paths of 4 chunks, time-major
     # (1e200, 0): the weights u_0..u_128 overflow, so every chunk starts at rest

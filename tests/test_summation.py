@@ -1,9 +1,8 @@
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ar2lab.summation import CompensatedSum, compensated_cumsum, compensated_totals
+from ar2lab.summation import CompensatedSum, compensated_cumsum
 
 # Finite doubles from subnormals up to 1e300: 64 of them cannot overflow a
 # running sum, so every total is finite and comparable bit for bit.
@@ -20,28 +19,3 @@ def test_compensated_cumsum_matches_scalar_accumulator_bitwise(values):
     expected = np.array([acc.add(v).total for v in values])
     got = compensated_cumsum(values)
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(FINITE, min_size=7, max_size=7), min_size=1, max_size=6))
-@example([[-0.0, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]])
-def test_each_row_sums_as_the_1d_call(rows):
-    x = np.array(rows)
-    got = compensated_cumsum(x)
-    for i, row in enumerate(x):
-        assert np.array_equal(got[i].view(np.int64), compensated_cumsum(row).view(np.int64))
-
-
-@pytest.mark.parametrize("shape", [(1, 9000), (3, 8192), (40, 300), (7, 1)])
-def test_totals_are_the_last_running_totals(shape):
-    # rows longer than a block, one row per block, several blocks of rows, one column;
-    # with inf, NaN and signed zeros in the rows
-    rng = np.random.default_rng(shape)
-    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
-    x.flat[:: 97] = -0.0
-    x.flat[5 :: 211] = np.inf
-    x.flat[11 :: 307] = -np.inf
-    last = [compensated_cumsum(row)[-1] for row in x]
-    assert np.array_equal(compensated_totals(x).view(np.int64), np.array(last).view(np.int64))
-    one = compensated_totals(x[0])  # a 1-d array's total is a float
-    assert isinstance(one, float) and np.float64(one).view(np.int64) == last[0].view(np.int64)
