@@ -63,7 +63,7 @@ from .recurrence import (
     weight_closed_form,
     weight_sequence,
 )
-from .simulate import Path, representation_residual, simulate_path, weighted_sum
+from .simulate import representation_residual, simulate_path, weighted_sum
 
 __all__ = [
     "ARCoefficients",
@@ -82,7 +82,6 @@ __all__ = [
     "NoiseSpec",
     "NonFiniteInput",
     "ParseError",
-    "Path",
     "SeriesEstimate",
     "SeriesParams",
     "Stability",

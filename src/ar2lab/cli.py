@@ -115,6 +115,15 @@ def _write_text(fh, text: str) -> None:
     fh.write(text)
 
 
+def _sample_paths(config: ExperimentConfig, purpose: str) -> np.ndarray:
+    """SELF_CHECK_PATHS rows of grid_max draws, row i from the stream key (seed, purpose, grid_max, block i)."""
+    n = config.grid_max
+    rows = np.empty((SELF_CHECK_PATHS, n))
+    for i, theta in enumerate(rows):
+        sample_block(config.noise, n, StreamKey(config.master_seed, purpose, n=n, block=i), out=theta)
+    return rows
+
+
 def _self_check(config: ExperimentConfig, table) -> float:
     """Max dual-representation residual over probe paths, nan if any is nan.
 
@@ -122,10 +131,7 @@ def _self_check(config: ExperimentConfig, table) -> float:
     draw or overflow to inf; its residual is then nan, which fails the
     check instead of dropping out of the max.
     """
-    n = config.grid_max
-    probes = np.empty((SELF_CHECK_PATHS, n))
-    for i, theta in enumerate(probes):
-        sample_block(config.noise, n, StreamKey(config.master_seed, "probe", n=n, block=i), out=theta)
+    probes = _sample_paths(config, "probe")
     finite = np.isfinite(probes).all(axis=1)
     residuals = np.full(SELF_CHECK_PATHS, math.nan)
     if finite.any():
@@ -230,24 +236,20 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
     """Walk the paths in one batch, then write them one at a time.
 
     The walk holds the draws and two arrays as large of its own, 3 x 10
-    x n doubles.  The paths keep their own copy of the draws, so the
-    draws are dropped after it: while the paths are written, their theta
-    and xi (2 x 10 x n doubles) and one path's text are held.  A batch
-    refused for an infinite draw writes no file, and a failed write
-    removes the file.
+    x n doubles; the draws and the states it returns (2 x 10 x n
+    doubles) and one path's text are held while the paths are written.
+    A batch refused for an infinite draw writes no file, and a failed
+    write removes the file.
     """
     n = config.grid_max
     out = config.output_path + ".paths.csv"
-    thetas = np.empty((SELF_CHECK_PATHS, n))
-    for i in range(SELF_CHECK_PATHS):
-        sample_block(config.noise, n, StreamKey(config.master_seed, "path", n=n, block=i), out=thetas[i])
-    paths = simulate_path(config.coeffs, thetas)
-    del thetas
+    thetas = _sample_paths(config, "path")
+    xi = simulate_path(config.coeffs, thetas)
     steps = np.arange(1, n + 1)
 
     def texts():
         for i in range(SELF_CHECK_PATHS):
-            columns = [np.full(n, i), steps, paths.theta[i], paths.xi[i]]
+            columns = [np.full(n, i), steps, thetas[i], xi[i]]
             yield _table("" if i else "path,k,theta,xi\n", "%d,%d,%.17g,%.17g", columns)
 
     _write_files([(out, texts())])

@@ -127,11 +127,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read a config file (UTF-8) and parse it."""
+    """Read a config file (UTF-8, with or without a byte order mark) and parse it."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+        start = exc.start + len(data) - len(exc.object)  # exc.object lacks a byte order mark
+        raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {start}") from None
     return parse_config_text(text)

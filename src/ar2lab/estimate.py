@@ -128,12 +128,14 @@ class SeriesEstimate(_Record):
 def default_grid(n_max: int) -> list:
     """Evaluation grid policy: all of 1..n_max up to DENSE_MAX, dyadic beyond.
 
-    Every grid point costs the same one recursion step, so the grid is
-    not kept dyadic above DENSE_MAX for speed: the verdict depends on
-    it.  Which points share the last dyadic block, and the share of
-    terms on the Monte Carlo floor, change with the grid, and
-    bench/workloads.default_grid mirrors this policy in the benchmark's
-    oracle.
+    Up to DENSE_MAX a grid point costs one recursion step.  Past it each
+    strip of STRIP_STEPS steps is jumped in one einsum, and a point
+    inside a strip costs a walk of one step per t from the strip's start,
+    so the powers of two, which end strips, are the cheap grid there.
+    The verdict depends on the grid too: which points share the last
+    dyadic block, and the share of terms on the Monte Carlo floor,
+    change with it, and bench/workloads.default_grid mirrors this policy
+    in the benchmark's oracle.
     """
     n_max = _as_whole(n_max, "n_max")
     if n_max < 1:

@@ -7,9 +7,10 @@ Two routes to the same partial sum:
 
 with U the cumulative weights from the recurrence module.  Agreement of
 the two routes on the same noise vector is the main self-check of the
-whole pipeline; representation_residual quantifies it.  Each function
-takes one path as a 1-d theta or m paths as the rows of an (m, n) theta,
-and its results follow theta's shape.
+whole pipeline; representation_residual quantifies it, summing the
+states that simulate_path returns.  Each function takes one path as a
+1-d theta or m paths as the rows of an (m, n) theta, and its results
+follow theta's shape.
 
 The direct route steps every path and every time chunk at once.  Time is
 cut into chunks of CHUNK_STEPS steps, and each (path, chunk) is one row
@@ -36,15 +37,15 @@ an error in a chunk's start shrinks over the chunk (rho the spectral
 radius): the guesses, and the states walked from them, are off by a few
 ulps of rounding, which must die out before the bits match.  Where
 rho^L is small a few sweeps settle a whole window: 10 paths of 8192
-steps (640 rows) take 2, 2, 3, 3 and 10 sweeps on the analytic
-benchmark's five pairs, about a third of a scalar loop's time.  Where
-rho^L is near 1 most sweeps settle one chunk, and the walk loses to a
-scalar loop: (0, -0.999), rho^L = 0.94, takes 62 sweeps for those 64
-chunks, ~1.6 x the loop's time, and (0, -0.99999) one sweep per chunk,
-~4 x at 10 paths of 2^18 steps.  It also loses on unstable
-coefficients, whose guesses overflow to NaN so that each chunk past the
-overflow takes its own sweep, and on one short path, whose one chunk
-still pays three ufunc calls per step (n = 1000: ~4 x).
+steps (640 rows) take 2, 2, 3 or 4, 3 and 9 to 15 sweeps, by seed, on
+the analytic benchmark's five pairs, about a third of a scalar loop's
+time.  Where rho^L is near 1 most sweeps settle one chunk, and the walk
+loses to a scalar loop: (0, -0.999), rho^L = 0.94, takes 62 sweeps for
+those 64 chunks, ~1.6 x the loop's time, and (0, -0.99999) one sweep per
+chunk, ~4 x at 10 paths of 2^18 steps.  Unstable coefficients cost a few
+sweeps: the guesses overflow to inf where the states do, so (2.5, 0.5)
+takes 6 sweeps for 64 chunks.  The walk also loses on one short path,
+whose one chunk still pays three ufunc calls per step (n = 1000: ~4 x).
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import HorizonOverflow, InvalidParameters, NonFiniteInput
-from .noise import _Record
 from .recurrence import ARCoefficients, WeightTable, weight_sequence
 from .summation import compensated_cumsum
 
@@ -65,16 +65,6 @@ CHUNK_STEPS = 128
 # step's work on its rows about equals the fixed cost of its three ufunc
 # calls, and 10 paths of 8192 steps (640 rows) fit in one window.
 WINDOW_ROWS = 1024
-
-
-class Path(_Record):
-    """Realized trajectories: innovations, states, and their sums.
-
-    For a 1-d theta one path, s_n a float; for an (m, n) theta m paths,
-    one per row, and s_n an array of m sums.  n is the number of steps.
-    """
-
-    __slots__ = ("coeffs", "n", "theta", "xi", "s_n")
 
 
 def _as_theta(theta) -> np.ndarray:
@@ -92,11 +82,11 @@ def _start_guesses(coeffs: ARCoefficients, draws: np.ndarray, paths: int) -> np.
     draws is the walk's (L, rows) array of chunk draws, chunk-major.  A
     chunk's forced end, the state its draws reach from rest, is one
     einsum with the strip weights u_0..u_L; chunk c + 1 starts at
-    J start_c + forced_c, with J the strip's jump of a start, and that
-    linear scan over the chunks takes log2(chunks) doubling rounds, each
-    adding J^(2^k) times the starts 2^k chunks back (einsum, not BLAS, as
-    in the estimate engine).  Only the number of sweeps depends on these
-    values: weights that overflow leave every chunk at rest.
+    J start_c + forced_c, with J the strip's jump of a start: one einsum
+    per chunk, in time order (einsum, not BLAS, as in the estimate
+    engine).  On unstable coefficients the guesses overflow to inf where
+    the states do.  Only the number of sweeps depends on these values:
+    weights that overflow leave every chunk at rest.
     """
     steps = len(draws)
     try:
@@ -105,11 +95,8 @@ def _start_guesses(coeffs: ARCoefficients, draws: np.ndarray, paths: int) -> np.
         return np.zeros((2, draws.shape[1] - paths))
     weights, jump = weights[::-1], jump[::-1, ::-1]  # in time order, (xi_(s-1), xi_s)
     starts = np.einsum("kj,ji->ki", weights, draws[:, :-paths], optimize=False)
-    span = paths
-    while span < starts.shape[1]:
-        starts[:, span:] += np.einsum("kj,ji->ki", jump, starts[:, :-span], optimize=False)
-        jump = np.einsum("kj,ji->ki", jump, jump, optimize=False)
-        span *= 2
+    for c in range(paths, starts.shape[1], paths):
+        starts[:, c : c + paths] += np.einsum("kj,ji->ki", jump, starts[:, c - paths : c], optimize=False)
     return starts
 
 
@@ -169,26 +156,24 @@ def _totals(values: np.ndarray):
     return np.array([compensated_cumsum(row)[-1] for row in values])
 
 
-def simulate_path(coeffs: ARCoefficients, theta) -> Path:
-    """Run the recursion from rest (xi_0 = xi_{-1} = 0) over theta, or over each of its rows.
+def simulate_path(coeffs: ARCoefficients, theta) -> np.ndarray:
+    """States xi_1..xi_n of the recursion from rest (xi_0 = xi_{-1} = 0) over theta, or over each of its rows.
 
     Works for any finite coefficients, stable or not; n is theta's last
-    dimension.  The states are the scalar loop's bit for bit (see the
-    module docstring), and S_n accumulates with compensation.  The path
-    holds its own read-only copy of theta, so the caller's array stays
-    writeable; it is taken after the walk, so that at most three arrays
-    of theta's size (theta, the walk's draws and its states) are held at
-    once.  Paths are cheaper in one call than one at a time: one path of
-    1000 steps costs about 4 x a scalar loop's time, and 10 of them in
-    one call a little less than 10 loops (see the module docstring).
+    dimension.  Returns a new read-only float64 array shaped like theta,
+    the scalar loop's states bit for bit (see the module docstring); the
+    caller's theta is left as it is and shares no memory with them.
+    While the walk runs it holds two arrays of theta's size besides
+    theta.  Paths are cheaper
+    in one call than one at a time: one path of 1000 steps costs about
+    4 x a scalar loop's time, and 10 of them in one call a little less
+    than 10 loops (see the module docstring).
     """
     arr = _as_theta(theta)
     xi, _ = _walk(coeffs, arr.reshape(-1, arr.shape[-1]))
     xi = xi.reshape(arr.shape)
-    arr = arr.copy()
-    arr.setflags(write=False)
     xi.setflags(write=False)
-    return Path(coeffs=coeffs, n=arr.shape[-1], theta=arr, xi=xi, s_n=_totals(xi))
+    return xi
 
 
 def weighted_sum(table: WeightTable, theta):
@@ -209,7 +194,7 @@ def representation_residual(table: WeightTable, theta):
     Both routes take the table's coefficients.  An infinite or NaN
     direct sum gives a NaN residual.
     """
-    direct = simulate_path(table.coeffs, theta).s_n
+    direct = _totals(simulate_path(table.coeffs, theta))
     other = weighted_sum(table, theta)
     with np.errstate(invalid="ignore"):
         residual = np.abs(direct - other) / np.maximum(1.0, np.abs(direct))

@@ -75,8 +75,7 @@ def test_criterion_01_dual_representation():
         table = weight_sequence(coeffs, 999)
         for block in range(100):
             theta = sample_block(NORMAL, 1000, StreamKey(1234, "acc1", n=1000, block=block))
-            path = simulate_path(coeffs, theta)
-            direct = compensated_cumsum(path.xi)
+            direct = compensated_cumsum(simulate_path(coeffs, theta))
             weighted = np.convolve(theta, table.cum)[:1000]  # S_m = sum_{k<=m} U(m-k) theta_k
             scale = np.maximum(1.0, np.abs(direct))
             worst = max(worst, float(np.max(np.abs(direct - weighted) / scale)))

@@ -539,8 +539,9 @@ def test_simulate_text_equals_the_format_route_on_heavy_tails(tmp_path, capsys, 
     n, rows = config.grid_max, []
     for i in range(10):
         key = StreamKey(config.master_seed, "path", n=n, block=i)
-        path = simulate_path(config.coeffs, sample_block(config.noise, n, key))
-        rows += zip([i] * n, range(1, n + 1), path.theta.tolist(), path.xi.tolist())
+        theta = sample_block(config.noise, n, key)
+        xi = simulate_path(config.coeffs, theta)
+        rows += zip([i] * n, range(1, n + 1), theta.tolist(), xi.tolist())
     text = Path(str(out) + ".paths.csv").read_text(encoding="utf-8")
     assert text == format_route("path,k,theta,xi", "{},{},{:.17g},{:.17g}", rows)
     assert "pareto" not in noise or "e+" in text

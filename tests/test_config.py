@@ -14,12 +14,12 @@ from ar2lab import (
     SeriesParams,
     StreamKey,
     ValidationError,
+    WeightTable,
     bound_report,
     companion_spectrum,
     parse_config,
     parse_config_text,
     partial_series,
-    simulate_path,
     weight_sequence,
 )
 
@@ -223,13 +223,13 @@ def test_counts_must_be_whole_numbers():
 
 
 def every_record_type() -> list:
-    """One instance of each of the package's 12 record types."""
+    """One instance of each of the package's 11 record types."""
     config = parse_config_text(MINIMAL)
     table = weight_sequence(config.coeffs, 60)
     series = partial_series(config.coeffs, config.noise, config.params, range(1, 129), 100, 1)
     return [config, config.coeffs, config.noise, config.params, StreamKey(7, "tail", n=3, block=1),
             companion_spectrum(config.coeffs), table, bound_report(table, 60), series.tails[0], series.moments,
-            series, simulate_path(config.coeffs, [1.0, -0.5, 2.0])]
+            series]
 
 
 def same_fields(record, other) -> bool:
@@ -242,7 +242,7 @@ def same_fields(record, other) -> bool:
 
 def test_records_are_frozen_values_that_pickle():
     records = every_record_type()
-    assert len({type(record) for record in records}) == 12
+    assert len({type(record) for record in records}) == 11
     for record in records:
         field = record.__slots__[0]
         with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
@@ -258,20 +258,21 @@ def test_records_are_frozen_values_that_pickle():
         assert repr(record) == f"{type(record).__name__}({fields})"
     key = records[4]
     assert key != StreamKey(7, "tail", n=3, block=2) and key != (7, "tail", 3, 1)
-    # the records that hold arrays compare and hash by the arrays' bits
-    table, path = records[6], records[11]
+    # the record that holds arrays compares and hashes by the arrays' bits
+    table = records[6]
     assert table == weight_sequence(table.coeffs, 60) and hash(table) == hash(weight_sequence(table.coeffs, 60))
     assert table != weight_sequence(ARCoefficients(0.5, -0.9), 60) and table != weight_sequence(table.coeffs, 59)
-    assert path != simulate_path(table.coeffs, [1.0, -0.5, 2.5]) and len({path, pickle.loads(pickle.dumps(path))}) == 1
-    assert simulate_path(table.coeffs, [0.0]) != simulate_path(table.coeffs, [-0.0])
+    assert len({table, pickle.loads(pickle.dumps(table))}) == 1
+    zero, negative_zero = (WeightTable(table.coeffs, 0, np.array([z]), np.array([z])) for z in (0.0, -0.0))
+    assert zero == WeightTable(table.coeffs, 0, np.array([0.0]), np.array([0.0])) and zero != negative_zero
     assert repr(records[1]) == "ARCoefficients(a=0.3, b=0.2, stability=<Stability.STABLE: 'Stable'>)"
 
 
 def test_record_constructor_binds_each_field_once():
-    # the seven records that do not validate take their fields by position, then by name
+    # the six records that do not validate take their fields by position, then by name
     data = [record for record in every_record_type()
             if type(record) not in (ExperimentConfig, ARCoefficients, NoiseSpec, SeriesParams, StreamKey)]
-    assert len(data) == 7
+    assert len(data) == 6
     for record in data:
         cls, names = type(record), record.__slots__
         values = [getattr(record, name) for name in names]
@@ -354,3 +355,17 @@ def test_parse_config_reads_files(tmp_path):
     target = tmp_path / "exp.cfg"
     target.write_text(MINIMAL, encoding="utf-8")
     assert parse_config(target) == parse_config_text(MINIMAL)
+
+
+def test_parse_config_reads_a_byte_order_mark(tmp_path):
+    # Windows Notepad and PowerShell 5 start a UTF-8 file with EF BB BF
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    text = MINIMAL + "output = out/\u00e9t\u00e9\n"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert parse_config(marked) == parse_config(plain) == parse_config_text(text)
+    # a file that is not UTF-8 is still refused, at its offset in the file
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("latin-1"))
+    offset = 3 + text.index("\u00e9")
+    with pytest.raises(ParseError, match=f"is not UTF-8: invalid continuation byte at byte {offset}$"):
+        parse_config(marked)

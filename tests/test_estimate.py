@@ -316,7 +316,7 @@ def test_dense_head_matches_the_direct_route(ab):
         limits = [math.inf] * width
         _, engine = estimate._read_paths(coeffs, NORMAL, grid, take, seed, limits, 1.0, range(width))
         paths = layout_paths(NORMAL, seed, "tail", width, take)
-        direct = np.abs([compensated_cumsum(simulate_path(coeffs, row).xi) for row in paths])
+        direct = np.abs([compensated_cumsum(simulate_path(coeffs, row)) for row in paths])
         error = np.abs(np.asarray(engine) - direct.mean(axis=0))
         head = estimate.DENSE_MAX
         assert (error[:head] / np.maximum(1.0, direct[:, :head]).mean(axis=0)).max() <= 1e-12
@@ -457,8 +457,9 @@ def dispatch_probe() -> str:
         lines.append(repr((report.koval_ratio_min, report.koval_ratio_max)))
         for spec in (NoiseSpec("uniform", (1.0,)), RADEMACHER):
             theta = np.array([sample_block(spec, 8192, StreamKey(29, "path", n=8192, block=i)) for i in range(10)])
-            path = simulate_path(ARCoefficients(*ab), theta)
-            lines.append(hashlib.sha256(path.xi.tobytes()).hexdigest() + " " + repr(path.s_n.tolist()))
+            xi = simulate_path(ARCoefficients(*ab), theta)
+            sums = [compensated_cumsum(row)[-1] for row in xi]
+            lines.append(hashlib.sha256(xi.tobytes()).hexdigest() + " " + repr(sums))
     return "\n".join(lines)
 
 

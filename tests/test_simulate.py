@@ -33,6 +33,11 @@ def oracle_states(a, b, theta):
     return xi
 
 
+def s_n(coeffs, theta) -> float:
+    """S_n of the direct route: the compensated sum of simulate_path's states."""
+    return float(compensated_cumsum(simulate_path(coeffs, theta))[-1])
+
+
 theta_arrays = st.lists(
     st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=200
 ).map(np.asarray)
@@ -41,35 +46,35 @@ theta_arrays = st.lists(
 def test_path_matches_oracle(named_coeffs):
     rng = np.random.default_rng(101)
     theta = rng.standard_normal(500)
-    path = simulate_path(named_coeffs, theta)
+    states = simulate_path(named_coeffs, theta)
     xi = oracle_states(named_coeffs.a, named_coeffs.b, theta)
-    assert np.allclose(path.xi, xi, rtol=1e-13, atol=0)
-    assert path.n == 500
-    assert path.s_n == pytest.approx(math.fsum(xi), rel=1e-12, abs=1e-12)
+    assert np.allclose(states, xi, rtol=1e-13, atol=0)
+    assert states.shape == (500,)
+    assert s_n(named_coeffs, theta) == pytest.approx(math.fsum(xi), rel=1e-12, abs=1e-12)
 
 
 def test_first_states_unrolled():
     # xi_1 = theta_1, xi_2 = a xi_1 + theta_2, xi_3 = (a^2+b) theta_1 + a theta_2 + theta_3
     a, b = 0.3, 0.2
     theta = np.array([1.7, -0.4, 2.2])
-    path = simulate_path(ARCoefficients(a, b), theta)
-    assert path.xi[0] == pytest.approx(theta[0])
-    assert path.xi[1] == pytest.approx(a * theta[0] + theta[1])
-    assert path.xi[2] == pytest.approx((a * a + b) * theta[0] + a * theta[1] + theta[2], rel=1e-14)
+    xi = simulate_path(ARCoefficients(a, b), theta)
+    assert xi[0] == pytest.approx(theta[0])
+    assert xi[1] == pytest.approx(a * theta[0] + theta[1])
+    assert xi[2] == pytest.approx((a * a + b) * theta[0] + a * theta[1] + theta[2], rel=1e-14)
 
 
 def test_weighted_sum_example():
     # all-ones noise: S_3 = U(2) + U(1) + U(0) = 1.59 + 1.3 + 1
     coeffs = ARCoefficients(0.3, 0.2)
     assert weighted_sum(weight_sequence(coeffs, 2), [1.0, 1.0, 1.0]) == pytest.approx(3.89, rel=1e-12)
-    assert simulate_path(coeffs, [1.0, 1.0, 1.0]).s_n == pytest.approx(3.89, rel=1e-12)
+    assert s_n(coeffs, [1.0, 1.0, 1.0]) == pytest.approx(3.89, rel=1e-12)
 
 
 def test_unstable_pairs_still_simulate():
     coeffs = ARCoefficients(1.0, 0.5)
     theta = np.ones(12)
-    path = simulate_path(coeffs, theta)
-    assert np.allclose(path.xi, oracle_states(1.0, 0.5, theta), rtol=1e-13)
+    xi = simulate_path(coeffs, theta)
+    assert np.allclose(xi, oracle_states(1.0, 0.5, theta), rtol=1e-13)
     assert representation_residual(weight_sequence(coeffs, 11), theta) <= 1e-9
 
 
@@ -84,8 +89,8 @@ def test_dual_representation_residual(theta, name):
 @settings(max_examples=100, derandomize=True, deadline=None)
 def test_linearity_in_theta(theta, c):
     coeffs = ARCoefficients(-0.6, 0.3)
-    lhs = simulate_path(coeffs, c * theta).s_n
-    rhs = c * simulate_path(coeffs, theta).s_n
+    lhs = s_n(coeffs, c * theta)
+    rhs = c * s_n(coeffs, theta)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
@@ -95,18 +100,18 @@ def test_superposition(theta, phi):
     m = min(theta.size, phi.size)
     theta, phi = theta[:m], phi[:m]
     coeffs = ARCoefficients(0.3, 0.2)
-    lhs = simulate_path(coeffs, theta + phi).s_n
-    parts = simulate_path(coeffs, theta).s_n + simulate_path(coeffs, phi).s_n
+    lhs = s_n(coeffs, theta + phi)
+    parts = s_n(coeffs, theta) + s_n(coeffs, phi)
     assert abs(lhs - parts) <= 1e-12 * max(1.0, abs(parts))
 
 
 def test_prefix_sums_consistency(named_coeffs):
     rng = np.random.default_rng(7)
     theta = rng.standard_normal(400)
-    path = simulate_path(named_coeffs, theta)
-    direct = compensated_cumsum(path.xi)
-    assert direct[-1] == path.s_n
-    assert np.allclose(direct, np.cumsum(path.xi), rtol=1e-12, atol=1e-12)
+    xi = simulate_path(named_coeffs, theta)
+    direct = compensated_cumsum(xi)
+    assert direct[-1] == sim._totals(xi)  # the direct sum of representation_residual
+    assert np.allclose(direct, np.cumsum(xi), rtol=1e-12, atol=1e-12)
     # every prefix, both routes: S_m = sum_{k<=m} U(m-k) theta_k is the m-th
     # coefficient of the product of the theta and U series
     table = weight_sequence(named_coeffs, 399)
@@ -152,19 +157,18 @@ def test_input_validation():
 
 
 def test_path_arrays_are_readonly():
-    path = simulate_path(ARCoefficients(0.3, 0.2), [1.0, 2.0])
+    xi = simulate_path(ARCoefficients(0.3, 0.2), [1.0, 2.0])
+    assert xi.dtype == np.float64
     with pytest.raises(ValueError):
-        path.xi[0] = 0.0
+        xi[0] = 0.0
 
 
-def test_path_holds_its_own_copy_of_theta():
+def test_states_leave_the_callers_theta_alone():
     theta = np.ones(5)
-    path = simulate_path(ARCoefficients(0.3, 0.2), theta)
-    assert theta.flags.writeable and not path.theta.flags.writeable
-    theta[0] = 2.0  # the caller's array stays writeable and the path keeps its theta
-    assert path.theta.tolist() == [1.0] * 5
-    with pytest.raises(ValueError):
-        path.theta[0] = 0.0
+    xi = simulate_path(ARCoefficients(0.3, 0.2), theta)
+    assert theta.flags.writeable and not xi.flags.writeable and not np.shares_memory(xi, theta)
+    theta[0] = 2.0  # the caller's array stays writeable, and the states are not a view of it
+    assert xi.tolist() == oracle_states(0.3, 0.2, np.ones(5))
 
 
 # the five spectral classes of the analytic benchmark, and two unstable pairs
@@ -196,12 +200,14 @@ def test_lockstep_walk_is_the_scalar_loop_bit_for_bit(ab, kind):
         reference = [oracle_states(*ab, row) for row in theta]
         sums = [compensated_cumsum(row)[-1] for row in reference]
         for m in (1, 3, 10):
-            path = simulate_path(coeffs, theta[:m])
-            assert path.xi.shape == path.theta.shape == (m, n) and path.n == n
-            assert np.array_equal(bits(path.xi), bits(reference[:m])), (n, m)
-            assert np.array_equal(bits(path.s_n), bits(sums[:m])), (n, m)
-        one = simulate_path(coeffs, theta[0])  # a 1-d theta is one path, its s_n a float
-        assert np.array_equal(bits(one.xi), bits(reference[0])) and isinstance(one.s_n, float)
+            xi = simulate_path(coeffs, theta[:m])
+            assert xi.shape == (m, n) and xi.dtype == np.float64 and not xi.flags.writeable
+            assert np.array_equal(bits(xi), bits(reference[:m])), (n, m)
+            # the direct sums that representation_residual takes, one per row
+            assert np.array_equal(bits(sim._totals(xi)), bits(sums[:m])), (n, m)
+        one = simulate_path(coeffs, theta[0])  # a 1-d theta is one path, its sum a float
+        assert one.shape == (n,) and np.array_equal(bits(one), bits(reference[0]))
+        assert isinstance(sim._totals(one), float) and bits(sim._totals(one)) == bits(sums[0])
 
 
 WRONG_GUESSES = [math.inf, -math.inf, math.nan, 1e308, -0.0]
@@ -254,9 +260,9 @@ def test_overflowing_start_guesses_raise_nothing():
         wild = sim._start_guesses(ARCoefficients(2.5, 0.5), np.ones((128, 80)), 10)
     assert not np.isfinite(wild).all()
     theta = np.ones((10, 1024))
-    path = simulate_path(ARCoefficients(2.5, 0.5), theta)
-    assert np.array_equal(bits(path.xi), bits([oracle_states(2.5, 0.5, row) for row in theta]))
-    assert np.isinf(path.xi[:, -1]).all()
+    xi = simulate_path(ARCoefficients(2.5, 0.5), theta)
+    assert np.array_equal(bits(xi), bits([oracle_states(2.5, 0.5, row) for row in theta]))
+    assert np.isinf(xi[:, -1]).all()
 
 
 def test_stable_walks_take_few_sweeps():
@@ -266,6 +272,15 @@ def test_stable_walks_take_few_sweeps():
     for ab in ANALYTIC_PAIRS:
         _, sweeps = sim._walk(ARCoefficients(*ab), theta)
         assert 2 <= sweeps <= 16, ab
+
+
+def test_unstable_walks_take_few_sweeps():
+    # the guesses, scanned chunk to chunk, overflow to inf where the states do,
+    # so the chunks past the overflow need no sweep each (doubled jumps overflowed
+    # to NaN there: 56 sweeps)
+    theta = np.random.default_rng(5).standard_normal((10, 8192))
+    _, sweeps = sim._walk(ARCoefficients(2.5, 0.5), theta)
+    assert 2 <= sweeps <= 16
 
 
 def test_batched_routes_follow_theta_shape():
@@ -278,5 +293,5 @@ def test_batched_routes_follow_theta_shape():
     for i, row in enumerate(theta):
         assert bits(sums[i]) == bits(weighted_sum(table, row))
         assert bits(residuals[i]) == bits(representation_residual(table, row))
-    path = simulate_path(coeffs, theta)
-    assert not path.xi.flags.writeable and not path.theta.flags.writeable
+    xi = simulate_path(coeffs, theta)
+    assert xi.shape == theta.shape and not xi.flags.writeable and theta.flags.writeable
