@@ -209,10 +209,12 @@ def _summary_text(config, spectrum, report, residual, series) -> str:
             f"moment growth: slope {_f(moment.slope)} vs bound {_f(moment.bound)}"
             f" over n = {moment.n_grid[0]}..{moment.n_grid[-1]}"
         )
-    elif math.isfinite(absolute_moment(config.noise, config.params.r)):
+    elif not math.isfinite(absolute_moment(config.noise, config.params.r)):
+        lines.append(f"moment growth: skipped (E|theta|^{_f(config.params.r)} diverges)")
+    elif sum(n >= 16 and n & (n - 1) == 0 for n in series.grid) < 4:
         lines.append("moment growth: skipped (fewer than 4 powers of two >= 16 on the grid)")
     else:
-        lines.append(f"moment growth: skipped (E|theta|^{_f(config.params.r)} diverges)")
+        lines.append(f"moment growth: skipped (|S_n|^{_f(config.params.r)} overflows a double)")
     return "\n".join(lines) + "\n"
 
 

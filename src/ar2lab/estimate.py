@@ -182,8 +182,8 @@ def _as_replications(replications) -> int:
     return replications
 
 
-def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, moment_at) -> tuple:
-    """Exceedance counts and moments, read off one pass over the paths.
+def _read_paths(coeffs, spec, grid, replications, master_seed):
+    """Yield (i, |S_n|) at every grid point n = grid[i] of every replication block.
 
     Sampling layout 10.  Each replicate is one noise path, read in time
     strips: the strip ending at time e follows the one ending at s and
@@ -226,18 +226,17 @@ def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, mo
     sum_k U(n-k) theta_k is, and the recursion itself cannot overflow.
     One weight table, to STRIP_STEPS for the jumps and to grid[-1] - 1
     for the set-aside draws, serves the call; none is built when neither
-    is needed.  A grid read allocates nothing: |S_n| goes into a scratch
-    row, its sum detects a NaN (a sum of magnitudes is NaN exactly when
-    one of them is), and the exceedances are flagged in one reused bool
-    row and counted.
+    is needed.
 
-    Returns the count of |S_n| > thresholds[i] at each grid point and
-    the mean of |S_n|^r at grid[i] for i in moment_at.  Each mean adds
-    one np.sum of |S_n|^r per block into a CompensatedSum, in block
-    order, so it depends only on the seed, n and R.  An infinite |S_n|
-    is kept (it exceeds any finite threshold); a NaN one, e.g. from
-    +inf and -inf draws in one path, has no magnitude and is refused
-    rather than silently miscounted.
+    The items come in block order, and within a block in grid order.
+    Each row is |S_n| of the block's replicates, held in the engine's
+    scratch row: it is valid until the next item is asked for, when the
+    walk writes into that row again, so a caller reduces it at once.
+    An infinite |S_n| is kept (it exceeds any finite threshold).  A NaN
+    one, e.g. from +inf and -inf draws in one path, has no magnitude and
+    is refused rather than silently miscounted; only set-aside draws
+    added back can make one, so only a block that holds them is searched
+    (a sum of magnitudes is NaN exactly when one of them is).
     """
     a, b = coeffs.a, coeffs.b
     ends = [0, 1]  # strip j holds the times ends[j] < t <= ends[j + 1]
@@ -253,38 +252,31 @@ def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, mo
         xi_weights, jump = table.strip_jump(STRIP_STEPS)
         weights = np.array([*xi_weights, cum[STRIP_STEPS - 1 :: -1]])
         carry = [*map(tuple, jump), (cum[STRIP_STEPS] - 1.0, b * cum[STRIP_STEPS - 1])]
-    counts = [0] * len(grid)
-    accs = {i: CompensatedSum() for i in moment_at}
-    # one strip and one row of flags serve every block: no block is wider than
-    # the first, and no strip longer than the last
+    # one strip and one scratch row serve every block: no block is wider than the first, no strip longer than the last
     widest = min(BLOCK_REPLICATES, replications)
-    strip = np.empty((ends[-1] - ends[-2]) * widest)
-    flags = np.empty(widest, dtype=bool)
+    strip, scratch_row = np.empty((ends[-1] - ends[-2]) * widest), np.empty(widest)
     for block, done in enumerate(range(0, replications, BLOCK_REPLICATES)):
         take = min(BLOCK_REPLICATES, replications - done)
-        row = flags[:take]
-        # the state (xi_t, xi_(t-1), S_t), the walk's copy or the sums ahead of it, and a scratch row
+        # the state (xi_t, xi_(t-1), S_t) and the walk's copy or the sums ahead of it
         state, ahead = np.zeros((2, 3, take))
         prev, older, total = state
-        scratch = np.empty(take)
+        scratch = scratch_row[:take]
         rows = times = np.empty(0, dtype=np.int64)
         aside = np.empty(0)
 
-        def read(i, n, sums):
-            """Count and reduce |S_n| of the block, held in sums, at grid[i] = n."""
-            if aside.size:
-                np.copyto(scratch, sums)
-                now = times <= n  # the strip's later draws join only from their own time on
-                with np.errstate(over="ignore", invalid="ignore"):  # inf draws make 0 * inf and inf - inf
-                    np.add.at(scratch, rows[now], cum[n - times[now]] * aside[now])
-                sums = scratch
-            np.abs(sums, out=scratch)
+        def read(n, sums):
+            """|S_n| of the block, held in sums, in the scratch row."""
+            if not aside.size:
+                return np.abs(sums, out=scratch)
+            np.copyto(scratch, sums)
+            now = times <= n  # the strip's later draws join only from their own time on
+            with np.errstate(over="ignore", invalid="ignore"):  # inf draws make 0 * inf and inf - inf
+                np.add.at(scratch, rows[now], cum[n - times[now]] * aside[now])
+            np.abs(scratch, out=scratch)
             if math.isnan(np.sum(scratch)):  # a sum of |S_n| is NaN exactly when some |S_n| is
                 nan_count = np.count_nonzero(np.isnan(scratch))
                 raise NonFiniteInput(f"|S_n| is NaN for {nan_count} of {take} replicates at n={n}, block {block}")
-            counts[i] += np.count_nonzero(np.greater(scratch, thresholds[i], out=row))
-            if i in accs:
-                accs[i].add(float(np.sum(scratch ** r)))
+            return scratch
 
         i = 0
         for t0, end in zip(ends, ends[1:]):
@@ -315,7 +307,7 @@ def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, mo
                 sums += earlier
                 xi, earlier = earlier, xi
                 if t == grid[i]:
-                    read(i, t, sums)
+                    yield i, read(t, sums)
                     i += 1
             if end <= DENSE_MAX or i == len(grid):  # the walk moved the state, or read the last grid point
                 prev, older = xi, earlier
@@ -330,9 +322,8 @@ def _read_paths(coeffs, spec, grid, replications, master_seed, thresholds, r, mo
             state, ahead = ahead, state
             prev, older, total = state
             if grid[i] == end:
-                read(i, end, total)
+                yield i, read(end, total)
                 i += 1
-    return counts, [accs[i].total / replications for i in moment_at]
 
 
 def _tail_estimate(n: int, count: int, replications: int) -> TailEstimate:
@@ -361,7 +352,8 @@ def tail_probability(
         raise InvalidParameters(f"n must be >= 1, got {n}")
     replications = _as_replications(replications)
     threshold = params.epsilon * float(n) ** (1.0 / params.p)
-    (count,), _ = _read_paths(coeffs, spec, [n], replications, master_seed, [threshold], params.r, [])
+    rows = _read_paths(coeffs, spec, [n], replications, master_seed)
+    count = sum(np.count_nonzero(row > threshold) for _, row in rows)
     return _tail_estimate(n, count, replications)
 
 
@@ -417,8 +409,9 @@ def partial_series(
     The same pass estimates E|S_n|^r at the grid's powers of two from 16
     on and fits its log-log slope (moments), equal bit for bit to
     moment_growth_check on those n.  The fit is skipped (moments None)
-    when E|theta|^r diverges or fewer than 4 such points are on the grid;
-    below n = 16 the curvature of log E|S_n|^r would tilt the slope.
+    when E|theta|^r diverges, when fewer than 4 such points are on the
+    grid (below n = 16 the curvature of log E|S_n|^r would tilt the
+    slope), or when a sum of |S_n|^r overflows a double.
 
     When E|theta|^r diverges the verdict is Divergent, whatever the
     estimates: for symmetric noise and a stable pair the series then
@@ -437,7 +430,13 @@ def partial_series(
     if len(moment_at) < 4 or not finite:
         moment_at = []
     limits = [params.epsilon * float(n) ** (1.0 / params.p) for n in grid]
-    counts, means = _read_paths(coeffs, spec, grid, replications, master_seed, limits, params.r, moment_at)
+    counts = [0] * len(grid)
+    accs = {i: CompensatedSum() for i in moment_at}
+    for i, row in _read_paths(coeffs, spec, grid, replications, master_seed):
+        counts[i] += np.count_nonzero(row > limits[i])
+        if i in accs:
+            with np.errstate(over="ignore"):  # an overflowing sum skips the fit below
+                accs[i].add(float(np.sum(row ** params.r)))
     tails = [_tail_estimate(n, count, replications) for n, count in zip(grid, counts)]
     scales = [float(n) ** params.exponent for n in grid]
     terms = [scale * est.p_hat for scale, est in zip(scales, tails)]
@@ -446,8 +445,9 @@ def partial_series(
 
     partial_sums = compensated_cumsum(terms).tolist()
     ci_totals = compensated_cumsum(ci_terms).tolist()
+    means = [accs[i].total / replications for i in moment_at]
     moments = None
-    if moment_at:
+    if moment_at and all(map(math.isfinite, means)):
         moments = _moment_report(params.r, [grid[i] for i in moment_at], means, replications)
     return SeriesEstimate(
         params=params,
@@ -472,7 +472,9 @@ def moment_growth_check(
     """Monte Carlo E|S_n|^r over a grid and its log-log slope.
 
     Requires the analytic E|theta|^r to be finite (InfiniteMoment
-    otherwise) and at least 4 grid points for a meaningful fit.  It
+    otherwise) and at least 4 grid points for a meaningful fit, and
+    refuses with NonFiniteInput a sum of |S_n|^r beyond the largest
+    double, naming the first such n.  It
     reads the same paths as partial_series, and each n's block sums are
     combined in block order, so the estimates are exactly reproducible
     for a given master seed and equal partial_series's moments at the
@@ -486,8 +488,12 @@ def moment_growth_check(
     if len(n_grid) < 4:
         raise InvalidParameters("n_grid needs >= 4 points for a slope fit")
     replications = _as_replications(replications)
-    # an infinite threshold counts nothing; only the moments are read
-    _, estimates = _read_paths(
-        coeffs, spec, n_grid, replications, master_seed, [math.inf] * len(n_grid), r, range(len(n_grid))
-    )
+    accs = [CompensatedSum() for _ in n_grid]
+    for i, row in _read_paths(coeffs, spec, n_grid, replications, master_seed):
+        with np.errstate(over="ignore"):  # an overflowing sum is refused below
+            accs[i].add(float(np.sum(row ** r)))
+    estimates = [acc.total / replications for acc in accs]
+    for n, estimate in zip(n_grid, estimates):
+        if not math.isfinite(estimate):
+            raise NonFiniteInput(f"the sum of |S_n|^{r:g} overflows a double at n={n}")
     return _moment_report(r, n_grid, estimates, replications)

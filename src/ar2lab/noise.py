@@ -129,10 +129,29 @@ def absolute_moment(spec: NoiseSpec, r: float) -> float:
     uniform:    c^r / (r + 1)
     student_t:  nu^(r/2) * B((r+1)/2, (nu-r)/2) / B(1/2, nu/2), finite iff r < nu
     pareto:     alpha * x_min^r / (alpha - r), finite iff r < alpha
+
+    A finite moment beyond the largest double is refused with
+    InvalidParameters, so that math.inf always means divergence.
     """
     r = float(r)
     if not (r > 0 and math.isfinite(r)):
         raise InvalidOrder(f"moment order must satisfy r > 0, got {r}")
+    fam = spec.family
+    if fam in ("student_t", "pareto") and r >= spec.params[0]:
+        return math.inf
+    try:
+        moment = _finite_moment(spec, r)
+    except OverflowError:
+        moment = math.inf
+    if moment == math.inf:
+        named = ", ".join(f"{name} = {value:g}" for name, value in zip(_PARAMS[fam], spec.params))
+        named = f" ({named})" if named else ""
+        raise InvalidParameters(f"E|theta|^{r:g} of {fam} noise{named} is finite but overflows a double")
+    return moment
+
+
+def _finite_moment(spec: NoiseSpec, r: float) -> float:
+    """absolute_moment's closed forms where the moment is finite; they may overflow."""
     fam = spec.family
     if fam == "normal":
         return math.exp(0.5 * r * math.log(2.0) + math.lgamma((r + 1.0) / 2.0) - 0.5 * math.log(math.pi))
@@ -143,19 +162,14 @@ def absolute_moment(spec: NoiseSpec, r: float) -> float:
         return c ** r / (r + 1.0)
     if fam == "student_t":
         (nu,) = spec.params
-        if r >= nu:
-            return math.inf
-        log_val = (
+        return math.exp(
             0.5 * r * math.log(nu)
             + math.lgamma((r + 1.0) / 2.0)
             + math.lgamma((nu - r) / 2.0)
             - 0.5 * math.log(math.pi)
             - math.lgamma(nu / 2.0)
         )
-        return math.exp(log_val)
     alpha, x_min = spec.params
-    if r >= alpha:
-        return math.inf
     return alpha * x_min ** r / (alpha - r)
 
 

@@ -153,8 +153,10 @@ PARETO_1_5 = "pareto\nnoise.param1 = 1.5\nnoise.param2 = 1.0"  # E|theta|^2 dive
         (128, "normal", None),
         (64, "normal", "moment growth: skipped (fewer than 4 powers of two >= 16 on the grid)"),
         (128, PARETO_1_5, "moment growth: skipped (E|theta|^2 diverges)"),
+        # E|theta|^2 = 1e306 / 3 is finite, but |S_n|^2 of the paths is not
+        (256, "uniform\nnoise.param1 = 1e153", "moment growth: skipped (|S_n|^2 overflows a double)"),
     ],
-    ids=["fit", "short-grid", "diverges"],
+    ids=["fit", "short-grid", "diverges", "overflows"],
 )
 def test_run_summary_says_why_the_moment_fit_is_skipped(tmp_path, grid_max, family, expected):
     text = (BASE.replace("grid_max = 12", f"grid_max = {grid_max}")
@@ -673,6 +675,16 @@ def test_main_error_paths(tmp_path, capsys):
     assert main(["series", "--config", str(one_block), "--out", str(out_dir / "run")]) == 1
     assert "error: grid must reach at least two dyadic blocks [2^k, 2^(k+1))" in capsys.readouterr().err
     assert list(out_dir.iterdir()) == []  # a refused run writes no file
+
+
+def test_main_refuses_a_moment_beyond_the_largest_double(tmp_path, capsys):
+    # E|theta|^2 = 1e400 / 3 is finite but no double holds it: one error line,
+    # not a traceback, and no Divergent verdict
+    cfg, out = write_cfg(tmp_path, BASE.replace("noise.family = normal", "noise.family = uniform"), noise_param1=1e200)
+    assert main(["series", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: E|theta|^2 of uniform noise (half_width = 1e+200) is finite but overflows a double\n"
+    assert list(tmp_path.glob(out.name + "*")) == []
 
 
 def test_main_refuses_a_config_that_is_not_utf8(tmp_path, capsys):

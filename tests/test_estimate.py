@@ -35,6 +35,7 @@ from ar2lab import (
 )
 from ar2lab import estimate
 from ar2lab.estimate import wilson_interval
+from ar2lab.noise import _log2_abs_bound
 from ar2lab.summation import compensated_cumsum
 
 STABLE = ARCoefficients(0.3, 0.2)
@@ -144,6 +145,18 @@ def test_tail_matches_exact_binomial():
     params = SeriesParams(p=1, r=2, epsilon=0.5)
     est = tail_probability(FREE, RADEMACHER, params, 10, 50000, 9)
     assert est.ci_low <= exact <= est.ci_high
+
+
+def test_tail_counts_a_tie_as_no_exceedance():
+    # Without feedback S_n of Rademacher noise is a whole number, so |S_8| = 4
+    # ties the threshold 0.5 * 8 on 7/32 of the paths: the tail counts
+    # |S_8| > 4 strictly, on the drawn paths themselves, in both estimators
+    params = SeriesParams(p=1, r=2, epsilon=0.5)
+    sums = np.abs(layout_paths(RADEMACHER, 9, "tail", 8).sum(axis=1))
+    assert np.count_nonzero(sums == 4) > 800
+    count = np.count_nonzero(sums > 4)
+    assert tail_probability(FREE, RADEMACHER, params, 8, 4096, 9).p_hat * 4096 == count
+    assert partial_series(FREE, RADEMACHER, params, range(1, 9), 4096, 9).tails[-1].p_hat * 4096 == count
 
 
 def test_tail_matches_gaussian_oracle():
@@ -290,6 +303,25 @@ def test_set_aside_draws_join_each_sum_from_their_own_time_on():
         partial_series(coeffs, heavy, params, grid, 4096, 2)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [NoiseSpec("uniform", (2.0 ** 510,)), NoiseSpec("pareto", (0.106, 1024.0)), NoiseSpec("student_t", (0.1034,))],
+    ids=["uniform", "pareto", "student_t"],
+)
+def test_unscanned_noise_reads_only_finite_rows(spec):
+    # Noise whose |theta| bound (noise._log2_abs_bound) is at most 2^511 is not
+    # scanned for set-aside draws, so no block holds any, and the engine searches
+    # no row for a NaN: |S_n| < n max|U| 2^511 cannot overflow.  Just inside the
+    # bound (log2 of it is 510, 510 and 510.9), on the slowest of the five
+    # spectral classes (max|U| ~ 100), every row to n = 1024 is finite
+    assert 509 < _log2_abs_bound(spec) <= math.log2(estimate.SET_ASIDE) - 1
+    reads = 0
+    for i, row in estimate._read_paths(ARCoefficients(0.2, 0.79), spec, range(1, 1025), 200, 5):
+        assert i == reads and np.isfinite(row).all()
+        reads += 1
+    assert reads == 1024
+
+
 def weighted_magnitude(theta, coeffs, width):
     """sum_k |U(n-k) theta_k| of each path at n = 1..width, a convolution done by FFT."""
     size = 2 * width
@@ -312,12 +344,12 @@ def test_dense_head_matches_the_direct_route(ab):
     coeffs = ARCoefficients(*ab)
     ulp = np.finfo(float).eps
     for seed, take, width in [*((seed, 1, 1024) for seed in range(1, 16)), (0, 1, 8192), (16, 100, 8192)]:
-        grid = list(range(1, width + 1))
-        limits = [math.inf] * width
-        _, engine = estimate._read_paths(coeffs, NORMAL, grid, take, seed, limits, 1.0, range(width))
+        engine = np.empty(width)
+        for i, row in estimate._read_paths(coeffs, NORMAL, range(1, width + 1), take, seed):
+            engine[i] = np.sum(row) / take
         paths = layout_paths(NORMAL, seed, "tail", width, take)
         direct = np.abs([compensated_cumsum(simulate_path(coeffs, row)) for row in paths])
-        error = np.abs(np.asarray(engine) - direct.mean(axis=0))
+        error = np.abs(engine - direct.mean(axis=0))
         head = estimate.DENSE_MAX
         assert (error[:head] / np.maximum(1.0, direct[:, :head]).mean(axis=0)).max() <= 1e-12
         assert (error[head:] / weighted_magnitude(paths, coeffs, width)[:, head:].mean(axis=0)).max() <= 4 * ulp
@@ -660,6 +692,22 @@ def test_verdict_growing_on_truncated_grid():
     assert series.verdict is Verdict.GROWING
 
 
+def test_moment_sums_beyond_the_largest_double_are_refused_not_nan():
+    # E|theta|^2 = 1e306 / 3 is finite, but |S_n|^2 of these paths is not a
+    # double; a compensated sum's carry would turn inf - inf into a silent NaN
+    # estimate and a NaN slope
+    wide = NoiseSpec("uniform", (1e153,))
+    with pytest.raises(NonFiniteInput, match=r"^the sum of \|S_n\|\^2 overflows a double at n=16$"):
+        moment_growth_check(STABLE, wide, 2, [16, 32, 64, 128], 1000, 1)
+    # the series skips its fit and keeps its tails
+    series = partial_series(STABLE, wide, SeriesParams(1, 2, 1), default_grid(256), 1000, 1)
+    assert series.moments is None and series.verdict is not Verdict.DIVERGENT
+    assert series.tails[-1] == tail_probability(STABLE, wide, SeriesParams(1, 2, 1), 256, 1000, 1)
+    # a hundredth of the width fits
+    assert partial_series(STABLE, NoiseSpec("uniform", (1e151,)), SeriesParams(1, 2, 1), default_grid(256), 1000,
+                          1).moments is not None
+
+
 def test_verdict_floor_limited():
     series = partial_series(STABLE, NORMAL, SeriesParams(1, 2, 1), range(1, 97), 200, 3)
     floor_fraction = sum(t.at_floor for t in series.tails) / len(series.tails)
@@ -680,9 +728,15 @@ def test_verdict_floor_limited():
         (NORMAL, 1, 1, False),
         (RADEMACHER, 1.5, 1.5, False),
         (NoiseSpec("uniform", (2.0,)), 0.5, 4, False),
+        # r < 1 with p < r, where the sufficiency proof bounds R_n by subadditivity, not Minkowski
+        (NoiseSpec("pareto", (0.9, 1.0)), 0.5, 0.8, False),
+        (NoiseSpec("pareto", (0.7, 1.0)), 0.5, 0.8, True),
+        (NoiseSpec("student_t", (1.0,)), 0.5, 0.8, False),  # Cauchy noise, no mean
+        (NoiseSpec("student_t", (0.5,)), 0.25, 0.6, True),
     ],
     ids=["pareto-above-r", "pareto-below-r", "pareto-at-r", "student-at-r", "student-above-r", "cauchy-r=p",
-         "pareto-r=p", "normal-r=p", "rademacher-r=p", "uniform"],
+         "pareto-r=p", "normal-r=p", "rademacher-r=p", "uniform", "pareto-r<1-above-r", "pareto-r<1-below-r",
+         "cauchy-r<1", "student-r<1-below-r"],
 )
 def test_verdict_divergent_exactly_when_the_moment_is_infinite(spec, p, r, divergent):
     # E|theta|^r = inf makes the series diverge whatever the estimates say;

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import sys
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -98,6 +99,25 @@ def test_absolute_moment_divergence():
     assert not math.isfinite(absolute_moment(NoiseSpec("pareto", (2.0, 1.0)), 2.0))
     assert not math.isfinite(absolute_moment(NoiseSpec("pareto", (1.5, 2.0)), 1.8))
     assert math.isfinite(absolute_moment(NoiseSpec("student_t", (3.0,)), 2.99))
+
+
+@pytest.mark.parametrize(
+    "spec, r, named",
+    [
+        (NoiseSpec("uniform", (1e200,)), 2, "E|theta|^2 of uniform noise (half_width = 1e+200)"),  # c^r overflows
+        (NoiseSpec("normal"), 2000, "E|theta|^2000 of normal noise"),  # exp of the log-moment overflows
+        (NoiseSpec("pareto", (3.0, 1e200)), 2, "E|theta|^2 of pareto noise (alpha = 3, x_min = 1e+200)"),
+        (NoiseSpec("pareto", (300.0, 1e308)), 1, "E|theta|^1 of pareto noise (alpha = 300, x_min = 1e+308)"),
+        (NoiseSpec("student_t", (5000.0,)), 1000, "E|theta|^1000 of student_t noise (dof = 5000)"),
+    ],
+    ids=["uniform", "normal", "pareto", "pareto-product", "student_t"],
+)
+def test_absolute_moment_refuses_a_finite_moment_beyond_the_largest_double(spec, r, named):
+    # math.inf means divergence, so a finite moment that no double holds is an
+    # error naming the family, its parameters and r, never an infinite value.
+    # pareto-product: x_min^r = 1e308 is a double, but alpha x_min^r overflows silently to inf
+    with pytest.raises(InvalidParameters, match=re.escape(named) + " is finite but overflows a double$"):
+        absolute_moment(spec, r)
 
 
 def test_absolute_moment_rejects_bad_order():
