@@ -211,7 +211,7 @@ def _summary_text(config, spectrum, report, residual, series) -> str:
         )
     elif not math.isfinite(absolute_moment(config.noise, config.params.r)):
         lines.append(f"moment growth: skipped (E|theta|^{_f(config.params.r)} diverges)")
-    elif sum(n >= 16 and n & (n - 1) == 0 for n in series.grid) < 4:
+    elif not est._moment_points(series.grid):
         lines.append("moment growth: skipped (fewer than 4 powers of two >= 16 on the grid)")
     else:
         lines.append(f"moment growth: skipped (|S_n|^{_f(config.params.r)} overflows a double)")

@@ -195,24 +195,19 @@ def _read_paths(coeffs, spec, grid, replications, master_seed):
     end of the strip that holds grid[-1], and no step past grid[-1] is
     read, so how far the grid reaches inside that strip changes no draw,
     and every grid point of a block reads its prefix of the same paths.
-    One strip buffer, sized to the longest strip and allocated per call,
-    receives every strip of every block through sample_block's out, so
-    sampling pages in no fresh memory.
+    One strip buffer, sized to the longest strip and three rows of state
+    and allocated per call, receives every strip of every block through
+    sample_block's out, so sampling pages in no fresh memory.
 
     One walk steps xi_t = a xi_(t-1) + b xi_(t-2) + theta_t, S_t = S_(t-1)
     + xi_t for all rows of the block at once, in simulate_path's operation
     order, and reads every grid point it passes; up to DENSE_MAX it steps
     the state itself.  Past DENSE_MAX each strip s < t <= e moves the
-    state (xi_s, xi_(s-1), S_s) to e in one jump, by the weighted sums of
-    the paper's representation,
-
-        xi_e = u_L xi_s + b u_(L-1) xi_(s-1) + sum_j u_(L-j) theta_(s+j),
-        S_e = S_s + (U(L) - 1) xi_s + b U(L-1) xi_(s-1) + sum_j U(L-j) theta_(s+j),
-
-    with L = e - s = STRIP_STEPS and xi_(e-1) alike, one step shorter.
-    The three weight rows meet the strip's draws in one np.einsum (not
-    BLAS, whose bits depend on the machine), which sums each row's terms
-    in time order when the block has two or more rows.  Every strip is
+    state (xi_s, xi_(s-1), S_s) to e in one jump: the state is copied
+    into three rows after the strip's draws, and one np.einsum (not BLAS,
+    whose bits depend on the machine) applies WeightTable.strip_jump's
+    linear map to them, adding the draws in time order, then xi_s,
+    xi_(s-1) and S_s, whatever the block's width.  Every strip is
     jumped whatever the grid, and a point at a strip end reads S_e; the
     points strictly inside it are read by the walk on a copy of the
     strip's start, which stops at the last of them and never feeds the
@@ -246,15 +241,10 @@ def _read_paths(coeffs, spec, grid, replications, master_seed):
     # a strip past DENSE_MAX is jumped when the grid reaches its end
     if scan or any(DENSE_MAX < end <= grid[-1] for end in ends):
         table = weight_sequence(coeffs, max(STRIP_STEPS, grid[-1] - 1) if scan else STRIP_STEPS)
-        cum = table.cum
-        # a whole strip s < t <= e moves (xi, xi one step earlier, S) to e by these weights
-        # on its draws and carries of xi_s and b xi_(s-1), which enters as a draw at s + 1
-        xi_weights, jump = table.strip_jump(STRIP_STEPS)
-        weights = np.array([*xi_weights, cum[STRIP_STEPS - 1 :: -1]])
-        carry = [*map(tuple, jump), (cum[STRIP_STEPS] - 1.0, b * cum[STRIP_STEPS - 1])]
+        cum, jump = table.cum, table.strip_jump(STRIP_STEPS)
     # one strip and one scratch row serve every block: no block is wider than the first, no strip longer than the last
     widest = min(BLOCK_REPLICATES, replications)
-    strip, scratch_row = np.empty((ends[-1] - ends[-2]) * widest), np.empty(widest)
+    strip, scratch_row = np.empty((ends[-1] - ends[-2] + 3) * widest), np.empty(widest)
     for block, done in enumerate(range(0, replications, BLOCK_REPLICATES)):
         take = min(BLOCK_REPLICATES, replications - done)
         # the state (xi_t, xi_(t-1), S_t) and the walk's copy or the sums ahead of it
@@ -312,13 +302,10 @@ def _read_paths(coeffs, spec, grid, replications, master_seed):
             if end <= DENSE_MAX or i == len(grid):  # the walk moved the state, or read the last grid point
                 prev, older = xi, earlier
                 continue
-            np.einsum("kj,ji->ki", weights, theta, out=ahead, optimize=False)
-            for sums, (p, q) in zip(ahead, carry):
-                np.multiply(prev, p, out=scratch)
-                sums += scratch
-                np.multiply(older, q, out=scratch)
-                sums += scratch
-            ahead[2] += total
+            # the jump maps (theta_(t0+1..end), xi_t0, xi_(t0-1), S_t0) to the state at end
+            moved = strip[: (end - t0 + 3) * take].reshape(-1, take)
+            moved[-3], moved[-2], moved[-1] = prev, older, total
+            np.einsum("kj,ji->ki", jump, moved, out=ahead, optimize=False)
             state, ahead = ahead, state
             prev, older, total = state
             if grid[i] == end:
@@ -380,6 +367,12 @@ def _verdict(grid, ci_terms, at_floor_flags, partial_sums, ci_totals) -> Verdict
     return Verdict.GROWING
 
 
+def _moment_points(grid) -> list:
+    """The grid indices of partial_series' moment fit: its powers of two >= 16, if at least 4 (else none)."""
+    points = [i for i, n in enumerate(grid) if n >= 16 and n & (n - 1) == 0]
+    return points if len(points) >= 4 else []
+
+
 def _moment_report(r, n_grid, estimates, replications) -> MomentGrowthReport:
     """Least-squares fit of log E|S_n|^r against log n."""
     slope, intercept = np.polyfit(np.log(np.asarray(n_grid, dtype=float)), np.log(estimates), 1)
@@ -426,9 +419,7 @@ def partial_series(
     require_stable(coeffs, "estimation")
     replications = _as_replications(replications)
     finite = math.isfinite(absolute_moment(spec, params.r))
-    moment_at = [i for i, n in enumerate(grid) if n >= 16 and n & (n - 1) == 0]
-    if len(moment_at) < 4 or not finite:
-        moment_at = []
+    moment_at = _moment_points(grid) if finite else []
     limits = [params.epsilon * float(n) ** (1.0 / params.p) for n in grid]
     counts = [0] * len(grid)
     accs = {i: CompensatedSum() for i in moment_at}

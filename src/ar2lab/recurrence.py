@@ -136,17 +136,26 @@ class WeightTable(_Record):
         if self.horizon < horizon:
             raise InsufficientHorizon(f"weight table horizon {self.horizon} < {horizon}")
 
-    def strip_jump(self, steps: int) -> tuple:
-        """How a strip of steps >= 2 draws moves the state from its start s to its end e = s + steps.
+    def strip_jump(self, steps: int) -> np.ndarray:
+        """The strip s < t <= e = s + steps (>= 2) as one linear map, a Fortran-ordered (3, steps + 3) array.
 
-        Returns (weights, jump), with (xi_e, xi_(e-1)) = jump @ (xi_s,
-        xi_(s-1)) + weights @ (theta_(s+1), ..., theta_e).
+        It takes (theta_(s+1), ..., theta_e, xi_s, xi_(s-1), S_s) to
+        (xi_e, xi_(e-1), S_e) by the paper's weighted sums, with L = steps,
+
+            xi_e = sum_j u_(L-j) theta_(s+j) + u_L xi_s + b u_(L-1) xi_(s-1),
+            S_e = sum_j U(L-j) theta_(s+j) + (U(L) - 1) xi_s + b U(L-1) xi_(s-1) + S_s,
+
+        and xi_(e-1) alike, one step shorter.  In Fortran order np.einsum("kj,ji->ki",
+        op, x, optimize=False) adds each row's terms in column order at every width of x.
         """
         self.require(steps)
-        u, b = self.u, self.coeffs.b
-        weights = np.array([u[steps - 1 :: -1], [*u[steps - 2 :: -1], 0.0]])
-        jump = np.array([[u[steps], b * u[steps - 1]], [u[steps - 1], b * u[steps - 2]]])
-        return weights, jump
+        u, cum, b = self.u, self.cum, self.coeffs.b
+        op = np.zeros((3, steps + 3), order="F")
+        op[0, :steps], op[1, : steps - 1], op[2, :steps] = u[steps - 1 :: -1], u[steps - 2 :: -1], cum[steps - 1 :: -1]
+        op[:, steps] = u[steps], u[steps - 1], cum[steps] - 1.0  # on xi_s
+        op[:, steps + 1] = b * u[steps - 1], b * u[steps - 2], b * cum[steps - 1]  # on xi_(s-1)
+        op[2, steps + 2] = 1.0  # on S_s
+        return op
 
 
 def weight_sequence(coeffs: ARCoefficients, horizon: int) -> WeightTable:

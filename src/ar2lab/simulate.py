@@ -18,8 +18,8 @@ of a lockstep walk, which steps all rows together in the scalar
 recursion's operation order, fl(fl(fl(a xi_(t-1)) + fl(b xi_(t-2))) +
 theta_t), three ufunc calls per step.  Chunk 0 starts from rest; every
 later chunk starts from a guess, the weighted-sum jump of its
-predecessor's guessed start by the weights u_0..u_L
-(WeightTable.strip_jump, as in the estimate engine's strip jumps).
+predecessor's guessed start by the xi rows of the estimate engine's
+strip operator (WeightTable.strip_jump).
 Then, as in a parareal iteration (Lions, Maday & Turinici 2001) with the
 jump as the coarse propagator and the exact recursion as the fine one,
 each sweep walks rows not yet final (see Cost) and restarts each chunk
@@ -80,9 +80,9 @@ def _start_guesses(coeffs: ARCoefficients, draws: np.ndarray, paths: int) -> np.
     """Guessed (xi_(s-1), xi_s) at the start s of every chunk but the first, as 2 rows.
 
     draws is the walk's (L, rows) array of chunk draws, chunk-major.  A
-    chunk's forced end, the state its draws reach from rest, is one
-    einsum with the strip weights u_0..u_L; chunk c + 1 starts at
-    J start_c + forced_c, with J the strip's jump of a start: one einsum
+    chunk's forced end, the state its draws reach from rest, is one einsum
+    with the draw columns of WeightTable.strip_jump(L)'s xi rows; chunk c + 1
+    starts at J start_c + forced_c, with J their carry columns: one einsum
     per chunk, in time order (einsum, not BLAS, as in the estimate
     engine).  On unstable coefficients the guesses overflow to inf where
     the states do.  Only the number of sweeps depends on these values:
@@ -90,10 +90,10 @@ def _start_guesses(coeffs: ARCoefficients, draws: np.ndarray, paths: int) -> np.
     """
     steps = len(draws)
     try:
-        weights, jump = weight_sequence(coeffs, steps).strip_jump(steps)
+        op = weight_sequence(coeffs, steps).strip_jump(steps)
     except HorizonOverflow:
         return np.zeros((2, draws.shape[1] - paths))
-    weights, jump = weights[::-1], jump[::-1, ::-1]  # in time order, (xi_(s-1), xi_s)
+    weights, jump = op[1::-1, :steps], op[1::-1, steps + 1 : steps - 1 : -1]  # on xi, as (xi_(s-1), xi_s)
     starts = np.einsum("kj,ji->ki", weights, draws[:, :-paths], optimize=False)
     for c in range(paths, starts.shape[1], paths):
         starts[:, c : c + paths] += np.einsum("kj,ji->ki", jump, starts[:, c - paths : c], optimize=False)

@@ -445,6 +445,49 @@ def test_strips_past_the_head_are_jumped_whatever_the_grid(monkeypatch):
         assert rows == [3] * jumps
 
 
+@pytest.mark.parametrize("spec", [NORMAL, RADEMACHER], ids=["normal", "rademacher"])
+@pytest.mark.parametrize("width", [1, 2, 100, 4096])
+def test_the_jump_adds_the_operators_columns_in_order(spec, width):
+    # the engine's einsum of the strip operator against a strip of draws and a
+    # state equals adding the operator's columns one after another, bit for bit,
+    # at every block width; a C-ordered operator took numpy's contiguous dot
+    # kernel at width 1, which does not add in column order
+    steps = estimate.STRIP_STEPS
+    op = weight_sequence(STABLE, steps).strip_jump(steps)
+    moved = sample_block(spec, (steps + 3) * width, StreamKey(3, "tail", n=width, block=0)).reshape(-1, width)
+    moved[-3:] *= 100.0  # a state larger than the draws, as far into a path
+    sums = np.empty((3, width))
+    np.einsum("kj,ji->ki", op, moved, out=sums, optimize=False)
+    ordered = np.zeros((3, width))
+    for column, row in zip(op.T, moved):
+        ordered += column[:, None] * row
+    assert np.array_equal(sums.view(np.uint64), ordered.view(np.uint64))
+
+
+@pytest.mark.parametrize("spec", [NORMAL, RADEMACHER], ids=["normal", "rademacher"])
+def test_a_one_row_block_reads_the_time_order_sum(spec):
+    # R = 4097 leaves block 1 one replicate.  Its |S_256| walks the head to 128
+    # and jumps the strip 128 < t <= 256; the reference draws the same stream keys,
+    # steps the head in simulate_path's order and adds the jump's terms in time
+    # order, then xi_128, xi_127 and S_128, in Python floats
+    a, b = STABLE.a, STABLE.b
+    cum = weight_sequence(STABLE, 128).cum.tolist()
+    ends = [0, 1, 2, 4, 8, 16, 32, 64, 128, 256]
+    for seed in (1, 2):
+        for _, row in estimate._read_paths(STABLE, spec, [256], estimate.BLOCK_REPLICATES + 1, seed):
+            last = float(row[-1])
+        theta = np.concatenate([sample_block(spec, end - start, StreamKey(seed, "tail", n=end, block=1))
+                                for start, end in zip(ends, ends[1:])]).tolist()
+        xi = older = total = 0.0
+        for draw in theta[:128]:
+            xi, older = a * xi + b * older + draw, xi
+            total += xi
+        s_e = 0.0
+        for weight, term in zip([*cum[127::-1], cum[128] - 1.0, b * cum[127], 1.0], [*theta[128:], xi, older, total]):
+            s_e += weight * term
+        assert last == abs(s_e), seed
+
+
 def test_an_estimate_builds_at_most_one_weight_table(monkeypatch):
     # the jumps need U and u to STRIP_STEPS, the set-aside draws U to grid[-1] - 1;
     # one table serves both, and none is built for noise that is never scanned
@@ -518,8 +561,9 @@ STRIP_BYTES = 8 * estimate.STRIP_STEPS * estimate.BLOCK_REPLICATES
 
 def test_path_memory_stays_within_the_budget():
     # one unsplit block at n = 2^13 would hold 4096 x 8192 doubles (256 MiB) of
-    # paths.  Read in time strips, it holds one strip of STRIP_STEPS steps with
-    # its sampling temporaries and four rows of state, about 1.13 x STRIP_BYTES.
+    # paths.  Read in time strips, it holds one strip of STRIP_STEPS steps (and
+    # the three rows after it that the strip jump reads) with its sampling
+    # temporaries and four rows of state, about 1.15 x STRIP_BYTES.
     tracemalloc.start()
     try:
         tail_probability(STABLE, NORMAL, SeriesParams(1, 2, 1), 2 ** 13, 4096, 6)
@@ -532,9 +576,9 @@ def test_path_memory_stays_within_the_budget():
 def test_path_memory_is_one_reused_strip():
     # n = 2^13, R = 4096: every strip is sampled into one buffer of STRIP_STEPS
     # steps (STRIP_BYTES) and the grid reads allocate nothing, so the peak is
-    # the strip, the normal kernel's chunk arrays and four rows of state, about
-    # 1.13 x STRIP_BYTES.  A fresh strip and its two half-size uniform arrays
-    # per call would be 3.1 x.
+    # the strip (and the three rows after it), the normal kernel's chunk arrays
+    # and four rows of state, about 1.15 x STRIP_BYTES.  A fresh strip and its
+    # two half-size uniform arrays per call would be 3.1 x.
     tracemalloc.start()
     try:
         tail_probability(STABLE, NORMAL, SeriesParams(1, 2, 1), 2 ** 13, 4096, 6)
@@ -548,7 +592,7 @@ def test_sums_memory_stays_within_the_budget_on_a_dense_grid():
     # grid 1..128 at R = 4096: its longest strip is 64 < t <= 128, half of
     # STRIP_BYTES (2 MiB), and each |S_n| is reduced as the recursion reaches n,
     # in the block's one row of scratch, so the peak is that strip with its
-    # sampling temporaries and the four rows of state, about 2.5 MiB.  Holding
+    # sampling temporaries and the four rows of state, about 2.6 MiB.  Holding
     # the whole block's 128 x 4096 |S_n| (4 MiB) besides would be 6.5 MiB.
     tracemalloc.start()
     try:
@@ -807,6 +851,14 @@ def test_gaussian_second_moment_against_exact_oracle(coeffs, seed):
     for n, got in zip(grid, report.estimates):
         exact = float(np.sum(cum[:n] ** 2))
         assert abs(got - exact) <= 5 * math.sqrt(2.0) * exact / math.sqrt(replications)
+
+
+def test_moment_points_are_four_or_more_powers_of_two_from_16():
+    # the one rule behind partial_series' fit and the summary's "fewer than 4" line
+    assert estimate._moment_points(range(1, 129)) == [15, 31, 63, 127]
+    assert estimate._moment_points(range(1, 65)) == []
+    assert estimate._moment_points([8, 16, 32, 64, 100, 128]) == [1, 2, 3, 5]
+    assert estimate._moment_points([8, 16, 32, 64, 100]) == []
 
 
 def test_moment_slope_windows():

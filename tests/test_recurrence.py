@@ -391,14 +391,17 @@ def test_bound_report_envelope_is_positive_and_finite(ab):
 
 @pytest.mark.parametrize("steps", [2, 3, 128])
 def test_strip_jump_moves_a_state_across_a_strip(named_coeffs, steps):
-    # (xi_e, xi_(e-1)) = jump @ (xi_s, xi_(s-1)) + weights @ draws, against the recursion
+    # (xi_e, xi_(e-1), S_e) = op @ (draws, xi_s, xi_(s-1), S_s), against the recursion
     rng = np.random.default_rng(steps)
     draws = rng.standard_normal(steps)
-    older, prev = rng.standard_normal(2)
-    start = (prev, older)
+    older, prev, total = rng.standard_normal(3)
+    start = (prev, older, total)
     for t in draws:
         older, prev = prev, named_coeffs.a * prev + named_coeffs.b * older + t
-    weights, jump = weight_sequence(named_coeffs, steps).strip_jump(steps)
-    assert np.allclose(jump @ start + weights @ draws, [prev, older], rtol=1e-12, atol=1e-12)
+        total += prev
+    op = weight_sequence(named_coeffs, steps).strip_jump(steps)
+    assert op.shape == (3, steps + 3) and op.flags.f_contiguous
+    assert np.allclose(op @ [*draws, *start], [prev, older, total], rtol=1e-12, atol=1e-12)
+    assert op[:2, -1].tolist() == [0.0, 0.0] and op[2, -1] == 1.0
     with pytest.raises(InsufficientHorizon):
         weight_sequence(named_coeffs, steps - 1).strip_jump(steps)
