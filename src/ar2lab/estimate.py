@@ -199,18 +199,18 @@ def _read_paths(coeffs, spec, grid, replications, master_seed):
     and allocated per call, receives every strip of every block through
     sample_block's out, so sampling pages in no fresh memory.
 
-    One walk steps xi_t = a xi_(t-1) + b xi_(t-2) + theta_t, S_t = S_(t-1)
-    + xi_t for all rows of the block at once, in simulate_path's operation
-    order, and reads every grid point it passes; up to DENSE_MAX it steps
-    the state itself.  Past DENSE_MAX each strip s < t <= e moves the
-    state (xi_s, xi_(s-1), S_s) to e in one jump: the state is copied
-    into three rows after the strip's draws, and one np.einsum (not BLAS,
-    whose bits depend on the machine) applies WeightTable.strip_jump's
-    linear map to them, adding the draws in time order, then xi_s,
-    xi_(s-1) and S_s, whatever the block's width.  Every strip is
-    jumped whatever the grid, and a point at a strip end reads S_e; the
-    points strictly inside it are read by the walk on a copy of the
-    strip's start, which stops at the last of them and never feeds the
+    Each block holds one state (xi_t, xi_(t-1), S_t), and every strip
+    s < t <= e copies it once into the three rows after its draws.  One
+    walk steps that copy by xi_t = a xi_(t-1) + b xi_(t-2) + theta_t, S_t
+    = S_(t-1) + xi_t for all rows of the block at once, in simulate_path's
+    operation order, and reads every grid point it passes.  Up to
+    DENSE_MAX it crosses the whole strip and the state takes its end.
+    Past DENSE_MAX, when the grid reaches e, one np.einsum (not BLAS,
+    whose bits depend on the machine) first applies WeightTable.strip_jump's
+    linear map to the draws and the copy, adding the draws in time order,
+    then xi_s, xi_(s-1) and S_s, whatever the block's width, and writes
+    the state at e; a point at e reads S_e from it.  The walk then stops
+    at the last grid point strictly inside the strip and never feeds the
     state.  So S_n depends on the seed and n alone.
 
     A draw with |theta| > SET_ASIDE (+-inf included; strips are scanned
@@ -247,9 +247,7 @@ def _read_paths(coeffs, spec, grid, replications, master_seed):
     strip, scratch_row = np.empty((ends[-1] - ends[-2] + 3) * widest), np.empty(widest)
     for block, done in enumerate(range(0, replications, BLOCK_REPLICATES)):
         take = min(BLOCK_REPLICATES, replications - done)
-        # the state (xi_t, xi_(t-1), S_t) and the walk's copy or the sums ahead of it
-        state, ahead = np.zeros((2, 3, take))
-        prev, older, total = state
+        state = np.zeros((3, take))  # (xi_t, xi_(t-1), S_t) at the last strip start or end reached
         scratch = scratch_row[:take]
         rows = times = np.empty(0, dtype=np.int64)
         aside = np.empty(0)
@@ -280,15 +278,17 @@ def _read_paths(coeffs, spec, grid, replications, master_seed):
                 aside = np.append(aside, theta[big])
                 theta[big] = 0.0
             theta = theta.reshape(-1, take)
-            if end <= DENSE_MAX:  # in the head the walk steps the state itself
+            # the strip's draws and, in the three rows after them, the copy of its start that the walk steps
+            moved = strip[: cells + 3 * take].reshape(-1, take)
+            moved[-3:] = state
+            if DENSE_MAX < end <= grid[-1]:  # the jump maps (theta_(t0+1..end), xi_t0, xi_(t0-1), S_t0) to end
+                np.einsum("kj,ji->ki", jump, moved, out=state, optimize=False)
+            if end <= DENSE_MAX:  # in the head the walk crosses the strip
                 walk = len(theta)
-                xi, earlier, sums = prev, older, total
-            else:  # past it a copy of the strip's start walks to the last grid point strictly inside the strip
+            else:  # past it the walk stops at the last grid point strictly inside the strip
                 inside = bisect.bisect_left(grid, end, i)  # grid[i:inside] lie inside the strip
                 walk = grid[inside - 1] - t0 if inside > i else 0
-                xi, earlier, sums = ahead
-                if walk:
-                    ahead[0], ahead[1], ahead[2] = prev, older, total
+            xi, earlier, sums = moved[-3:]
             for t, draws in enumerate(theta[:walk], start=t0 + 1):
                 earlier *= b
                 np.multiply(xi, a, out=scratch)
@@ -299,17 +299,10 @@ def _read_paths(coeffs, spec, grid, replications, master_seed):
                 if t == grid[i]:
                     yield i, read(t, sums)
                     i += 1
-            if end <= DENSE_MAX or i == len(grid):  # the walk moved the state, or read the last grid point
-                prev, older = xi, earlier
-                continue
-            # the jump maps (theta_(t0+1..end), xi_t0, xi_(t0-1), S_t0) to the state at end
-            moved = strip[: (end - t0 + 3) * take].reshape(-1, take)
-            moved[-3], moved[-2], moved[-1] = prev, older, total
-            np.einsum("kj,ji->ki", jump, moved, out=ahead, optimize=False)
-            state, ahead = ahead, state
-            prev, older, total = state
-            if grid[i] == end:
-                yield i, read(end, total)
+            if end <= DENSE_MAX:
+                state[0], state[1], state[2] = xi, earlier, sums
+            elif end <= grid[-1] and grid[i] == end:
+                yield i, read(end, state[2])
                 i += 1
 
 

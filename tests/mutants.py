@@ -50,8 +50,12 @@ MUTANTS = (
            ("tests/test_recurrence.py::test_strip_jump_moves_a_state_across_a_strip",
             "tests/test_estimate.py::test_a_one_row_block_reads_the_time_order_sum",
             "tests/test_estimate.py::test_engine_matches_golden")),
-    Mutant("estimate.py", "moved[-3], moved[-2], moved[-1] = prev, older, total", "pass",
+    Mutant("estimate.py", "moved[-3:] = state", "pass",
            "the strip jump reads a stale state from the strip buffer",
+           ("tests/test_estimate.py::test_a_one_row_block_reads_the_time_order_sum",
+            "tests/test_estimate.py::test_engine_matches_golden")),
+    Mutant("estimate.py", "state[0], state[1], state[2] = xi, earlier, sums", "pass",
+           "the head's walk leaves the state at rest, so each strip starts from it",
            ("tests/test_estimate.py::test_a_one_row_block_reads_the_time_order_sum",
             "tests/test_estimate.py::test_engine_matches_golden")),
     Mutant("estimate.py", "counts[i] += np.count_nonzero(row > limits[i])",
@@ -70,6 +74,37 @@ MUTANTS = (
            "a row is yielded before the set-aside draws are added back",
            ("tests/test_estimate.py::test_set_aside_draws_join_each_sum_from_their_own_time_on",
             "tests/test_estimate.py::test_tail_refuses_nan_sums_and_counts_infinite_ones")),
+    Mutant("estimate.py", "if tail_ci <= STABILIZED_TAIL_SHARE", "if tail_ci < STABILIZED_TAIL_SHARE",
+           "a last block at exactly the stabilized share is not Stabilized",
+           ("tests/test_estimate.py::test_verdict_stabilizes_at_a_tail_share_of_exactly_the_limit",)),
+    Mutant("estimate.py", "if floor_fraction >= FLOOR_FRACTION_LIMIT", "if floor_fraction > FLOOR_FRACTION_LIMIT",
+           "a floor fraction of exactly the limit is not FloorLimited",
+           ("tests/test_estimate.py::test_verdict_is_floor_limited_at_exactly_the_floor_fraction",)),
+    Mutant("estimate.py", "n.bit_length() == last_block", "n.bit_length() >= last_block - 1",
+           "the verdict's last block spans two dyadic blocks",
+           ("tests/test_estimate.py::test_verdict_stabilizes_at_a_tail_share_of_exactly_the_limit",
+            "tests/test_acceptance.py::test_criterion_08_hsu_robbins_desk_run")),
+    Mutant("estimate.py", "finite = math.isfinite(absolute_moment(spec, params.r))", "finite = True",
+           "a series with E|theta|^r = inf is judged and fitted as if it converged",
+           ("tests/test_estimate.py::test_verdict_divergent_exactly_when_the_moment_is_infinite",
+            "tests/test_cli.py::test_run_skips_moment_check_when_moment_diverges")),
+    Mutant("simulate.py", "(bits[steps:, lo - paths : hi - paths] != bits[:2, lo:hi])",
+           "(states[steps:, lo - paths : hi - paths] != states[:2, lo:hi])",
+           "the walk compares chunk starts as floats, so -0.0 passes for 0.0 and NaN never matches",
+           ("tests/test_simulate.py::test_a_wrong_start_guess_costs_sweeps_not_bits",
+            "tests/test_simulate.py::test_a_narrow_window_changes_no_bit")),
+    Mutant("simulate.py", "window = paths * max(1, WINDOW_ROWS // paths)",
+           "window = paths * max(1, WINDOW_ROWS // paths) - 1",
+           "a sweep's window stops one row short of whole chunks",
+           ("tests/test_simulate.py::test_a_narrow_window_changes_no_bit",)),
+    Mutant("simulate.py", "first = min(last, lo + moved[0]) if moved.size else last",
+           "first = min(last, lo + moved[0] + paths) if moved.size else last",
+           "a sweep leaves the first chunk whose start moved unwalked",
+           ("tests/test_simulate.py::test_lockstep_walk_is_the_scalar_loop_bit_for_bit",
+            "tests/test_simulate.py::test_a_narrow_window_changes_no_bit")),
+    Mutant("simulate.py", "    return starts\n", "    return starts * (1.0 + 1e-12)\n",
+           "the start guesses are off by a relative 1e-12, which costs sweeps, not bits",
+           ("tests/test_simulate.py::test_stable_walks_take_few_sweeps",)),
 )
 
 

@@ -562,8 +562,9 @@ STRIP_BYTES = 8 * estimate.STRIP_STEPS * estimate.BLOCK_REPLICATES
 def test_path_memory_stays_within_the_budget():
     # one unsplit block at n = 2^13 would hold 4096 x 8192 doubles (256 MiB) of
     # paths.  Read in time strips, it holds one strip of STRIP_STEPS steps (and
-    # the three rows after it that the strip jump reads) with its sampling
-    # temporaries and four rows of state, about 1.15 x STRIP_BYTES.
+    # the three rows after it that hold the state's copy) with its sampling
+    # temporaries, the block's three rows of state and its scratch row, about
+    # 1.12 x STRIP_BYTES (4.49 MiB).
     tracemalloc.start()
     try:
         tail_probability(STABLE, NORMAL, SeriesParams(1, 2, 1), 2 ** 13, 4096, 6)
@@ -576,9 +577,9 @@ def test_path_memory_stays_within_the_budget():
 def test_path_memory_is_one_reused_strip():
     # n = 2^13, R = 4096: every strip is sampled into one buffer of STRIP_STEPS
     # steps (STRIP_BYTES) and the grid reads allocate nothing, so the peak is
-    # the strip (and the three rows after it), the normal kernel's chunk arrays
-    # and four rows of state, about 1.15 x STRIP_BYTES.  A fresh strip and its
-    # two half-size uniform arrays per call would be 3.1 x.
+    # the strip (and the three rows after it), the normal kernel's chunk arrays,
+    # three rows of state and the scratch row, about 1.12 x STRIP_BYTES.  A fresh
+    # strip and its two half-size uniform arrays per call would be 3.1 x.
     tracemalloc.start()
     try:
         tail_probability(STABLE, NORMAL, SeriesParams(1, 2, 1), 2 ** 13, 4096, 6)
@@ -592,8 +593,9 @@ def test_sums_memory_stays_within_the_budget_on_a_dense_grid():
     # grid 1..128 at R = 4096: its longest strip is 64 < t <= 128, half of
     # STRIP_BYTES (2 MiB), and each |S_n| is reduced as the recursion reaches n,
     # in the block's one row of scratch, so the peak is that strip with its
-    # sampling temporaries and the four rows of state, about 2.6 MiB.  Holding
-    # the whole block's 128 x 4096 |S_n| (4 MiB) besides would be 6.5 MiB.
+    # sampling temporaries, three rows of state and the scratch row, about
+    # 2.5 MiB.  Holding the whole block's 128 x 4096 |S_n| (4 MiB) besides would
+    # be 6.5 MiB.
     tracemalloc.start()
     try:
         partial_series(STABLE, NORMAL, SeriesParams(1, 2, 1), range(1, 129), 4096, 3)
@@ -757,6 +759,24 @@ def test_verdict_floor_limited():
     floor_fraction = sum(t.at_floor for t in series.tails) / len(series.tails)
     assert floor_fraction >= 0.25
     assert series.verdict is Verdict.FLOOR_LIMITED
+
+
+def test_verdict_stabilizes_at_a_tail_share_of_exactly_the_limit():
+    # the last dyadic block [4, 8) holds n = 4 alone: its CI term 1.0 is exactly
+    # STABILIZED_TAIL_SHARE (1e-3) of the CI-upper sum 1000.0, which stabilizes
+    assert 1.0 == estimate.STABILIZED_TAIL_SHARE * 1000.0
+    verdict = estimate._verdict([1, 2, 3, 4], [333.0, 333.0, 333.0, 1.0], [False] * 4, [1.0, 2.0, 3.0, 4.0],
+                                [333.0, 666.0, 999.0, 1000.0])
+    assert verdict is Verdict.STABILIZED
+
+
+def test_verdict_is_floor_limited_at_exactly_the_floor_fraction():
+    # one term of four on the floor is exactly FLOOR_FRACTION_LIMIT, and the
+    # last block's share 1/4 is far above the stabilized limit
+    assert 1 / 4 == estimate.FLOOR_FRACTION_LIMIT
+    verdict = estimate._verdict([1, 2, 3, 4], [1.0] * 4, [True, False, False, False], [1.0, 2.0, 3.0, 4.0],
+                                [1.0, 2.0, 3.0, 4.0])
+    assert verdict is Verdict.FLOOR_LIMITED
 
 
 @pytest.mark.parametrize(
